@@ -51,9 +51,13 @@ def merge_tree_at(
     collapse_tol: float = DEFAULT_COLLAPSE_TOL,
     normalize: str = "median",
 ) -> MergeTree:
-    """Filtration pipeline for one direction: project, collapse, build, shift."""
+    """Filtration pipeline for one direction: project, collapse, build, shift.
+
+    ``normalize`` is ``'median'``, ``'mean'`` or ``'none'`` (no shift).
+    """
     sg = collapse_equal_adjacent(direction_filter(g, omega), collapse_tol)
-    return shift_median_zero(compute_merge_tree(sg), normalize)
+    mt = compute_merge_tree(sg)
+    return mt if normalize == "none" else shift_median_zero(mt, normalize)
 
 
 def per_frame_distances(
@@ -63,17 +67,22 @@ def per_frame_distances(
     mode: str = "exact",
     tol: float = 1e-6,
     collapse_tol: float = DEFAULT_COLLAPSE_TOL,
-    normalize: str = "median",
 ) -> list[float]:
-    """Branching distance per frame, in frame order (unsorted)."""
+    """Branching distance per frame, in frame order (unsorted).
+
+    A distance error such as the leaf guard is re-raised naming the frame.
+    """
     g = largest_component(g)
     h = largest_component(h)
     frames = frame_angles(n_frames)
     out = []
-    for omega in frames.angles:
-        mg = merge_tree_at(g, omega, collapse_tol, normalize)
-        mh = merge_tree_at(h, omega, collapse_tol, normalize)
-        out.append(branching_distance(mg, mh, mode=mode, tol=tol))
+    for i, omega in enumerate(frames.angles):
+        mg = merge_tree_at(g, omega, collapse_tol)
+        mh = merge_tree_at(h, omega, collapse_tol)
+        try:
+            out.append(branching_distance(mg, mh, mode=mode, tol=tol))
+        except ValueError as exc:
+            raise ValueError(f"frame {i} (angle {omega!r}): {exc}") from exc
     return out
 
 

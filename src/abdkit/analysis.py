@@ -16,7 +16,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .abd import frame_angles, merge_tree_at
+from .abd import _aggregate, frame_angles, merge_tree_at
 from .branching import branching_distance
 from .filtration import DEFAULT_COLLAPSE_TOL
 from .graph_io import EmbeddedGraph, largest_component
@@ -84,18 +84,27 @@ class Embedding2D:
     n_clamped: int = 0
 
 
-def _pair_abd(args) -> tuple[int, int, float]:
-    i, j, trees_i, trees_j, avg, mode, tol = args
-    dists = sorted(
-        branching_distance(a, b, mode=mode, tol=tol) for a, b in zip(trees_i, trees_j)
-    )
-    if avg == "median":
-        val = float(np.median(dists))
-    elif avg == "mean":
-        val = float(np.mean(dists))
-    else:
-        raise ValueError(f"unknown avg {avg!r}")
-    return i, j, val
+def _pair_abd(trees, labels, avg, mode, tol, i, j) -> float:
+    """ABD of graphs ``i`` and ``j`` from their per-frame merge trees."""
+    dists = []
+    for frame, (a, b) in enumerate(zip(trees[i], trees[j])):
+        try:
+            dists.append(branching_distance(a, b, mode=mode, tol=tol))
+        except ValueError as exc:
+            raise ValueError(f"{labels[i]} vs {labels[j]}, frame {frame}: {exc}") from exc
+    return _aggregate(sorted(dists), avg)
+
+
+_worker_args: tuple = ()  # _pair_abd's leading arguments, set once in each pool worker
+
+
+def _init_worker(*args) -> None:
+    global _worker_args
+    _worker_args = args
+
+
+def _worker_pair_abd(pair: tuple[int, int]) -> float:
+    return _pair_abd(*_worker_args, *pair)
 
 
 def distance_matrix(
@@ -110,9 +119,11 @@ def distance_matrix(
 ) -> DistanceMatrix:
     """Pairwise ABD matrix; each merge tree is built once per (graph, angle).
 
-    Unordered pairs are independent work items (``jobs`` > 1 runs them in a
-    process pool); per-frame values are sorted before aggregation, so the
-    result does not depend on scheduling.
+    Each tree's branch representations are built once per call and reused
+    for every pair.  Unordered pairs are independent work items; ``jobs`` > 1
+    runs them in a process pool that gets every tree once per worker and
+    then only pair indices.  Per-frame values are sorted before aggregation,
+    so the result does not depend on scheduling.  Errors name pair and frame.
     """
     if len(graphs) < 2:
         raise ValueError("need at least 2 graphs")
@@ -124,16 +135,15 @@ def distance_matrix(
     angles = frame_angles(n_frames).angles
     trees = [[merge_tree_at(g, w, collapse_tol) for w in angles] for g in comps]
     n = len(graphs)
-    tasks = [
-        (i, j, trees[i], trees[j], avg, mode, tol) for i in range(n) for j in range(i + 1, n)
-    ]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    args = (trees, labels, avg, mode, tol)
     out = np.zeros((n, n))
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_pair_abd, tasks))
+        with ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=args) as pool:
+            values = list(pool.map(_worker_pair_abd, pairs))
     else:
-        results = [_pair_abd(t) for t in tasks]
-    for i, j, val in results:
+        values = [_pair_abd(*args, i, j) for i, j in pairs]
+    for (i, j), val in zip(pairs, values):
         out[i, j] = out[j, i] = val
     return DistanceMatrix(labels, out)
 
@@ -173,14 +183,6 @@ def cut_clusters(dend: Dendrogram, k: int) -> list[int]:
     n = dend.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}]")
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     cluster_members: dict[int, list[int]] = {i: [i] for i in range(n)}
     next_id = n
     for a, b, _, _ in dend.merges[: n - k]:

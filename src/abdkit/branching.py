@@ -233,15 +233,16 @@ def representations(mt: MergeTree, max_leaves: int = MAX_LEAVES_BASELINE) -> lis
 
 
 def _unique_representations(mt: MergeTree) -> list[RootedTreeRep]:
-    """Representations deduplicated by (value, shape); identical reps match identically."""
-    seen = set()
-    out = []
-    for rep in representations(mt):
-        key = rep.canonical_key()
-        if key not in seen:
-            seen.add(key)
-            out.append(rep)
-    return out
+    """Representations deduplicated by (value, shape); identical reps match identically.
+
+    Built on the first call and kept in ``mt.unique_reps`` for later ones.
+    """
+    if mt.unique_reps is None:
+        unique: dict = {}
+        for rep in representations(mt):
+            unique.setdefault(rep.canonical_key(), rep)
+        mt.unique_reps = list(unique.values())
+    return mt.unique_reps
 
 
 def _children_assignable(rx: RootedTreeRep, ry: RootedTreeRep, cu, cv, eps, feas) -> bool:

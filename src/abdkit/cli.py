@@ -24,11 +24,11 @@ import sys
 from pathlib import Path
 
 from . import analysis, synth, verify
-from .abd import average_branching_distance, frame_angles, per_frame_distances
+from .abd import average_branching_distance, frame_angles, merge_tree_at, per_frame_distances
 from .branching import branching_distance
-from .filtration import DEFAULT_COLLAPSE_TOL, collapse_equal_adjacent, direction_filter
+from .filtration import DEFAULT_COLLAPSE_TOL
 from .graph_io import GraphFormatError, connected_components, largest_component, load_graph, write_graph
-from .merge_tree import compute_merge_tree, load_tree, shift_median_zero, tree_to_dict
+from .merge_tree import load_tree, tree_to_dict
 
 ENGINE = "baseline"  # enumeration + candidate bisection; no optimized DP
 
@@ -45,10 +45,7 @@ def cmd_tree(args) -> int:
     if len(connected_components(g)) > 1:
         print("warning: graph is disconnected; using the largest component", file=sys.stderr)
         g = largest_component(g)
-    sg = collapse_equal_adjacent(direction_filter(g, args.angle), args.collapse_tol)
-    mt = compute_merge_tree(sg)
-    if args.normalize != "none":
-        mt = shift_median_zero(mt, mode=args.normalize)
+    mt = merge_tree_at(g, args.angle, args.collapse_tol, args.normalize)
     _write_out(json.dumps(tree_to_dict(mt), indent=1) + "\n", args.out)
     return 0
 

@@ -28,8 +28,6 @@ class ScalarGraph:
 
     values: dict[int, float]
     edges: list[tuple[int, int]]
-    angle: float | None = None
-    source_id: str | None = None
 
     @property
     def n_vertices(self) -> int:
@@ -66,7 +64,7 @@ def _snap(t: float) -> float:
     return t
 
 
-def direction_filter(g: EmbeddedGraph, omega: float, source_id: str | None = None) -> ScalarGraph:
+def direction_filter(g: EmbeddedGraph, omega: float) -> ScalarGraph:
     """Project every vertex onto the direction at angle ``omega`` (radians).
 
     ``value(v) = x(v)*cos(omega) + y(v)*sin(omega)``; at ``omega = pi/2``
@@ -74,7 +72,7 @@ def direction_filter(g: EmbeddedGraph, omega: float, source_id: str | None = Non
     """
     c, s = _snap(math.cos(omega)), _snap(math.sin(omega))
     values = {v: x * c + y * s for v, (x, y) in g.vertices.items()}
-    return ScalarGraph(values, list(g.edges), angle=omega, source_id=source_id)
+    return ScalarGraph(values, list(g.edges))
 
 
 def collapse_equal_adjacent(sg: ScalarGraph, tol: float = DEFAULT_COLLAPSE_TOL) -> ScalarGraph:
@@ -133,4 +131,4 @@ def _collapse_once(sg: ScalarGraph, tol: float) -> ScalarGraph:
         if key not in seen:
             seen.add(key)
             edges.append(key)
-    return ScalarGraph(values, edges, angle=sg.angle, source_id=sg.source_id)
+    return ScalarGraph(values, edges)

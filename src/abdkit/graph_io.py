@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import permutations
 from pathlib import Path
 
 __all__ = [
@@ -240,16 +239,6 @@ def is_isomorphic(a: EmbeddedGraph, b: EmbeddedGraph) -> bool:
     if deg_a != deg_b:
         return False
     ids_a = sorted(adj_a, key=lambda u: len(adj_a[u]))
-    if a.n_vertices <= 8:
-        # small enough for the permutation sieve
-        ids_b = list(adj_b)
-        for perm in permutations(ids_b):
-            mapping = dict(zip(ids_a, perm))
-            if all(
-                {mapping[w] for w in adj_a[u]} == adj_b[mapping[u]] for u in ids_a
-            ):
-                return True
-        return False
     return _iso_backtrack(ids_a, adj_a, adj_b, {}, set())
 
 

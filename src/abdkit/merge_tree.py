@@ -19,7 +19,7 @@ Two constructions are provided:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +28,6 @@ from .filtration import ScalarGraph
 
 __all__ = [
     "MergeTree",
-    "SublevelSnapshot",
-    "sublevel_snapshots",
     "compute_merge_tree",
     "merge_tree_oracle",
     "shift_median_zero",
@@ -46,13 +44,14 @@ class MergeTree:
     Invariants: exactly one root, holding the maximum value; every non-root
     node's parent has a strictly larger value; every internal node has at
     least two children.  A trivial tree is a single node that is both root
-    and minimum.  ``source`` optionally maps nodes back to the scalar-graph
-    vertex that created them.
+    and minimum.  The first branching-distance call stores the tree's unique
+    branch representations in ``unique_reps`` (not compared, not in ``repr``,
+    not kept by :meth:`shifted`); a tree is not edited after that call.
     """
 
     values: dict[int, float]
     parent: dict[int, int]
-    source: dict[int, int] | None = None
+    unique_reps: list | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -123,15 +122,11 @@ class MergeTree:
         return rec(self.root)
 
     def shifted(self, delta: float) -> "MergeTree":
-        return MergeTree(
-            {n: v + delta for n, v in self.values.items()},
-            dict(self.parent),
-            dict(self.source) if self.source is not None else None,
-        )
+        return MergeTree({n: v + delta for n, v in self.values.items()}, dict(self.parent))
 
 
 def trees_equal(a: MergeTree, b: MergeTree) -> bool:
-    """Value-preserving isomorphism test (ignores node ids and sources)."""
+    """Value-preserving isomorphism test (ignores node ids)."""
     return a.canonical_key() == b.canonical_key()
 
 
@@ -175,7 +170,6 @@ def compute_merge_tree(sg: ScalarGraph) -> MergeTree:
     node_value: dict[int, float] = {}
     node_parent: dict[int, int] = {}
     node_children: dict[int, list[int]] = {}
-    node_source: dict[int, int] = {}
     leaf_node: dict[int, int] = {}  # graph minimum -> its tree leaf
 
     def tree_root(n: int) -> int:
@@ -191,7 +185,6 @@ def compute_merge_tree(sg: ScalarGraph) -> MergeTree:
             node_value[v] = value
             node_parent[v] = v
             node_children[v] = []
-            node_source[v] = v
             leaf_node[v] = v
             child[v] = v
         elif len(reps) == 1:
@@ -206,7 +199,6 @@ def compute_merge_tree(sg: ScalarGraph) -> MergeTree:
             node_value[v] = value
             node_parent[v] = v
             node_children[v] = []
-            node_source[v] = v
             for rt in roots:
                 if node_value[rt] == value:
                     # same-level merge event: absorb instead of stacking
@@ -214,7 +206,6 @@ def compute_merge_tree(sg: ScalarGraph) -> MergeTree:
                         node_parent[grand] = v
                         node_children[v].append(grand)
                     del node_value[rt], node_children[rt], node_parent[rt]
-                    node_source.pop(rt, None)
                 else:
                     node_parent[rt] = v
                     node_children[v].append(rt)
@@ -227,12 +218,10 @@ def compute_merge_tree(sg: ScalarGraph) -> MergeTree:
         raise ValueError("sweep produced a forest; input was not connected")
 
     ordered = sorted(node_value, key=lambda n: (node_value[n], n))
-    tree = MergeTree(
+    return MergeTree(
         {n: node_value[n] for n in ordered},
         {n: node_parent[n] for n in ordered},
-        {n: node_source[n] for n in ordered},
     )
-    return tree
 
 
 @dataclass(frozen=True)
@@ -328,7 +317,6 @@ def merge_tree_oracle(sg: ScalarGraph) -> MergeTree:
     return MergeTree(
         {ids[mu]: node_value[mu] for mu in ids},
         {ids[mu]: ids[node_parent[mu]] for mu in ids},
-        None,
     )
 
 
@@ -360,7 +348,7 @@ def tree_to_dict(mt: MergeTree) -> dict:
 def tree_from_dict(doc: dict) -> MergeTree:
     values = {int(n["id"]): float(n["value"]) for n in doc["nodes"]}
     parent = {int(k): int(v) for k, v in doc["parent"].items()}
-    tree = MergeTree(values, parent, None)
+    tree = MergeTree(values, parent)
     tree.validate()
     return tree
 

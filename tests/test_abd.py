@@ -122,6 +122,13 @@ def test_disconnected_uses_largest_component():
     assert average_branching_distance(w, w_only, n_frames=3) == 0.0
 
 
+def test_per_frame_leaf_guard_names_frame(rng):
+    g, h = comb(rng, teeth=13), comb(rng, teeth=13)
+    with pytest.raises(ValueError, match="limited to 12") as err:
+        per_frame_distances(g, h, 1)
+    assert f"frame 0 (angle {math.pi / 2!r})" in str(err.value)
+
+
 def test_merge_tree_at_median_zero(rng):
     g = comb(rng)
     for omega in frame_angles(5).angles:

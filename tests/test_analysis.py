@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import orthogonal_procrustes
 from scipy.sparse.csgraph import minimum_spanning_tree
 
+from abdkit import branching
 from abdkit.analysis import (
     Dendrogram,
     DistanceMatrix,
@@ -19,7 +20,7 @@ from abdkit.analysis import (
     single_linkage,
 )
 from abdkit.fixtures import graph_counterexample
-from abdkit.synth import convex_polygon, star
+from abdkit.synth import comb, convex_polygon, star
 
 
 def dm(labels, rows):
@@ -61,11 +62,34 @@ def test_matrix_permutation_equivariance():
             assert b.d[r, c] == a.d[perm[r], perm[c]]
 
 
-def test_matrix_jobs_parallel_matches_serial():
+@pytest.mark.parametrize("avg", ["median", "mean"])
+@pytest.mark.parametrize("mode, tol", [("exact", 1e-6), ("tolerance", 1e-3)], ids=["exact", "tolerance"])
+def test_matrix_jobs_parallel_matches_serial(avg, mode, tol):
     g, h, j = graph_counterexample()
-    a = distance_matrix([g, h, j], n_frames=2, jobs=1)
-    b = distance_matrix([g, h, j], n_frames=2, jobs=2)
+    kw = dict(n_frames=3, avg=avg, mode=mode, tol=tol)
+    a = distance_matrix([g, h, j], jobs=1, **kw)
+    b = distance_matrix([g, h, j], jobs=2, **kw)
     assert np.array_equal(a.d, b.d)
+
+
+def test_matrix_builds_representations_once_per_tree(rng, monkeypatch):
+    calls = []
+    real = branching.representations
+
+    def counted(mt, *args, **kwargs):
+        calls.append(mt)
+        return real(mt, *args, **kwargs)
+
+    monkeypatch.setattr(branching, "representations", counted)
+    distance_matrix([star(rng), comb(rng), star(rng)], n_frames=2)
+    assert len(calls) <= 6  # 3 graphs x 2 frames
+
+
+def test_matrix_leaf_guard_names_pair_and_frame(rng):
+    combs = [comb(rng, teeth=13), comb(rng, teeth=13)]
+    with pytest.raises(ValueError, match="limited to 12") as err:
+        distance_matrix(combs, n_frames=1, labels=["left", "right"])
+    assert "left vs right, frame 0" in str(err.value)
 
 
 def test_matrix_needs_two_graphs(rng):
