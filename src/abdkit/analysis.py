@@ -48,6 +48,10 @@ class DistanceMatrix:
         n = len(self.labels)
         if self.d.shape != (n, n):
             raise ValueError(f"matrix shape {self.d.shape} does not match {n} labels")
+        if not np.isfinite(self.d).all():
+            i, j = np.argwhere(~np.isfinite(self.d))[0]
+            a, b = self.labels[i], self.labels[j]
+            raise ValueError(f"non-finite entry {self.d[i, j]} between {a!r} and {b!r}")
         if not np.allclose(self.d, self.d.T, atol=0.0, rtol=0.0, equal_nan=False):
             raise ValueError("matrix is not symmetric")
         if np.any(np.diag(self.d) != 0.0):
@@ -152,27 +156,41 @@ def single_linkage(dm: DistanceMatrix) -> Dendrogram:
     """Agglomerate by smallest inter-cluster (minimum-link) distance.
 
     Ties are broken by the lexicographically smallest (a, b) cluster-id
-    pair, so dendrograms are reproducible across runs and platforms.
+    pair, so dendrograms are reproducible across runs and platforms.  The
+    link matrix is indexed by cluster id; a merged cluster's row is the
+    elementwise minimum of its parts' rows (the Lance-Williams update for
+    single linkage), so each merge is one vectorised pass over O(n^2) memory.
     """
     n = dm.n
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
+    n_ids = max(2 * n - 1, 0)  # one row and column per cluster id
+    link = np.full((n_ids, n_ids), np.inf)
+    link[:n, :n] = dm.d
+    active = list(range(n))  # ascending: a new cluster id is always the largest
+    sizes = [1] * n
     merges: list[tuple[int, int, float, int]] = []
-    next_id = n
-    d = dm.d
-    while len(members) > 1:
-        best: tuple[float, int, int] | None = None
-        ids = sorted(members)
-        for ai in range(len(ids)):
-            for bi in range(ai + 1, len(ids)):
-                a, b = ids[ai], ids[bi]
-                link = min(d[p, q] for p in members[a] for q in members[b])
-                if best is None or link < best[0]:
-                    best = (link, a, b)
-        link, a, b = best
-        members[next_id] = members.pop(a) + members.pop(b)
-        merges.append((a, b, float(link), len(members[next_id])))
-        next_id += 1
+    for c in range(n, 2 * n - 1):
+        ids = np.array(active)
+        rows, cols = np.triu_indices(len(ids), 1)  # row-major: first argmin = smallest (a, b)
+        best = int(np.argmin(link[ids[rows], ids[cols]]))
+        a, b = int(ids[rows[best]]), int(ids[cols[best]])
+        link[c] = link[:, c] = np.minimum(link[a], link[b])
+        active = [x for x in active if x != a and x != b] + [c]
+        sizes.append(sizes[a] + sizes[b])
+        merges.append((a, b, float(link[a, b]), sizes[c]))
     return Dendrogram(list(dm.labels), merges)
+
+
+def _replay(dend: Dendrogram, leaf, join, steps: int | None = None) -> list:
+    """Fold the first ``steps`` merges (all by default) over the leaves.
+
+    Item ``i`` starts as ``leaf(i)``; merge ``(a, b, h)`` replaces the values
+    of clusters ``a`` and ``b`` by ``join(value_a, value_b, h)``.  Returns the
+    values of the clusters left unmerged.
+    """
+    nodes = {i: leaf(i) for i in range(dend.n)}
+    for c, (a, b, h, _) in enumerate(dend.merges[:steps], start=dend.n):
+        nodes[c] = join(nodes.pop(a), nodes.pop(b), h)
+    return list(nodes.values())
 
 
 def cut_clusters(dend: Dendrogram, k: int) -> list[int]:
@@ -183,17 +201,9 @@ def cut_clusters(dend: Dendrogram, k: int) -> list[int]:
     n = dend.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}]")
-    cluster_members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    next_id = n
-    for a, b, _, _ in dend.merges[: n - k]:
-        cluster_members[next_id] = cluster_members.pop(a) + cluster_members.pop(b)
-        next_id += 1
-    groups = sorted(cluster_members.values(), key=min)
-    assignment = [0] * n
-    for idx, group in enumerate(groups):
-        for item in group:
-            assignment[item] = idx
-    return assignment
+    groups = sorted(_replay(dend, lambda i: [i], lambda a, b, _: a + b, n - k), key=min)
+    cluster = {item: idx for idx, group in enumerate(groups) for item in group}
+    return [cluster[i] for i in range(n)]
 
 
 def cluster_purity(assignment: list[int], truth: list[str]) -> float:
@@ -274,9 +284,20 @@ def matrix_to_csv(dm: DistanceMatrix) -> str:
 
 
 def load_distance_csv(path: str | Path) -> DistanceMatrix:
-    lines = Path(path).read_text().strip().splitlines()
+    """Read a matrix CSV; a malformed row is reported with its 1-based line number."""
+    text = Path(path).read_text()
+    skipped = text.count("\n", 0, len(text) - len(text.lstrip()))  # leading blank lines
+    lines = text.strip().splitlines()
     labels = lines[0].split(",")
-    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=skipped + 2):
+        try:
+            row = [float(x) for x in line.split(",")]
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {lineno}: {exc}") from None
+        if len(row) != len(labels):
+            raise ValueError(f"{path}, line {lineno}: {len(row)} values for {len(labels)} labels")
+        rows.append(row)
     return DistanceMatrix(labels, np.array(rows))
 
 
@@ -287,17 +308,12 @@ def _newick_name(label: str) -> str:
 
 def dendrogram_to_newick(dend: Dendrogram) -> str:
     """Newick with branch lengths; leaf-to-parent length = merge height."""
-    n = dend.n
-    height: dict[int, float] = {i: 0.0 for i in range(n)}
-    text: dict[int, str] = {i: _newick_name(label) for i, label in enumerate(dend.labels)}
-    next_id = n
-    for a, b, h, _ in dend.merges:
-        la = h - height[a]
-        lb = h - height[b]
-        text[next_id] = f"({text[a]}:{la!r},{text[b]}:{lb!r})"
-        height[next_id] = h
-        next_id += 1
-    return text[next_id - 1] + ";" if dend.merges else text[0] + ";"
+
+    def join(a: tuple[str, float], b: tuple[str, float], h: float) -> tuple[str, float]:
+        return f"({a[0]}:{h - a[1]!r},{b[0]}:{h - b[1]!r})", h
+
+    ((text, _),) = _replay(dend, lambda i: (_newick_name(dend.labels[i]), 0.0), join)
+    return text + ";"
 
 
 def _svg_header(width: float, height: float) -> str:
@@ -308,19 +324,8 @@ def _svg_header(width: float, height: float) -> str:
     )
 
 
-def _leaf_order(dend: Dendrogram) -> list[int]:
-    n = dend.n
-    trees: dict[int, list[int]] = {i: [i] for i in range(n)}
-    next_id = n
-    for a, b, _, _ in dend.merges:
-        trees[next_id] = trees.pop(a) + trees.pop(b)
-        next_id += 1
-    return trees[next_id - 1] if dend.merges else [0]
-
-
 def _dendrogram_svg(dend: Dendrogram) -> str:
-    n = dend.n
-    order = _leaf_order(dend)
+    (order,) = _replay(dend, lambda i: [i], lambda a, b, _: a + b)
     xpos = {leaf: 40.0 + 30.0 * i for i, leaf in enumerate(order)}
     max_h = max((m[2] for m in dend.merges), default=1.0) or 1.0
     plot_h = 240.0
@@ -328,19 +333,18 @@ def _dendrogram_svg(dend: Dendrogram) -> str:
     def ypix(h: float) -> float:
         return 20.0 + plot_h * (1.0 - h / max_h)
 
-    height: dict[int, float] = {i: 0.0 for i in range(n)}
     parts = []
-    next_id = n
-    for a, b, h, _ in dend.merges:
-        xa, xb = xpos[a], xpos[b]
-        ya, yb, ym = ypix(height[a]), ypix(height[b]), ypix(h)
+
+    def join(a: tuple[float, float], b: tuple[float, float], h: float) -> tuple[float, float]:
+        (xa, ha), (xb, hb) = a, b
+        ya, yb, ym = ypix(ha), ypix(hb), ypix(h)
         parts.append(
             f'<path d="M {xa:.6g} {ya:.6g} V {ym:.6g} H {xb:.6g} V {yb:.6g}" '
             'fill="none" stroke="black"/>'
         )
-        xpos[next_id] = (xa + xb) / 2.0
-        height[next_id] = h
-        next_id += 1
+        return (xa + xb) / 2.0, h
+
+    _replay(dend, lambda i: (xpos[i], 0.0), join)
     for i, leaf in enumerate(order):
         x = 40.0 + 30.0 * i
         parts.append(

@@ -112,7 +112,6 @@ class RootedTreeRep:
     branches: list[Branch]
     parent: list[int]
     root: int
-    root_branch_indices: frozenset[int]
     children: list[list[int]]
     subtree_max_rc: list[float]
 
@@ -193,13 +192,7 @@ def rooted_tree_representation(bd: BranchDecomposition) -> RootedTreeRep:
     for i, p in enumerate(parent):
         if i != p:
             children[p].append(i)
-    max_id = mt.root  # root holds the maximum value
-    root_branch_indices = frozenset(
-        i for i, b in enumerate(bd.branches) if b.s_id == max_id
-    )
-    rep = RootedTreeRep(
-        list(bd.branches), parent, bd.root_index, root_branch_indices, children, [0.0] * n
-    )
+    rep = RootedTreeRep(list(bd.branches), parent, bd.root_index, children, [0.0] * n)
     _fill_subtree_rc(rep)
     return rep
 

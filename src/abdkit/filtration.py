@@ -84,16 +84,17 @@ def collapse_equal_adjacent(sg: ScalarGraph, tol: float = DEFAULT_COLLAPSE_TOL) 
     loops dropped.  The contraction is iterated to a fixed point so the
     output never has an edge whose endpoint values differ by <= tol; a
     single pass can leave one behind when a group's representative value
-    drifts within tolerance of a neighbor it was not directly tied to.
+    drifts within tolerance of a neighbor it was not directly tied to.  A
+    graph with no such edge is returned as is, not copied.
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
     current = sg
-    while True:
-        nxt = _collapse_once(current, tol)
-        if nxt.n_vertices == current.n_vertices:
-            return nxt
-        current = nxt
+    # a self-loop is no tie: a pass drops it but contracts nothing
+    while any(u != v and abs(current.values[u] - current.values[v]) <= tol
+              for u, v in current.edges):
+        current = _collapse_once(current, tol)
+    return current
 
 
 def _collapse_once(sg: ScalarGraph, tol: float) -> ScalarGraph:

@@ -1,3 +1,4 @@
+import hashlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 from abdkit import branching
 from abdkit.analysis import (
     Dendrogram,
+    _dendrogram_svg,
     DistanceMatrix,
     classical_mds,
     cluster_purity,
@@ -106,9 +108,97 @@ def test_matrix_validation():
         dm(["a", "b"], [[0, -1], [-1, 0]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_matrix_rejects_non_finite_naming_labels(bad):
+    rows = [[0, 1, 2], [1, 0, bad], [2, bad, 0]]
+    with pytest.raises(ValueError, match=f"non-finite entry {bad} between 'b' and 'c'"):
+        dm(["a", "b", "c"], rows)
+
+
 # ---------------------------------------------------------------------------
 # single linkage + cuts
 # ---------------------------------------------------------------------------
+
+def reference_single_linkage(dm: DistanceMatrix) -> Dendrogram:
+    """Agglomerate by smallest inter-cluster (minimum-link) distance.
+
+    Ties are broken by the lexicographically smallest (a, b) cluster-id
+    pair, so dendrograms are reproducible across runs and platforms.
+    """
+    n = dm.n
+    members: dict[int, list[int]] = {i: [i] for i in range(n)}
+    merges: list[tuple[int, int, float, int]] = []
+    next_id = n
+    d = dm.d
+    while len(members) > 1:
+        best: tuple[float, int, int] | None = None
+        ids = sorted(members)
+        for ai in range(len(ids)):
+            for bi in range(ai + 1, len(ids)):
+                a, b = ids[ai], ids[bi]
+                link = min(d[p, q] for p in members[a] for q in members[b])
+                if best is None or link < best[0]:
+                    best = (link, a, b)
+        link, a, b = best
+        members[next_id] = members.pop(a) + members.pop(b)
+        merges.append((a, b, float(link), len(members[next_id])))
+        next_id += 1
+    return Dendrogram(list(dm.labels), merges)
+
+
+@pytest.mark.parametrize("kind", ["ternary", "uniform", "zero"])
+def test_single_linkage_matches_reference(kind):
+    rng = np.random.default_rng(["ternary", "uniform", "zero"].index(kind))
+    for _ in range(70):
+        n = int(rng.integers(1, 31))
+        if kind == "ternary":
+            m = rng.integers(0, 3, (n, n)).astype(float)
+        elif kind == "uniform":
+            m = rng.uniform(0.0, 5.0, (n, n))
+        else:
+            m = np.zeros((n, n))
+        m = np.triu(m, 1)
+        d = dm([f"x{i}" for i in range(n)], m + m.T)
+        assert single_linkage(d).merges == reference_single_linkage(d).merges
+
+
+def test_dendrogram_outputs_golden_tie_heavy():
+    labels = ["a", "b b", "c&d", "<e>", "f", "g"]
+    d = dm(labels, [
+        [0, 1, 2, 1, 2, 2],
+        [1, 0, 1, 2, 2, 1],
+        [2, 1, 0, 1, 0, 2],
+        [1, 2, 1, 0, 2, 2],
+        [2, 2, 0, 2, 0, 1],
+        [2, 1, 2, 2, 1, 0],
+    ])
+    dend = single_linkage(d)
+    assert dend.merges == [(2, 4, 0.0, 2), (0, 1, 1.0, 2), (3, 6, 1.0, 3), (5, 7, 1.0, 3),
+                           (8, 9, 1.0, 6)]
+    assert dendrogram_to_newick(dend) == (
+        "((_e_:1.0,(c_d:0.0,f:0.0):1.0):0.0,(g:1.0,(a:1.0,b_b:1.0):0.0):0.0);"
+    )
+    assert [cut_clusters(dend, k) for k in range(1, 7)] == [
+        [0, 0, 0, 0, 0, 0],
+        [0, 0, 1, 1, 1, 0],
+        [0, 0, 1, 1, 1, 2],
+        [0, 0, 1, 2, 1, 3],
+        [0, 1, 2, 3, 2, 4],
+        [0, 1, 2, 3, 4, 5],
+    ]
+    svg = _dendrogram_svg(dend).encode()
+    assert hashlib.sha256(svg).hexdigest() == (
+        "91d57a854e461b11333670605b128d0399c0b428c80623d2a7d372881ec25636"
+    )
+
+    one = single_linkage(dm(["solo"], [[0]]))
+    assert one.merges == []
+    assert dendrogram_to_newick(one) == "solo;"
+    assert _dendrogram_svg(one) == (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" width="80" height="300" viewBox="0 0 80 300">\n'
+        '<text x="40" y="274" font-size="9" text-anchor="middle">solo</text>\n</svg>\n'
+    )
 
 def test_single_linkage_two_points():
     dend = single_linkage(dm(["a", "b"], [[0, 1], [1, 0]]))
@@ -228,6 +318,15 @@ def test_matrix_csv_round_trip(tmp_path):
     back = load_distance_csv(p)
     assert back.labels == d.labels
     assert np.array_equal(back.d, d.d)
+
+
+@pytest.mark.parametrize("row, what", [("1.5,0", "2 values for 3 labels"),
+                                       ("1.5,0,x", "could not convert string to float")])
+def test_load_distance_csv_names_path_and_line(tmp_path, row, what):
+    p = tmp_path / "m.csv"
+    p.write_text(f"\na,b,c\n0,1.5,2\n{row}\n2,0,0\n")
+    with pytest.raises(ValueError, match=f"m.csv, line 4: {what}"):
+        load_distance_csv(p)
 
 
 def test_newick_leaf_count(tmp_path):

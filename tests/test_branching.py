@@ -179,7 +179,6 @@ def test_representation_trivial():
     rep = rooted_tree_representation(enumerate_branch_decompositions(mt)[0])
     assert len(rep.branches) == 1
     assert rep.parent == [0]
-    assert rep.root_branch_indices == frozenset({0})
 
 
 def test_representation_two_leaf():

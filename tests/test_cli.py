@@ -135,6 +135,14 @@ def test_matrix_cluster_mds_pipeline(tmp_path, capsys):
     assert epath.read_text().startswith("label,")
 
 
+@pytest.mark.parametrize("cmd", ["mds", "cluster"])
+def test_non_finite_matrix_rejected(tmp_path, capsys, cmd):
+    mpath = tmp_path / "m.csv"
+    mpath.write_text("a,b\n0,inf\ninf,0\n")
+    assert main([cmd, str(mpath)]) == 1
+    assert "non-finite entry inf between 'a' and 'b'" in capsys.readouterr().err
+
+
 def test_matrix_deterministic_bytes(tmp_path):
     files = []
     for name in ("graph_triple_g", "graph_triple_h"):

@@ -62,6 +62,11 @@ def test_collapse_identity_when_distinct():
     assert out.edges == sg.edges
 
 
+def test_collapse_returns_input_without_tied_edge():
+    sg = scalar({0: 0.0, 1: 1.0, 2: 2.0}, [(0, 1), (1, 2)])
+    assert collapse_equal_adjacent(sg) is sg
+
+
 def test_collapse_full_triangle():
     sg = scalar({0: 0.0, 1: 0.0, 2: 0.0}, [(0, 1), (1, 2), (0, 2)])
     out = collapse_equal_adjacent(sg, 0.0)
