@@ -24,11 +24,9 @@ from .branching import (
     Branch,
     branching_distance,
     brute_force_distance,
-    enumerate_branch_decompositions,
     is_eps_similar,
     matching_cost,
     removal_cost,
-    rooted_tree_representation,
 )
 from .abd import FrameSet, average_branching_distance, frame_angles, merge_tree_at
 from .analysis import (
@@ -61,8 +59,6 @@ __all__ = [
     "write_tree",
     "matching_cost",
     "removal_cost",
-    "enumerate_branch_decompositions",
-    "rooted_tree_representation",
     "is_eps_similar",
     "branching_distance",
     "brute_force_distance",

@@ -288,6 +288,8 @@ def load_distance_csv(path: str | Path) -> DistanceMatrix:
     text = Path(path).read_text()
     skipped = text.count("\n", 0, len(text) - len(text.lstrip()))  # leading blank lines
     lines = text.strip().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty matrix file")
     labels = lines[0].split(",")
     rows = []
     for lineno, line in enumerate(lines[1:], start=skipped + 2):

@@ -10,22 +10,24 @@ the chain that owns the up-edge at its saddle (branches ending at the tree
 root attach to the root branch).  For trees in general position this is
 exactly the on-path adjacency rule; when three or more chains meet at one
 vertex the literal rule would create a clique, and the ownership reading is
-what keeps the representation a tree.
+what keeps the representation a tree.  :func:`representations` builds the
+distinct representations directly, in one recursion over the tree.
 
 Two merge trees are eps-similar if some pair of representations admits a
 valid matching (a parent/child-preserving partial bijection whose removed
 vertices form complete fringe subtrees and which keeps a root branch on
 each side) with every matched cost and removal cost at most eps.  The
 branching distance is the least such eps over all representation pairs.
-Every achievable max-cost is either a pairwise node-value difference or
-half a branch length, so the exact distance is found by binary search over
-that finite candidate set; a plain bisection to a width tolerance is also
-provided.
+Every achievable max-cost is either the difference between a node value of
+one tree and one of the other, or half a branch length, so the exact
+distance is found by binary search over that finite candidate set; a plain
+bisection to a width tolerance is also provided.
 
 ``brute_force_distance`` recomputes the distance by exhaustive enumeration
 of removal sets and order-preserving bijections and is the test oracle for
-the optimized path.  Everything here enumerates decompositions and is
-guarded to trees with at most 12 leaves (5 for the brute force).
+the optimized path.  The number of representations is exponential in the
+leaf count, so everything here is guarded to trees with at most 12 leaves
+(5 for the brute force).
 """
 
 from __future__ import annotations
@@ -40,12 +42,9 @@ from .merge_tree import MergeTree
 
 __all__ = [
     "Branch",
-    "BranchDecomposition",
     "RootedTreeRep",
     "matching_cost",
     "removal_cost",
-    "enumerate_branch_decompositions",
-    "rooted_tree_representation",
     "representations",
     "is_eps_similar",
     "branching_distance",
@@ -84,30 +83,8 @@ def removal_cost(u: Branch) -> float:
 
 
 @dataclass
-class BranchDecomposition:
-    """Branches plus their descending paths (edges as (child, parent) pairs).
-
-    ``root_index`` marks the branch whose chain was extended through the
-    root; decompositions with identical branch sets but different root
-    branches are distinct.
-    """
-
-    tree: MergeTree
-    branches: list[Branch]
-    paths: list[frozenset[tuple[int, int]]]
-    root_index: int
-
-    def edge_owner(self) -> dict[tuple[int, int], int]:
-        owner: dict[tuple[int, int], int] = {}
-        for i, path in enumerate(self.paths):
-            for e in path:
-                owner[e] = i
-        return owner
-
-
-@dataclass
 class RootedTreeRep:
-    """Tree of branches, rooted at the decomposition's root branch."""
+    """Tree of branches, rooted at the root branch; ``parent[root] == root``."""
 
     branches: list[Branch]
     parent: list[int]
@@ -129,112 +106,67 @@ def _guard_leaves(mt: MergeTree, limit: int, what: str) -> None:
         raise ValueError(f"merge tree has {n} leaves; {what} is limited to {limit}")
 
 
-def enumerate_branch_decompositions(
-    mt: MergeTree, max_leaves: int = MAX_LEAVES_BASELINE
-) -> list[BranchDecomposition]:
-    """All branch decompositions of ``mt``, exactly once each.
+def representations(mt: MergeTree, max_leaves: int = MAX_LEAVES_BASELINE) -> list[RootedTreeRep]:
+    """The distinct rooted tree representations of ``mt``, one per canonical key.
 
-    Generated by choosing at every saddle and at the root which descending
-    child chain extends through it, in lexicographic order of the chosen
-    child ids.  Exponential in the number of leaves.
+    One recursion over the tree.  Each node yields its distinct upward
+    chains, keyed by (minimum value, keys of the branches hanging off the
+    chain).  At a saddle one child chain continues and every other child
+    chain ends there as a branch hanging off the continuing one; the chain
+    through the root is the root branch.  The first chain met under each key
+    is kept, so duplicates never form.  Exponential in the number of leaves.
     """
-    _guard_leaves(mt, max_leaves, "decomposition enumeration")
-    root = mt.root
-    if mt.is_trivial():
-        b = Branch(root, mt.values[root], root, mt.values[root])
-        return [BranchDecomposition(mt, [b], [frozenset()], 0)]
-
+    _guard_leaves(mt, max_leaves, "representations")
     ch = mt.children()
-    internal = sorted(n for n in mt.values if ch[n])
-    leaves = sorted(mt.leaves())
-    out: list[BranchDecomposition] = []
-    for combo in product(*[sorted(ch[t]) for t in internal]):
-        choice = dict(zip(internal, combo))
-        branches: list[Branch] = []
-        paths: list[frozenset[tuple[int, int]]] = []
-        root_index = -1
-        for m in leaves:
-            cur = m
-            edges = []
-            while True:
-                p = mt.parent[cur]
-                edges.append((cur, p))
-                if choice[p] == cur:
-                    cur = p
-                    if cur == root:
-                        s = root
-                        root_index = len(branches)
-                        break
-                else:
-                    s = p
-                    break
-            branches.append(Branch(m, mt.values[m], s, mt.values[s]))
-            paths.append(frozenset(edges))
-        out.append(BranchDecomposition(mt, branches, paths, root_index))
-    return out
+    vals = mt.values
+
+    def chains(n: int) -> dict:
+        # key -> (id of the chain's minimum, branches hanging off the chain),
+        # where a branch is (key, Branch, branches hanging off it)
+        if not ch[n]:
+            return {(vals[n], ()): (n, ())}
+        s = vals[n]
+        below = [chains(c) for c in sorted(ch[n])]
+        out: dict = {}
+        for i, through in enumerate(below):
+            for ended in product(*(c.items() for c in below[:i] + below[i + 1 :])):
+                new = tuple(((m, s, att), Branch(m_id, m, n, s), hung)
+                            for (m, att), (m_id, hung) in ended)
+                for (m, att), (m_id, hung) in through.items():
+                    key = (m, tuple(sorted(att + tuple(b[0] for b in new))))
+                    out.setdefault(key, (m_id, hung + new))
+        return out
+
+    root, s = mt.root, vals[mt.root]
+    return [_rep(((m, s, att), Branch(m_id, m, root, s), hung))
+            for (m, att), (m_id, hung) in chains(root).items()]
 
 
-def rooted_tree_representation(bd: BranchDecomposition) -> RootedTreeRep:
-    """Tree of branches: each branch hangs off the chain owning its saddle."""
-    mt = bd.tree
-    root = mt.root
-    owner = bd.edge_owner()
-    n = len(bd.branches)
-    parent = [0] * n
-    for i, b in enumerate(bd.branches):
-        if i == bd.root_index:
-            parent[i] = i
-        elif b.s_id == root:
-            parent[i] = bd.root_index
-        else:
-            parent[i] = owner[(b.s_id, mt.parent[b.s_id])]
-    children: list[list[int]] = [[] for _ in range(n)]
-    for i, p in enumerate(parent):
-        if i != p:
-            children[p].append(i)
-    rep = RootedTreeRep(list(bd.branches), parent, bd.root_index, children, [0.0] * n)
-    _fill_subtree_rc(rep)
+def _rep(top) -> RootedTreeRep:
+    """Index a (key, Branch, hanging branches) tree, root first."""
+    rep = RootedTreeRep([], [], 0, [], [])
+
+    def add(node, p: int) -> int:
+        _, b, hung = node
+        i = len(rep.branches)
+        rep.branches.append(b)
+        rep.parent.append(p)
+        rep.children.append([])
+        rep.subtree_max_rc.append(removal_cost(b))
+        for h in hung:
+            c = add(h, i)
+            rep.children[i].append(c)
+            rep.subtree_max_rc[i] = max(rep.subtree_max_rc[i], rep.subtree_max_rc[c])
+        return i
+
+    add(top, 0)
     return rep
 
 
-def _fill_subtree_rc(rep: RootedTreeRep) -> None:
-    order = _postorder(rep)
-    for i in order:
-        rc = removal_cost(rep.branches[i])
-        for c in rep.children[i]:
-            rc = max(rc, rep.subtree_max_rc[c])
-        rep.subtree_max_rc[i] = rc
-
-
-def _postorder(rep: RootedTreeRep) -> list[int]:
-    out: list[int] = []
-    stack = [(rep.root, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            out.append(node)
-        else:
-            stack.append((node, True))
-            for c in rep.children[node]:
-                stack.append((c, False))
-    return out
-
-
-def representations(mt: MergeTree, max_leaves: int = MAX_LEAVES_BASELINE) -> list[RootedTreeRep]:
-    """All rooted tree representations of ``mt`` (one per decomposition)."""
-    return [rooted_tree_representation(bd) for bd in enumerate_branch_decompositions(mt, max_leaves)]
-
-
 def _unique_representations(mt: MergeTree) -> list[RootedTreeRep]:
-    """Representations deduplicated by (value, shape); identical reps match identically.
-
-    Built on the first call and kept in ``mt.unique_reps`` for later ones.
-    """
+    """``representations(mt)``, built on the first call and kept in ``mt.unique_reps``."""
     if mt.unique_reps is None:
-        unique: dict = {}
-        for rep in representations(mt):
-            unique.setdefault(rep.canonical_key(), rep)
-        mt.unique_reps = list(unique.values())
+        mt.unique_reps = representations(mt)
     return mt.unique_reps
 
 
@@ -301,8 +233,8 @@ def is_eps_similar(x: MergeTree, y: MergeTree, eps: float) -> bool:
     """Decide whether some representation pair matches within ``eps``.
 
     Roots of the two representations must match (they are root branches by
-    construction; enumerating all decompositions covers every choice of
-    surviving root branch), children are matched pairwise or removed as
+    construction; the representations cover every choice of surviving
+    root branch), children are matched pairwise or removed as
     whole subtrees.
     """
     _guard_leaves(x, MAX_LEAVES_BASELINE, "is_eps_similar")
@@ -313,15 +245,12 @@ def is_eps_similar(x: MergeTree, y: MergeTree, eps: float) -> bool:
 def candidate_costs(x: MergeTree, y: MergeTree) -> list[float]:
     """Every value the optimal max-cost can take, sorted ascending.
 
-    Matched costs are absolute differences of node values; removal costs
-    are half branch lengths, i.e. half the value difference between a leaf
-    and one of its ancestors.
+    A matched cost is the absolute difference between a node value of ``x``
+    and one of ``y``; a removal cost is half a branch length, i.e. half the
+    value difference between a leaf and one of its ancestors.
     """
-    vals = list(x.values.values()) + list(y.values.values())
     cands = {0.0}
-    for i, a in enumerate(vals):
-        for b in vals[i + 1 :]:
-            cands.add(abs(a - b))
+    cands.update(abs(a - b) for a in x.values.values() for b in y.values.values())
     for t in (x, y):
         for leaf in t.leaves():
             node = leaf
@@ -340,16 +269,16 @@ def branching_distance(
     """Smallest eps for which the trees are eps-similar.
 
     ``mode='exact'`` binary-searches the finite candidate set and returns
-    the optimum itself.  ``mode='tolerance'`` bisects [0, max candidate]
-    down to width ``tol`` and returns a feasible value within ``tol`` of
-    the optimum.
+    the optimum itself.  ``mode='tolerance'`` bisects [0, span of both
+    trees' values] down to width ``tol`` and returns a feasible value within
+    ``tol`` of the optimum.
     """
     _guard_leaves(x, MAX_LEAVES_BASELINE, "branching_distance")
     _guard_leaves(y, MAX_LEAVES_BASELINE, "branching_distance")
     reps_x = _unique_representations(x)
     reps_y = _unique_representations(y)
-    cands = candidate_costs(x, y)
     if mode == "exact":
+        cands = candidate_costs(x, y)
         if _similar(reps_x, reps_y, cands[0]):
             return cands[0]
         lo, hi = 0, len(cands) - 1
@@ -366,7 +295,8 @@ def branching_distance(
             raise ValueError("tol must be > 0 in tolerance mode")
         if _similar(reps_x, reps_y, 0.0):
             return 0.0
-        lo, hi = 0.0, cands[-1]
+        values = [*x.values.values(), *y.values.values()]
+        lo, hi = 0.0, max(values) - min(values)
         while hi - lo > tol:
             mid = (lo + hi) / 2.0
             if _similar(reps_x, reps_y, mid):

@@ -30,7 +30,7 @@ from .filtration import DEFAULT_COLLAPSE_TOL
 from .graph_io import GraphFormatError, connected_components, largest_component, load_graph, write_graph
 from .merge_tree import load_tree, tree_to_dict
 
-ENGINE = "baseline"  # enumeration + candidate bisection; no optimized DP
+ENGINE = "baseline"  # every representation pair + candidate search; no optimized DP
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -50,11 +50,15 @@ def cmd_tree(args) -> int:
     return 0
 
 
+def _mode_tol(args) -> tuple[str, float]:
+    """(mode, tol) for the distance engine; ``--tol`` implies tolerance mode."""
+    return ("tolerance", args.tol) if args.tol is not None else (args.mode, 1e-6)
+
+
 def cmd_dist(args) -> int:
     a = load_tree(args.tree_a)
     b = load_tree(args.tree_b)
-    mode = "tolerance" if args.tol is not None else args.mode
-    tol = args.tol if args.tol is not None else 1e-6
+    mode, tol = _mode_tol(args)
     value = branching_distance(a, b, mode=mode, tol=tol)
     print(f"engine: {ENGINE} ({mode} mode)", file=sys.stderr)
     _write_out(f"{value!r}\n", args.out)
@@ -64,8 +68,7 @@ def cmd_dist(args) -> int:
 def cmd_abd(args) -> int:
     g = load_graph(args.graph_g, args.format)
     h = load_graph(args.graph_h, args.format)
-    mode = "tolerance" if args.tol is not None else args.mode
-    tol = args.tol if args.tol is not None else 1e-6
+    mode, tol = _mode_tol(args)
     if args.per_frame:
         dists = per_frame_distances(g, h, args.frames, mode, tol, args.collapse_tol)
         lines = ["frame,angle,distance"]
@@ -83,8 +86,7 @@ def cmd_abd(args) -> int:
 def cmd_matrix(args) -> int:
     graphs = [load_graph(p, args.format) for p in args.graphs]
     labels = [Path(p).stem for p in args.graphs]
-    mode = "tolerance" if args.tol is not None else args.mode
-    tol = args.tol if args.tol is not None else 1e-6
+    mode, tol = _mode_tol(args)
     dm = analysis.distance_matrix(
         graphs,
         n_frames=args.frames,

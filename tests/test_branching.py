@@ -1,24 +1,27 @@
-from itertools import combinations
+from dataclasses import dataclass
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abdkit.abd import frame_angles, merge_tree_at
 from abdkit.branching import (
     Branch,
+    RootedTreeRep,
     branching_distance,
     brute_force_distance,
     candidate_costs,
-    enumerate_branch_decompositions,
     is_eps_similar,
     matching_cost,
     removal_cost,
     representations,
-    rooted_tree_representation,
 )
+from abdkit.filtration import DEFAULT_COLLAPSE_TOL
 from abdkit.fixtures import tree_counterexample
 from abdkit.merge_tree import MergeTree
-from abdkit.synth import random_merge_tree
+from abdkit.synth import comb, random_merge_tree
 
 from conftest import tree
 
@@ -54,7 +57,154 @@ def test_matching_cost_symmetric_nonnegative(a, b, c, d):
 
 
 # ---------------------------------------------------------------------------
-# decomposition enumeration vs an independent set-cover brute force
+# decomposition enumeration: the oracle for ``representations``
+# ---------------------------------------------------------------------------
+
+@dataclass
+class BranchDecomposition:
+    """Branches plus their descending paths (edges as (child, parent) pairs).
+
+    ``root_index`` marks the branch whose chain was extended through the
+    root; decompositions with identical branch sets but different root
+    branches are distinct.
+    """
+
+    tree: MergeTree
+    branches: list[Branch]
+    paths: list[frozenset[tuple[int, int]]]
+    root_index: int
+
+    def edge_owner(self) -> dict[tuple[int, int], int]:
+        owner: dict[tuple[int, int], int] = {}
+        for i, path in enumerate(self.paths):
+            for e in path:
+                owner[e] = i
+        return owner
+
+
+def enumerate_branch_decompositions(mt: MergeTree) -> list[BranchDecomposition]:
+    """All branch decompositions of ``mt``, exactly once each.
+
+    Generated by choosing at every saddle and at the root which descending
+    child chain extends through it, in lexicographic order of the chosen
+    child ids.  Exponential in the number of leaves.
+    """
+    root = mt.root
+    if mt.is_trivial():
+        b = Branch(root, mt.values[root], root, mt.values[root])
+        return [BranchDecomposition(mt, [b], [frozenset()], 0)]
+
+    ch = mt.children()
+    internal = sorted(n for n in mt.values if ch[n])
+    leaves = sorted(mt.leaves())
+    out: list[BranchDecomposition] = []
+    for combo in product(*[sorted(ch[t]) for t in internal]):
+        choice = dict(zip(internal, combo))
+        branches: list[Branch] = []
+        paths: list[frozenset[tuple[int, int]]] = []
+        root_index = -1
+        for m in leaves:
+            cur = m
+            edges = []
+            while True:
+                p = mt.parent[cur]
+                edges.append((cur, p))
+                if choice[p] == cur:
+                    cur = p
+                    if cur == root:
+                        s = root
+                        root_index = len(branches)
+                        break
+                else:
+                    s = p
+                    break
+            branches.append(Branch(m, mt.values[m], s, mt.values[s]))
+            paths.append(frozenset(edges))
+        out.append(BranchDecomposition(mt, branches, paths, root_index))
+    return out
+
+
+def rooted_tree_representation(bd: BranchDecomposition) -> RootedTreeRep:
+    """Tree of branches: each branch hangs off the chain owning its saddle."""
+    mt = bd.tree
+    root = mt.root
+    owner = bd.edge_owner()
+    n = len(bd.branches)
+    parent = [0] * n
+    for i, b in enumerate(bd.branches):
+        if i == bd.root_index:
+            parent[i] = i
+        elif b.s_id == root:
+            parent[i] = bd.root_index
+        else:
+            parent[i] = owner[(b.s_id, mt.parent[b.s_id])]
+    children: list[list[int]] = [[] for _ in range(n)]
+    for i, p in enumerate(parent):
+        if i != p:
+            children[p].append(i)
+    rc = _subtree_max_rc(bd.branches, children)
+    return RootedTreeRep(list(bd.branches), parent, bd.root_index, children, rc)
+
+
+def _subtree_max_rc(branches, children) -> list[float]:
+    def rc(i: int) -> float:
+        return max([removal_cost(branches[i])] + [rc(c) for c in children[i]])
+
+    return [rc(i) for i in range(len(branches))]
+
+
+def _oracle_keys(mt):
+    decs = enumerate_branch_decompositions(mt)
+    return {rooted_tree_representation(d).canonical_key() for d in decs}
+
+
+# comb_abd's mix of benchmark pairs: (teeth, rng key) for both combs of each pair
+COMB_MIX = [(6, k) for k in range(12)] + [(7, k) for k in (0, 1, 2, 3, 4, 5, 11, 12)] + [(8, 2)]
+
+
+def _comb_trees():
+    angle = frame_angles(1).angles[0]
+    for teeth, k in COMB_MIX:
+        rng = np.random.default_rng([teeth, k])
+        for _ in range(2):
+            yield merge_tree_at(comb(rng, teeth=teeth), angle, DEFAULT_COLLAPSE_TOL)
+
+
+def test_representations_match_oracle_random(rng):
+    # float values (distinct almost surely) and integer values (frequent ties,
+    # so many decompositions share a canonical key)
+    for i in range(600):
+        mt = random_merge_tree(rng, max_leaves=7, integer_values=i % 3 == 2)
+        keys = [rep.canonical_key() for rep in representations(mt)]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == _oracle_keys(mt)
+
+
+def test_representations_match_oracle_combs():
+    for mt in _comb_trees():
+        keys = [rep.canonical_key() for rep in representations(mt)]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == _oracle_keys(mt)
+
+
+def test_representation_fields(rng):
+    # real node ids from one decomposition, consistent links, subtree removal costs
+    for _ in range(60):
+        mt = random_merge_tree(rng, max_leaves=6, integer_values=True)
+        pair_sets = {frozenset((b.m_id, b.s_id) for b in d.branches)
+                     for d in enumerate_branch_decompositions(mt)}
+        for rep in representations(mt):
+            assert frozenset((b.m_id, b.s_id) for b in rep.branches) in pair_sets
+            for b in rep.branches:
+                assert (b.m_value, b.s_value) == (mt.values[b.m_id], mt.values[b.s_id])
+            assert rep.parent[rep.root] == rep.root
+            assert rep.branches[rep.root].s_id == mt.root
+            assert all(rep.parent[c] == i for i, kids in enumerate(rep.children) for c in kids)
+            assert rep.subtree_max_rc == _subtree_max_rc(rep.branches, rep.children)
+
+
+# ---------------------------------------------------------------------------
+# the decomposition oracle vs an independent set-cover brute force
 # ---------------------------------------------------------------------------
 
 def _tree_paths(mt):
@@ -176,15 +326,17 @@ def test_decomposition_constraints(rng):
 
 def test_representation_trivial():
     mt = tree({0: 3.0}, {0: 0})
-    rep = rooted_tree_representation(enumerate_branch_decompositions(mt)[0])
+    (rep,) = representations(mt)
     assert len(rep.branches) == 1
     assert rep.parent == [0]
+    assert rep.branches[0].degenerate
 
 
 def test_representation_two_leaf():
     mt = tree({0: 5.0, 1: 0.0, 2: 1.0}, {0: 0, 1: 0, 2: 0})
-    for dec in enumerate_branch_decompositions(mt):
-        rep = rooted_tree_representation(dec)
+    reps = representations(mt)
+    assert sorted(rep.branches[rep.root].m_id for rep in reps) == [1, 2]
+    for rep in reps:
         assert len(rep.branches) == 2
         edges = sum(1 for i, p in enumerate(rep.parent) if i != p)
         assert edges == 1
@@ -371,8 +523,8 @@ def test_size_guards():
     parent = {i: 100 for i in range(n)}
     parent[100] = 100
     big = MergeTree(values, parent)
-    with pytest.raises(ValueError, match="limited to 12"):
-        enumerate_branch_decompositions(big)
+    with pytest.raises(ValueError, match=r"merge tree has 13 leaves; .* is limited to 12"):
+        representations(big)
     with pytest.raises(ValueError, match="limited to 12"):
         branching_distance(big, big)
     six = MergeTree(

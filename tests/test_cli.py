@@ -143,6 +143,14 @@ def test_non_finite_matrix_rejected(tmp_path, capsys, cmd):
     assert "non-finite entry inf between 'a' and 'b'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["mds", "cluster"])
+def test_empty_matrix_rejected(tmp_path, capsys, cmd):
+    mpath = tmp_path / "empty.csv"
+    mpath.write_text("")
+    assert main([cmd, str(mpath)]) == 1
+    assert capsys.readouterr().err == f"error: {mpath}: empty matrix file\n"
+
+
 def test_matrix_deterministic_bytes(tmp_path):
     files = []
     for name in ("graph_triple_g", "graph_triple_h"):
