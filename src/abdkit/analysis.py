@@ -228,6 +228,8 @@ def classical_mds(dm: DistanceMatrix, k: int = 2) -> Embedding2D:
     first nonzero coordinate is positive.
     """
     n = dm.n
+    if k < 1:
+        raise ValueError(f"k={k} must be at least 1")
     if k > n:
         raise ValueError(f"k={k} exceeds the number of points {n}")
     j = np.eye(n) - np.ones((n, n)) / n

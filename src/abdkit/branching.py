@@ -84,10 +84,9 @@ def removal_cost(u: Branch) -> float:
 
 @dataclass
 class RootedTreeRep:
-    """Tree of branches, rooted at the root branch; ``parent[root] == root``."""
+    """Tree of branches, rooted at the root branch (index ``root``)."""
 
     branches: list[Branch]
-    parent: list[int]
     root: int
     children: list[list[int]]
     subtree_max_rc: list[float]
@@ -144,27 +143,30 @@ def representations(mt: MergeTree, max_leaves: int = MAX_LEAVES_BASELINE) -> lis
 
 def _rep(top) -> RootedTreeRep:
     """Index a (key, Branch, hanging branches) tree, root first."""
-    rep = RootedTreeRep([], [], 0, [], [])
+    rep = RootedTreeRep([], 0, [], [])
 
-    def add(node, p: int) -> int:
+    def add(node) -> int:
         _, b, hung = node
         i = len(rep.branches)
         rep.branches.append(b)
-        rep.parent.append(p)
         rep.children.append([])
         rep.subtree_max_rc.append(removal_cost(b))
         for h in hung:
-            c = add(h, i)
+            c = add(h)
             rep.children[i].append(c)
             rep.subtree_max_rc[i] = max(rep.subtree_max_rc[i], rep.subtree_max_rc[c])
         return i
 
-    add(top, 0)
+    add(top)
     return rep
 
 
 def _unique_representations(mt: MergeTree) -> list[RootedTreeRep]:
-    """``representations(mt)``, built on the first call and kept in ``mt.unique_reps``."""
+    """``representations(mt)``, built on the first call and kept in ``mt.unique_reps``.
+
+    This is the distance functions' only leaf-count guard: ``representations``
+    refuses a tree over the 12-leaf limit on every call until one succeeds.
+    """
     if mt.unique_reps is None:
         mt.unique_reps = representations(mt)
     return mt.unique_reps
@@ -237,8 +239,6 @@ def is_eps_similar(x: MergeTree, y: MergeTree, eps: float) -> bool:
     root branch), children are matched pairwise or removed as
     whole subtrees.
     """
-    _guard_leaves(x, MAX_LEAVES_BASELINE, "is_eps_similar")
-    _guard_leaves(y, MAX_LEAVES_BASELINE, "is_eps_similar")
     return _similar(_unique_representations(x), _unique_representations(y), eps)
 
 
@@ -273,8 +273,6 @@ def branching_distance(
     trees' values] down to width ``tol`` and returns a feasible value within
     ``tol`` of the optimum.
     """
-    _guard_leaves(x, MAX_LEAVES_BASELINE, "branching_distance")
-    _guard_leaves(y, MAX_LEAVES_BASELINE, "branching_distance")
     reps_x = _unique_representations(x)
     reps_y = _unique_representations(y)
     if mode == "exact":

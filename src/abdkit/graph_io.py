@@ -11,14 +11,15 @@ coordinates.  Two on-disk formats are supported:
 * edge list: a ``# id x y`` coordinate header block followed by one
   ``u v`` pair per line.
 
-Loading validates the graph (unique ids, no dangling endpoints, no
-self-loops) and collapses parallel edges, which never affect sublevel-set
-connectivity.
+Loading validates the graph (unique ids, finite coordinates, no dangling
+endpoints, no self-loops) and collapses parallel edges, which never affect
+sublevel-set connectivity.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -77,8 +78,6 @@ class EmbeddedGraph:
 
     def rotated(self, theta: float) -> "EmbeddedGraph":
         """Rigid rotation about the origin by ``theta`` radians."""
-        import math
-
         c, s = math.cos(theta), math.sin(theta)
         moved = {v: (c * x - s * y, s * x + c * y) for v, (x, y) in self.vertices.items()}
         return EmbeddedGraph(moved, list(self.edges))
@@ -119,15 +118,18 @@ def load_graph(path: str | Path, format: str = "json") -> EmbeddedGraph:
     """Load and validate an embedded graph from ``path``.
 
     Parallel edges are collapsed; vertex order is preserved as given.
-    Raises :class:`GraphFormatError` on parse failures, dangling edge
-    endpoints, self-loops, or an empty vertex set.
+    Raises :class:`GraphFormatError` on parse failures, a non-finite
+    coordinate (``NaN``/``Infinity`` in JSON, ``nan``/``inf`` in an edge
+    list), dangling edge endpoints, self-loops, or an empty vertex set.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
     text = Path(path).read_text()
-    if format == "json":
-        return _parse_json(text)
-    return _parse_edgelist(text)
+    g = _parse_json(text) if format == "json" else _parse_edgelist(text)
+    for v, (x, y) in g.vertices.items():
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise GraphFormatError(f"{path}: vertex {v} has a non-finite coordinate ({x}, {y})")
+    return g
 
 
 def _parse_json(text: str) -> EmbeddedGraph:

@@ -8,9 +8,9 @@ a trivial (single-node) tree.
 
 Two constructions are provided:
 
-* :func:`compute_merge_tree` -- a near-linear sweep over vertices in
-  ascending value order, tracking components with union-find style child
-  pointers (path-compressed) and tree parent pointers.
+* :func:`compute_merge_tree` -- one near-linear union-find sweep over
+  vertices in ascending value order that builds the tree and checks its
+  input (no tie across an edge, one component) as it goes.
 * :func:`merge_tree_oracle` -- a quadratic reference that recomputes the
   connected components of both the closed and open sublevel graphs at
   every distinct value, straight from the definition.  Test use only.
@@ -133,95 +133,69 @@ def trees_equal(a: MergeTree, b: MergeTree) -> bool:
 def compute_merge_tree(sg: ScalarGraph) -> MergeTree:
     """Sweep construction of the tail-less merge tree.
 
-    Vertices are processed ascending by value (ties broken by id; ties
-    across an edge are rejected).  Each vertex looks up the representatives
-    of its lower neighbors' components by following path-compressed child
-    pointers.  No lower component makes a leaf; one extends a component;
-    two or more create a merge node adopting each component's current tree
-    root.  Merge-tree nodes created at exactly the same value within one
-    merge event are collapsed into a single node of higher arity.
+    Vertices are processed ascending by (value, id); a tree node takes the
+    id of the vertex that creates it.  Union-find tracks the swept
+    components, and each component root maps to the tree node at the top
+    of its component.  No lower component makes a leaf; one extends that
+    component; two or more make a merge node adopting each component's top.
+    A top at exactly the merge value (an earlier, non-adjacent vertex of the
+    same value merged it) is absorbed: its children move to the new node
+    when the parent map is written out, so one merge event gives one node
+    of higher arity.
 
-    Requires a connected input with distinct values across every edge.
+    Requires a connected input with distinct values across every edge;
+    both are checked during the sweep.
     """
     if sg.n_vertices == 0:
         raise ValueError("empty scalar graph")
-    for u, v in sg.edges:
-        if sg.values[u] == sg.values[v]:
-            raise ValueError(
-                f"adjacent equal values at edge ({u}, {v}); run collapse_equal_adjacent first"
-            )
-    if not sg.is_connected():
-        raise ValueError("scalar graph is disconnected; pass the largest component")
-
+    values = sg.values
     adj = sg.neighbors()
-    order = sorted(sg.values, key=lambda v: (sg.values[v], v))
-    rank = {v: i for i, v in enumerate(order)}
-
-    child: dict[int, int] = {}
+    comp: dict[int, int] = {}  # union-find links over swept vertices
+    top: dict[int, int] = {}  # component root -> tree node at its top
+    parent: dict[int, int] = {}  # tree node -> parent, tops map to themselves
+    absorbed: dict[int, int] = {}  # absorbed node -> the node that took its children
 
     def find(v: int) -> int:
         root = v
-        while child[root] != root:
-            root = child[root]
-        while child[v] != root:  # path compression
-            child[v], v = root, child[v]
+        while comp[root] != root:
+            root = comp[root]
+        while comp[v] != root:  # path compression
+            comp[v], v = root, comp[v]
         return root
 
-    node_value: dict[int, float] = {}
-    node_parent: dict[int, int] = {}
-    node_children: dict[int, list[int]] = {}
-    leaf_node: dict[int, int] = {}  # graph minimum -> its tree leaf
+    for v in sorted(values, key=lambda v: (values[v], v)):
+        value = values[v]
+        lower = set()  # components of the neighbors swept before v
+        for u in adj[v]:
+            if u in comp:
+                if values[u] == value:
+                    raise ValueError(
+                        f"adjacent equal values at edge ({min(u, v)}, {max(u, v)}); "
+                        "run collapse_equal_adjacent first"
+                    )
+                lower.add(find(u))
+        if len(lower) == 1:
+            comp[v] = lower.pop()
+            continue
+        comp[v] = parent[v] = top[v] = v
+        for r in lower:
+            t = top.pop(r)
+            if values[t] == value:
+                absorbed[t] = v
+            else:
+                parent[t] = v
+            comp[r] = v
 
-    def tree_root(n: int) -> int:
-        while node_parent[n] != n:
-            n = node_parent[n]
-        return n
+    if len(top) != 1:
+        raise ValueError("scalar graph is disconnected; pass the largest component")
 
-    for v in order:
-        value = sg.values[v]
-        lower = [u for u in adj[v] if rank[u] < rank[v]]
-        reps = sorted({find(u) for u in lower}, key=lambda r: (sg.values[r], r))
-        if not reps:
-            node_value[v] = value
-            node_parent[v] = v
-            node_children[v] = []
-            leaf_node[v] = v
-            child[v] = v
-        elif len(reps) == 1:
-            child[v] = reps[0]
-        else:
-            c = reps[0]  # lowest-valued representative
-            roots = []
-            for r in reps:
-                rt = tree_root(leaf_node[r])
-                if rt not in roots:
-                    roots.append(rt)
-            node_value[v] = value
-            node_parent[v] = v
-            node_children[v] = []
-            for rt in roots:
-                if node_value[rt] == value:
-                    # same-level merge event: absorb instead of stacking
-                    for grand in node_children[rt]:
-                        node_parent[grand] = v
-                        node_children[v].append(grand)
-                    del node_value[rt], node_children[rt], node_parent[rt]
-                else:
-                    node_parent[rt] = v
-                    node_children[v].append(rt)
-            for r in reps:
-                child[r] = c
-            child[v] = c
+    def resolve(p: int) -> int:
+        while p in absorbed:
+            p = absorbed[p]
+        return p
 
-    roots = [n for n, p in node_parent.items() if n == p]
-    if len(roots) != 1:
-        raise ValueError("sweep produced a forest; input was not connected")
-
-    ordered = sorted(node_value, key=lambda n: (node_value[n], n))
-    return MergeTree(
-        {n: node_value[n] for n in ordered},
-        {n: node_parent[n] for n in ordered},
-    )
+    ordered = sorted((n for n in parent if n not in absorbed), key=lambda n: (values[n], n))
+    return MergeTree({n: values[n] for n in ordered}, {n: resolve(parent[n]) for n in ordered})
 
 
 @dataclass(frozen=True)

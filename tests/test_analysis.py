@@ -307,6 +307,12 @@ def test_mds_k_too_large():
         classical_mds(dm(["a", "b"], [[0, 1], [1, 0]]), k=3)
 
 
+def test_mds_k_below_one():
+    for k in (0, -1):
+        with pytest.raises(ValueError, match=f"k={k} must be at least 1"):
+            classical_mds(dm(["a", "b"], [[0, 1], [1, 0]]), k=k)
+
+
 # ---------------------------------------------------------------------------
 # exports
 # ---------------------------------------------------------------------------

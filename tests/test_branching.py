@@ -143,7 +143,17 @@ def rooted_tree_representation(bd: BranchDecomposition) -> RootedTreeRep:
         if i != p:
             children[p].append(i)
     rc = _subtree_max_rc(bd.branches, children)
-    return RootedTreeRep(list(bd.branches), parent, bd.root_index, children, rc)
+    return RootedTreeRep(list(bd.branches), bd.root_index, children, rc)
+
+
+def _parent_map(rep: RootedTreeRep) -> dict[int, int]:
+    """Parent of every branch, derived from ``children``; the root maps to itself."""
+    parent = {rep.root: rep.root}
+    for i, kids in enumerate(rep.children):
+        for c in kids:
+            assert c not in parent  # one parent per branch, none for the root
+            parent[c] = i
+    return parent
 
 
 def _subtree_max_rc(branches, children) -> list[float]:
@@ -197,9 +207,8 @@ def test_representation_fields(rng):
             assert frozenset((b.m_id, b.s_id) for b in rep.branches) in pair_sets
             for b in rep.branches:
                 assert (b.m_value, b.s_value) == (mt.values[b.m_id], mt.values[b.s_id])
-            assert rep.parent[rep.root] == rep.root
+            assert sorted(_parent_map(rep)) == list(range(len(rep.branches)))
             assert rep.branches[rep.root].s_id == mt.root
-            assert all(rep.parent[c] == i for i, kids in enumerate(rep.children) for c in kids)
             assert rep.subtree_max_rc == _subtree_max_rc(rep.branches, rep.children)
 
 
@@ -328,7 +337,7 @@ def test_representation_trivial():
     mt = tree({0: 3.0}, {0: 0})
     (rep,) = representations(mt)
     assert len(rep.branches) == 1
-    assert rep.parent == [0]
+    assert _parent_map(rep) == {0: 0}
     assert rep.branches[0].degenerate
 
 
@@ -338,10 +347,8 @@ def test_representation_two_leaf():
     assert sorted(rep.branches[rep.root].m_id for rep in reps) == [1, 2]
     for rep in reps:
         assert len(rep.branches) == 2
-        edges = sum(1 for i, p in enumerate(rep.parent) if i != p)
-        assert edges == 1
         # the non-root branch hangs off the root branch
-        assert rep.parent[1 - rep.root] == rep.root
+        assert _parent_map(rep) == {0: rep.root, 1: rep.root}
 
 
 def test_representation_caterpillar_shapes():
@@ -381,7 +388,7 @@ def test_representation_adjacency_rule_general_position(rng):
                     if si in path_vertices[j] or sj in path_vertices[i]:
                         rule_edges.add((i, j))
             parent_edges = {
-                tuple(sorted((i, p))) for i, p in enumerate(rep.parent) if i != p
+                tuple(sorted((i, p))) for i, p in _parent_map(rep).items() if i != p
             }
             assert parent_edges == rule_edges
 
@@ -390,11 +397,12 @@ def test_representations_are_trees(rng):
     for _ in range(15):
         mt = random_merge_tree(rng, max_leaves=5)
         for rep in representations(mt):
+            parent = _parent_map(rep)
             seen = set()
             for i in range(len(rep.branches)):
                 node = i
-                while node != rep.parent[node]:
-                    node = rep.parent[node]
+                while node != parent[node]:
+                    node = parent[node]
                 assert node == rep.root
                 seen.add(i)
             assert len(seen) == len(rep.branches)
@@ -525,8 +533,13 @@ def test_size_guards():
     big = MergeTree(values, parent)
     with pytest.raises(ValueError, match=r"merge tree has 13 leaves; .* is limited to 12"):
         representations(big)
-    with pytest.raises(ValueError, match="limited to 12"):
-        branching_distance(big, big)
+    small = tree({0: 0.0}, {0: 0})
+    refusal = "merge tree has 13 leaves; representations is limited to 12"
+    for x, y in ((big, big), (small, big), (big, small)):
+        with pytest.raises(ValueError, match=refusal):
+            branching_distance(x, y)
+        with pytest.raises(ValueError, match=refusal):
+            is_eps_similar(x, y, 1.0)
     six = MergeTree(
         {i: float(i) for i in range(6)} | {10: 10.0},
         {i: 10 for i in range(6)} | {10: 10},

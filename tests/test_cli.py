@@ -151,6 +151,16 @@ def test_empty_matrix_rejected(tmp_path, capsys, cmd):
     assert capsys.readouterr().err == f"error: {mpath}: empty matrix file\n"
 
 
+@pytest.mark.parametrize("dims", ["0", "-1"])
+def test_mds_dims_below_one_rejected(tmp_path, capsys, dims):
+    mpath = tmp_path / "m.csv"
+    mpath.write_text("a,b,c\n0,1,2\n1,0,1\n2,1,0\n")
+    out, svg = tmp_path / "e.csv", tmp_path / "e.svg"
+    assert main(["mds", str(mpath), "--dims", dims, "--out", str(out), "--svg", str(svg)]) == 1
+    assert capsys.readouterr().err == f"error: k={dims} must be at least 1\n"
+    assert not out.exists() and not svg.exists()
+
+
 def test_matrix_deterministic_bytes(tmp_path):
     files = []
     for name in ("graph_triple_g", "graph_triple_h"):
@@ -196,6 +206,17 @@ def test_verify_corrupted_fixture_fails(tmp_path, capsys):
     assert main(["verify", "--trials", "8", "--fixtures-dir", str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+def test_non_finite_graph_rejected(tmp_path, capsys):
+    p = tmp_path / "nan.json"
+    p.write_text('{"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": NaN}],'
+                 ' "edges": [[0, 1]]}')
+    for argv in (["tree", str(p)], ["abd", str(p), str(p), "--frames", "1"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {p}: vertex 1 has a non-finite coordinate (1.0, nan)\n"
 
 
 def test_bad_graph_file_errors(tmp_path, capsys):

@@ -62,6 +62,21 @@ def test_parse_failure(tmp_path):
         load_graph(p)
 
 
+@pytest.mark.parametrize("fmt, text", [
+    ("json", '{"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 7, "x": NaN, "y": 1}],'
+             ' "edges": [[0, 7]]}'),
+    ("json", '{"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 7, "x": 1, "y": -Infinity}],'
+             ' "edges": [[0, 7]]}'),
+    ("edgelist", "# 0 0.0 0.0\n# 7 nan 1.0\n0 7\n"),
+    ("edgelist", "# 0 0.0 0.0\n# 7 1.0 inf\n0 7\n"),
+], ids=["json-nan", "json-inf", "edgelist-nan", "edgelist-inf"])
+def test_non_finite_coordinate_rejected(tmp_path, fmt, text):
+    p = tmp_path / "g.txt"
+    p.write_text(text)
+    with pytest.raises(GraphFormatError, match="vertex 7 has a non-finite coordinate"):
+        load_graph(p, fmt)
+
+
 def test_largest_component_connected_identity(triangle):
     assert largest_component(triangle) == triangle
 

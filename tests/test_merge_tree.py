@@ -1,6 +1,11 @@
+import hashlib
+import json
 import math
 
+import numpy as np
 import pytest
+
+from abdkit.abd import frame_angles, merge_tree_at
 
 from abdkit.filtration import ScalarGraph, collapse_equal_adjacent, direction_filter
 from abdkit.merge_tree import (
@@ -14,7 +19,7 @@ from abdkit.merge_tree import (
     trees_equal,
     write_tree,
 )
-from abdkit.synth import convex_polygon, random_connected_scalar_graph
+from abdkit.synth import convex_polygon, random_connected_scalar_graph, shape_dataset
 
 from conftest import scalar, tree
 
@@ -90,14 +95,65 @@ def test_simultaneous_merge_collapses_to_one_node():
     assert sorted(mt.values[c] for c in ch[root]) == [0.0, 1.0, 3.0]
 
 
+def _tree_digest(trees) -> str:
+    h = hashlib.sha256()
+    for mt in trees:
+        h.update(json.dumps(tree_to_dict(mt)).encode() + b"\n")
+    return h.hexdigest()
+
+
+def _tie_heavy_graphs():
+    # integer values in 0..4: ties across edges are collapsed, and many
+    # non-adjacent equal values make same-level merges (192 of the 400
+    # trees have a node of arity 3 or more)
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        n = int(rng.integers(2, 25))
+        values = {i: float(rng.integers(0, 5)) for i in range(n)}
+        edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
+        for _ in range(int(rng.integers(0, n))):
+            u, v = (int(x) for x in rng.integers(0, n, 2))
+            if u != v:
+                edges.append((min(u, v), max(u, v)))
+        yield collapse_equal_adjacent(ScalarGraph(values, sorted(set(edges))), 0.0)
+
+
+def test_sweep_golden_ids_and_order():
+    # SHA-256 of the tree_to_dict JSON (node ids, values, parent map and dict
+    # order, which trees_equal ignores), recorded with the previous sweep
+    # implementation
+    graphs, _ = shape_dataset(seed=0)
+    shapes = [merge_tree_at(g, w, normalize="none")
+              for g in graphs for w in frame_angles(10).angles]
+    assert len(shapes) == 180
+    assert _tree_digest(shapes) == (
+        "5fd5aa8870445e1892307ee2bf4cf1362403c399419762ebf8d3560be2f42086")
+    ties = [compute_merge_tree(sg) for sg in _tie_heavy_graphs()]
+    assert _tree_digest(ties) == (
+        "b0460da59cf9d540daab01d9f7347ded015f9feae33681a6e465753cc2cc3fae")
+
+
 def test_disconnected_rejected():
-    with pytest.raises(ValueError, match="disconnected"):
-        compute_merge_tree(scalar({0: 0.0, 1: 1.0}, []))
+    refusal = "^scalar graph is disconnected; pass the largest component$"
+    for values, edges in [
+        ({0: 0.0, 1: 1.0}, []),
+        # a W-shaped path (with a merge) beside a lone vertex above all of it
+        ({0: 0.0, 1: 5.0, 2: 1.0, 3: 6.0, 4: 2.0, 5: 9.0}, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+        # two components that each merge two minima
+        ({0: 0.0, 1: 1.0, 2: 3.0, 3: 0.5, 4: 1.5, 5: 2.0}, [(0, 2), (1, 2), (3, 5), (4, 5)]),
+    ]:
+        with pytest.raises(ValueError, match=refusal):
+            compute_merge_tree(scalar(values, edges))
 
 
 def test_adjacent_equal_rejected():
-    with pytest.raises(ValueError, match="adjacent equal"):
+    refusal = r"^adjacent equal values at edge \(0, 1\); run collapse_equal_adjacent first$"
+    with pytest.raises(ValueError, match=refusal):
         compute_merge_tree(scalar({0: 1.0, 1: 1.0}, [(0, 1)]))
+    # a tie at the vertex that merges minima 0 and 1
+    with pytest.raises(ValueError, match=r"at edge \(2, 4\)"):
+        compute_merge_tree(scalar({0: 0.0, 1: 1.0, 2: 3.0, 3: 2.0, 4: 3.0},
+                                  [(0, 2), (1, 2), (2, 4), (3, 4)]))
 
 
 def test_leaf_count_equals_local_minima(rng):
