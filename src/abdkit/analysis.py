@@ -123,11 +123,10 @@ def distance_matrix(
 ) -> DistanceMatrix:
     """Pairwise ABD matrix; each merge tree is built once per (graph, angle).
 
-    Each tree's branch representations are built once per call and reused
-    for every pair.  Unordered pairs are independent work items; ``jobs`` > 1
-    runs them in a process pool that gets every tree once per worker and
-    then only pair indices.  Per-frame values are sorted before aggregation,
-    so the result does not depend on scheduling.  Errors name pair and frame.
+    Unordered pairs are independent work items; ``jobs`` > 1 runs them in a
+    process pool that gets every tree once per worker and then only pair
+    indices.  Per-frame values are sorted before aggregation, so the result
+    does not depend on scheduling.  Errors name pair and frame.
     """
     if len(graphs) < 2:
         raise ValueError("need at least 2 graphs")

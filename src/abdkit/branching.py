@@ -1,42 +1,34 @@
 """Branch decompositions and the branching distance between merge trees.
 
-A branch decomposition pairs every minimum of a merge tree with a saddle or
-the root through edge-disjoint descending paths that cover every edge.  It
-is generated by choosing, at each saddle and at the root, which child chain
-extends through that vertex; the chain chosen at the root is the
-decomposition's *root branch*.  The rooted tree representation has one
-vertex per branch, rooted at the root branch, with each branch attached to
-the chain that owns the up-edge at its saddle (branches ending at the tree
-root attach to the root branch).  For trees in general position this is
-exactly the on-path adjacency rule; when three or more chains meet at one
-vertex the literal rule would create a clique, and the ownership reading is
-what keeps the representation a tree.  :func:`representations` builds the
-distinct representations directly, in one recursion over the tree.
-
-Two merge trees are eps-similar if some pair of representations admits a
-valid matching (a parent/child-preserving partial bijection whose removed
-vertices form complete fringe subtrees and which keeps a root branch on
-each side) with every matched cost and removal cost at most eps.  The
-branching distance is the least such eps over all representation pairs.
-Every achievable max-cost is either the difference between a node value of
-one tree and one of the other, or half a branch length, so the exact
-distance is found by binary search over that finite candidate set; a plain
-bisection to a width tolerance is also provided.
-
-``brute_force_distance`` recomputes the distance by exhaustive enumeration
-of removal sets and order-preserving bijections and is the test oracle for
-the optimized path.  The number of representations is exponential in the
-leaf count, so everything here is guarded to trees with at most 12 leaves
-(5 for the brute force).
+A branch decomposition pairs every minimum with a saddle or the root through
+edge-disjoint descending paths covering every edge.  Its representation is
+the tree of branches rooted at the root branch (the chain through the root),
+each branch attached to the chain owning the up-edge at its saddle.  Trees
+are eps-similar if some pair of representations admits a parent-preserving
+matching of the root branches and more, the rest removed as whole fringe
+subtrees, with every matched and removal cost at most eps; d_B is the least
+such eps.  Choices in disjoint subtrees are independent, so
+:func:`branching_distance` builds no representation.  A branch is a state
+``(m, s)``, leaf ``m`` under ``s`` (``None`` above the root for the root
+branch); its *slots* are the off-path children of the nodes strictly
+between, and slot ``c`` holds a branch ``(m', parent of c)`` for any leaf
+``m'`` below ``c``.  Removing a slot costs the least ``R`` over its leaves,
+``R(m, s) = max(|m - s| / 2, removal costs of its slots)``; a branch pair
+costs ``V = max(matching_cost, least t at which every slot of either side
+is removed or matched to a slot of the other within t)``, a slot pair
+weighing its least ``V``; d_B is the least ``V`` of root branches.  Only
+the float operations of :func:`candidate_costs` occur, so the exact value
+is a candidate; tolerance mode bisects against ``d_B <= mid``.  Trees are
+limited to 20 leaves.  :func:`representations` (exponential) and
+:func:`brute_force_distance` (5 leaves at most) are the test oracles.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import permutations, product
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
+from math import inf
 
 from .merge_tree import MergeTree
 
@@ -50,11 +42,11 @@ __all__ = [
     "branching_distance",
     "brute_force_distance",
     "candidate_costs",
-    "MAX_LEAVES_BASELINE",
+    "MAX_LEAVES",
     "MAX_LEAVES_BRUTE_FORCE",
 ]
 
-MAX_LEAVES_BASELINE = 12
+MAX_LEAVES = 20
 MAX_LEAVES_BRUTE_FORCE = 5
 
 
@@ -99,13 +91,12 @@ class RootedTreeRep:
         return rec(self.root)
 
 
-def _guard_leaves(mt: MergeTree, limit: int, what: str) -> None:
-    n = mt.n_leaves
+def _guard_leaves(n: int, limit: int, what: str) -> None:
     if n > limit:
         raise ValueError(f"merge tree has {n} leaves; {what} is limited to {limit}")
 
 
-def representations(mt: MergeTree, max_leaves: int = MAX_LEAVES_BASELINE) -> list[RootedTreeRep]:
+def representations(mt: MergeTree) -> list[RootedTreeRep]:
     """The distinct rooted tree representations of ``mt``, one per canonical key.
 
     One recursion over the tree.  Each node yields its distinct upward
@@ -115,7 +106,7 @@ def representations(mt: MergeTree, max_leaves: int = MAX_LEAVES_BASELINE) -> lis
     through the root is the root branch.  The first chain met under each key
     is kept, so duplicates never form.  Exponential in the number of leaves.
     """
-    _guard_leaves(mt, max_leaves, "representations")
+    _guard_leaves(mt.n_leaves, MAX_LEAVES, "representations")
     ch = mt.children()
     vals = mt.values
 
@@ -161,85 +152,110 @@ def _rep(top) -> RootedTreeRep:
     return rep
 
 
-def _unique_representations(mt: MergeTree) -> list[RootedTreeRep]:
-    """``representations(mt)``, built on the first call and kept in ``mt.unique_reps``.
+def _table(mt: MergeTree) -> tuple[dict, dict, dict, dict, dict]:
+    """``mt.branch_table``, built on the first call; the distance's leaf guard.
 
-    This is the distance functions' only leaf-count guard: ``representations``
-    refuses a tree over the 12-leaf limit on every call until one succeeds.
+    Five maps, with ``None`` a virtual parent of the root valued like it:
+    node -> value, node -> parent (root -> None), node -> leaves below it,
+    branch ``(m, s)`` -> its slots, slot -> least removal cost.
     """
-    if mt.unique_reps is None:
-        mt.unique_reps = representations(mt)
-    return mt.unique_reps
+    if mt.branch_table is None:
+        ch = mt.children()
+        leaves = [n for n in mt.values if not ch[n]]
+        _guard_leaves(len(leaves), MAX_LEAVES, "branching_distance")
+        value = {**mt.values, None: mt.values[mt.root]}
+        up = {n: (p if p != n else None) for n, p in mt.parent.items()}
+        ascending = sorted(mt.values, key=value.get)  # every child before its parent
+        below: dict = {}
+        for n in ascending:
+            below[n] = [m for c in ch[n] for m in below[c]] or [n]
+        slots: dict = {}
+        for m in leaves:
+            v, hung = m, ()
+            while v is not None:
+                prev, v = v, up[v]
+                slots[m, v] = hung
+                hung += tuple(c for c in ch.get(v, ()) if c != prev)
+        removal: dict = {}
+        for c in ascending[:-1]:  # every node but the root
+            removal[c] = min(max([abs(value[m] - value[up[c]]) / 2.0,
+                                  *(removal[d] for d in slots[m, up[c]])]) for m in below[c])
+        mt.branch_table = value, up, below, slots, removal
+    return mt.branch_table
 
 
-def _children_assignable(rx: RootedTreeRep, ry: RootedTreeRep, cu, cv, eps, feas) -> bool:
-    """Can cu/cv be matched pairwise or removed, all within eps?
+def _covers(partners: dict) -> bool:
+    """Does some matching cover every key of ``partners``?  Augmenting paths."""
+    owner: dict = {}
 
-    Unmatched children must be removable (every branch in their subtree has
-    removal cost <= eps).  Solved as a padded square assignment where each
-    child owns a dummy slot that is free exactly when it is removable.
-    """
-    removable_u = [rx.subtree_max_rc[c] <= eps for c in cu]
-    removable_v = [ry.subtree_max_rc[c] <= eps for c in cv]
-    if not cu and not cv:
-        return True
-    if not cu:
-        return all(removable_v)
-    if not cv:
-        return all(removable_u)
-    n1, n2 = len(cu), len(cv)
-    size = n1 + n2
-    cost = np.ones((size, size), dtype=np.int8)
-    for i, ci in enumerate(cu):
-        for j, cj in enumerate(cv):
-            if feas(ci, cj):
-                cost[i, j] = 0
-        if removable_u[i]:
-            cost[i, n2 + i] = 0
-    for j in range(n2):
-        if removable_v[j]:
-            cost[n1 + j, j] = 0
-    cost[n1:, n2:] = 0
-    rows, cols = linear_sum_assignment(cost)
-    return int(cost[rows, cols].sum()) == 0
-
-
-def _rep_pair_feasible(rx: RootedTreeRep, ry: RootedTreeRep, eps: float) -> bool:
-    memo: dict[tuple[int, int], bool] = {}
-
-    def feas(i: int, j: int) -> bool:
-        key = (i, j)
-        if key in memo:
-            return memo[key]
-        memo[key] = False  # cycle-safe default; trees have none
-        if matching_cost(rx.branches[i], ry.branches[j]) <= eps:
-            memo[key] = _children_assignable(
-                rx, ry, rx.children[i], ry.children[j], eps, feas
-            )
-        return memo[key]
-
-    return feas(rx.root, ry.root)
-
-
-def _similar(reps_x: list[RootedTreeRep], reps_y: list[RootedTreeRep], eps: float) -> bool:
-    if eps < 0:
+    def augment(a, seen: set) -> bool:
+        for b in partners[a]:
+            if b not in seen:
+                seen.add(b)
+                if b not in owner or augment(owner[b], seen):
+                    owner[b] = a
+                    return True
         return False
-    for rx in reps_x:
-        for ry in reps_y:
-            if _rep_pair_feasible(rx, ry, eps):
-                return True
-    return False
+
+    return all(augment(a, set()) for a in partners)
+
+
+def _distance(x: MergeTree, y: MergeTree) -> float:
+    """d_B in one pass of the min-max recursion (see the module docstring).
+
+    ``slot(cx, cy)`` is the weight of a slot pair; its leaf pairs go in
+    ascending matching cost until the cost reaches the best value so far,
+    and ``value`` returns inf once it cannot beat that ``cutoff`` either.
+    """
+    (vx, upx, belowx, slotsx, rx), (vy, upy, belowy, slotsy, ry) = _table(x), _table(y)
+    if len(vx) == len(vy) == 2:  # two trivial trees
+        return abs(vx[None] - vy[None])
+    memo: dict = {}
+
+    def slot(cx, cy) -> float:
+        px, py = upx[cx], upy[cy]
+        saddles = abs(vx[px] - vy[py])
+        best = inf
+        for cost, mx, my in sorted((max(abs(vx[mx] - vy[my]), saddles), mx, my)
+                                   for mx in belowx[cx] for my in belowy[cy]):
+            if cost >= best:
+                break
+            best = min(best, value(cost, slotsx[mx, px], slotsy[my, py], best))
+        memo[cx, cy] = best
+        return best
+
+    def value(cost: float, sx: tuple, sy: tuple, cutoff: float) -> float:
+        hx = [a for a in sx if rx[a] > cost]  # slots too costly to remove at cost
+        hy = [b for b in sy if ry[b] > cost]
+        if not hx and not hy:
+            return cost
+        # pairs with a heavy side; a saddle gap of cutoff or more rules one out
+        weight = {(a, b): memo[a, b] if (a, b) in memo else slot(a, b)
+                  for a, b in {*product(hx, sy), *product(sx, hy)}
+                  if abs(vx[upx[a]] - vy[upy[b]]) < cutoff}
+
+        def feasible(t: float) -> bool:  # each side's heavy slots covered apart suffices
+            return (_covers({a: [b for b in sy if weight.get((a, b), inf) <= t]
+                             for a in hx if rx[a] > t})
+                    and _covers({b: [a for a in sx if weight.get((a, b), inf) <= t]
+                                 for b in hy if ry[b] > t}))
+
+        # every heavy slot needs a partner or its removal within t
+        low = max([cost, *(min([rx[a], *(weight.get((a, b), inf) for b in sy)]) for a in hx),
+                   *(min([ry[b], *(weight.get((a, b), inf) for a in sx)]) for b in hy)])
+        if low >= cutoff or feasible(low):
+            return low if low < cutoff else inf
+        ts = sorted({t for t in [*weight.values(), *(rx[a] for a in hx), *(ry[b] for b in hy)]
+                     if low < t < cutoff})
+        i = bisect_left(ts, True, key=feasible)  # feasibility only grows with t
+        return ts[i] if i < len(ts) else inf
+
+    return slot(x.root, y.root)
 
 
 def is_eps_similar(x: MergeTree, y: MergeTree, eps: float) -> bool:
-    """Decide whether some representation pair matches within ``eps``.
-
-    Roots of the two representations must match (they are root branches by
-    construction; the representations cover every choice of surviving
-    root branch), children are matched pairwise or removed as
-    whole subtrees.
-    """
-    return _similar(_unique_representations(x), _unique_representations(y), eps)
+    """Does some pair of branch decompositions match within ``eps``?"""
+    return branching_distance(x, y) <= eps
 
 
 def candidate_costs(x: MergeTree, y: MergeTree) -> list[float]:
@@ -268,41 +284,24 @@ def branching_distance(
 ) -> float:
     """Smallest eps for which the trees are eps-similar.
 
-    ``mode='exact'`` binary-searches the finite candidate set and returns
-    the optimum itself.  ``mode='tolerance'`` bisects [0, span of both
-    trees' values] down to width ``tol`` and returns a feasible value within
-    ``tol`` of the optimum.
+    ``mode='exact'`` returns the optimum itself, one of
+    :func:`candidate_costs`.  ``mode='tolerance'`` bisects [0, span of both
+    trees' values] down to width ``tol`` against ``optimum <= mid`` and
+    returns a feasible value within ``tol`` of the optimum.
     """
-    reps_x = _unique_representations(x)
-    reps_y = _unique_representations(y)
-    if mode == "exact":
-        cands = candidate_costs(x, y)
-        if _similar(reps_x, reps_y, cands[0]):
-            return cands[0]
-        lo, hi = 0, len(cands) - 1
-        # cands[-1] is always feasible: match the two root branches, remove the rest
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _similar(reps_x, reps_y, cands[mid]):
-                hi = mid
-            else:
-                lo = mid
-        return cands[hi]
-    if mode == "tolerance":
-        if tol <= 0:
-            raise ValueError("tol must be > 0 in tolerance mode")
-        if _similar(reps_x, reps_y, 0.0):
-            return 0.0
-        values = [*x.values.values(), *y.values.values()]
-        lo, hi = 0.0, max(values) - min(values)
-        while hi - lo > tol:
-            mid = (lo + hi) / 2.0
-            if _similar(reps_x, reps_y, mid):
-                hi = mid
-            else:
-                lo = mid
-        return hi
-    raise ValueError(f"unknown mode {mode!r}, expected 'exact' or 'tolerance'")
+    if mode not in ("exact", "tolerance"):
+        raise ValueError(f"unknown mode {mode!r}, expected 'exact' or 'tolerance'")
+    if mode == "tolerance" and tol <= 0:
+        raise ValueError("tol must be > 0 in tolerance mode")
+    d = _distance(x, y)
+    if mode == "exact" or d <= 0.0:
+        return d
+    values = [*x.values.values(), *y.values.values()]
+    lo, hi = 0.0, max(values) - min(values)
+    while hi - lo > tol:
+        mid = (lo + hi) / 2.0
+        lo, hi = (lo, mid) if d <= mid else (mid, hi)
+    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +379,8 @@ def brute_force_distance(x: MergeTree, y: MergeTree) -> float:
     on both sides, and every order-preserving bijection on the remainders,
     returning the global min-max cost.  Limited to 5 leaves per tree.
     """
-    _guard_leaves(x, MAX_LEAVES_BRUTE_FORCE, "brute_force_distance")
-    _guard_leaves(y, MAX_LEAVES_BRUTE_FORCE, "brute_force_distance")
+    for t in (x, y):
+        _guard_leaves(t.n_leaves, MAX_LEAVES_BRUTE_FORCE, "brute_force_distance")
     best = float("inf")
     for rx in representations(x):
         kept_xs = _kept_sets(rx)

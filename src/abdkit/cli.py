@@ -30,7 +30,7 @@ from .filtration import DEFAULT_COLLAPSE_TOL
 from .graph_io import GraphFormatError, connected_components, largest_component, load_graph, write_graph
 from .merge_tree import load_tree, tree_to_dict
 
-ENGINE = "baseline"  # every representation pair + candidate search; no optimized DP
+ENGINE = "baseline"  # label printed by dist for the one engine, the min-max recursion
 
 
 def _write_out(text: str, out: str | None) -> None:

@@ -68,8 +68,10 @@ def direction_filter(g: EmbeddedGraph, omega: float) -> ScalarGraph:
     """Project every vertex onto the direction at angle ``omega`` (radians).
 
     ``value(v) = x(v)*cos(omega) + y(v)*sin(omega)``; at ``omega = pi/2``
-    this is exactly the y-coordinate.
+    this is exactly the y-coordinate.  A non-finite angle is rejected.
     """
+    if not math.isfinite(omega):
+        raise ValueError(f"angle {omega!r} is not finite")
     c, s = _snap(math.cos(omega)), _snap(math.sin(omega))
     values = {v: x * c + y * s for v, (x, y) in g.vertices.items()}
     return ScalarGraph(values, list(g.edges))

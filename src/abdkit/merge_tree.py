@@ -44,14 +44,14 @@ class MergeTree:
     Invariants: exactly one root, holding the maximum value; every non-root
     node's parent has a strictly larger value; every internal node has at
     least two children.  A trivial tree is a single node that is both root
-    and minimum.  The first branching-distance call stores the tree's unique
-    branch representations in ``unique_reps`` (not compared, not in ``repr``,
-    not kept by :meth:`shifted`); a tree is not edited after that call.
+    and minimum.  The first branching-distance call stores the tree's table
+    for the distance recursion in ``branch_table`` (not compared, not in
+    ``repr``, not kept by :meth:`shifted`); a tree is not edited after that.
     """
 
     values: dict[int, float]
     parent: dict[int, int]
-    unique_reps: list | None = field(default=None, init=False, compare=False, repr=False)
+    branch_table: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def n_nodes(self) -> int:

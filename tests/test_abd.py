@@ -123,10 +123,19 @@ def test_disconnected_uses_largest_component():
 
 
 def test_per_frame_leaf_guard_names_frame(rng):
-    g, h = comb(rng, teeth=13), comb(rng, teeth=13)
-    with pytest.raises(ValueError, match="limited to 12") as err:
+    g, h = comb(rng, teeth=21), comb(rng, teeth=21)
+    refusal = r"merge tree has \d+ leaves; branching_distance is limited to 20"
+    with pytest.raises(ValueError, match=refusal) as err:
         per_frame_distances(g, h, 1)
     assert f"frame 0 (angle {math.pi / 2!r})" in str(err.value)
+
+
+def test_fifteen_leaf_comb_pair_answered():
+    # the benchmark's guard probe pair, refused while the limit was 12 leaves
+    rng = np.random.default_rng([13, 0])
+    g, h = comb(rng, teeth=13), comb(rng, teeth=13)
+    assert merge_tree_at(g, math.pi / 2).n_leaves == 15
+    assert per_frame_distances(g, h, 1) == [0.1259187655143591]
 
 
 def test_merge_tree_at_median_zero(rng):

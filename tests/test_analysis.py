@@ -74,22 +74,24 @@ def test_matrix_jobs_parallel_matches_serial(avg, mode, tol):
     assert np.array_equal(a.d, b.d)
 
 
-def test_matrix_builds_representations_once_per_tree(rng, monkeypatch):
-    calls = []
-    real = branching.representations
+def test_matrix_builds_branch_tables_once_per_tree(rng, monkeypatch):
+    builds = []
+    real = branching._table
 
-    def counted(mt, *args, **kwargs):
-        calls.append(mt)
-        return real(mt, *args, **kwargs)
+    def counted(mt):
+        if mt.branch_table is None:
+            builds.append(mt)
+        return real(mt)
 
-    monkeypatch.setattr(branching, "representations", counted)
+    monkeypatch.setattr(branching, "_table", counted)
     distance_matrix([star(rng), comb(rng), star(rng)], n_frames=2)
-    assert len(calls) <= 6  # 3 graphs x 2 frames
+    assert len(builds) <= 6  # 3 graphs x 2 frames
 
 
 def test_matrix_leaf_guard_names_pair_and_frame(rng):
-    combs = [comb(rng, teeth=13), comb(rng, teeth=13)]
-    with pytest.raises(ValueError, match="limited to 12") as err:
+    combs = [comb(rng, teeth=21), comb(rng, teeth=21)]
+    refusal = r"merge tree has \d+ leaves; branching_distance is limited to 20"
+    with pytest.raises(ValueError, match=refusal) as err:
         distance_matrix(combs, n_frames=1, labels=["left", "right"])
     assert "left vs right, frame 0" in str(err.value)
 

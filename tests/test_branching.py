@@ -1,3 +1,5 @@
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -5,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from abdkit.abd import frame_angles, merge_tree_at
 from abdkit.branching import (
+    MAX_LEAVES,
     Branch,
     RootedTreeRep,
     branching_distance,
@@ -409,6 +413,116 @@ def test_representations_are_trees(rng):
 
 
 # ---------------------------------------------------------------------------
+# the enumeration decision engine: the oracle for the min-max recursion
+# ---------------------------------------------------------------------------
+
+def _children_assignable(rx: RootedTreeRep, ry: RootedTreeRep, cu, cv, eps, feas) -> bool:
+    """Can cu/cv be matched pairwise or removed, all within eps?
+
+    Unmatched children must be removable (every branch in their subtree has
+    removal cost <= eps).  Solved as a padded square assignment where each
+    child owns a dummy slot that is free exactly when it is removable.
+    """
+    removable_u = [rx.subtree_max_rc[c] <= eps for c in cu]
+    removable_v = [ry.subtree_max_rc[c] <= eps for c in cv]
+    if not cu and not cv:
+        return True
+    if not cu:
+        return all(removable_v)
+    if not cv:
+        return all(removable_u)
+    n1, n2 = len(cu), len(cv)
+    size = n1 + n2
+    cost = np.ones((size, size), dtype=np.int8)
+    for i, ci in enumerate(cu):
+        for j, cj in enumerate(cv):
+            if feas(ci, cj):
+                cost[i, j] = 0
+        if removable_u[i]:
+            cost[i, n2 + i] = 0
+    for j in range(n2):
+        if removable_v[j]:
+            cost[n1 + j, j] = 0
+    cost[n1:, n2:] = 0
+    rows, cols = linear_sum_assignment(cost)
+    return int(cost[rows, cols].sum()) == 0
+
+
+def _rep_pair_feasible(rx: RootedTreeRep, ry: RootedTreeRep, eps: float) -> bool:
+    memo: dict[tuple[int, int], bool] = {}
+
+    def feas(i: int, j: int) -> bool:
+        key = (i, j)
+        if key in memo:
+            return memo[key]
+        memo[key] = False  # cycle-safe default; trees have none
+        if matching_cost(rx.branches[i], ry.branches[j]) <= eps:
+            memo[key] = _children_assignable(
+                rx, ry, rx.children[i], ry.children[j], eps, feas
+            )
+        return memo[key]
+
+    return feas(rx.root, ry.root)
+
+
+def _similar(reps_x: list[RootedTreeRep], reps_y: list[RootedTreeRep], eps: float) -> bool:
+    if eps < 0:
+        return False
+    for rx in reps_x:
+        for ry in reps_y:
+            if _rep_pair_feasible(rx, ry, eps):
+                return True
+    return False
+
+
+def _tolerance(decide, x, y, tol):
+    """Tolerance-mode bisection of [0, value span] against ``decide``."""
+    if decide(0.0):
+        return 0.0
+    values = [*x.values.values(), *y.values.values()]
+    lo, hi = 0.0, max(values) - min(values)
+    while hi - lo > tol:
+        mid = (lo + hi) / 2.0
+        if decide(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_recursion_matches_enumeration_random(rng):
+    # a third integer-valued (frequent ties), a quarter identical pairs
+    for i in range(500):
+        x = random_merge_tree(rng, max_leaves=7, integer_values=i % 3 == 2)
+        y = x if i % 4 == 0 else random_merge_tree(rng, max_leaves=7, integer_values=i % 3 == 2)
+        reps_x, reps_y = representations(x), representations(y)
+        d = branching_distance(x, y)
+        cands = candidate_costs(x, y)
+        answers = [_similar(reps_x, reps_y, eps) for eps in cands]
+        assert answers == [d <= eps for eps in cands], i
+        # the engine compares eps only with matching and removal costs, all of
+        # them candidates, so its answer at eps is its answer at the largest
+        # candidate not above eps
+        def decide(eps):
+            return eps >= 0 and answers[bisect_right(cands, eps) - 1]
+
+        for tol in (1e-6, 1e-2):
+            assert branching_distance(x, y, mode="tolerance", tol=tol) == _tolerance(decide, x, y, tol)
+
+
+def test_recursion_matches_enumeration_combs():
+    # every condition of the engine is "cost <= eps", so its answers only grow
+    # with eps: true at d and false at the candidate below fixes every answer
+    trees = list(_comb_trees())
+    for x, y in zip(trees[::2], trees[1::2]):
+        reps_x, reps_y = representations(x), representations(y)
+        d = branching_distance(x, y)
+        cands = candidate_costs(x, y)
+        assert d > 0.0 and _similar(reps_x, reps_y, d)
+        assert not _similar(reps_x, reps_y, cands[cands.index(d) - 1])
+
+
+# ---------------------------------------------------------------------------
 # eps-similarity and distances
 # ---------------------------------------------------------------------------
 
@@ -461,11 +575,38 @@ def test_oracle_equivalence_sample(rng):
         assert branching_distance(x, y) == brute_force_distance(x, y)
 
 
+def _metamorphic_pairs(rng):
+    """Random pairs of up to 7 leaves, a third integer-valued, then the comb pairs."""
+    for i in range(150):
+        yield (random_merge_tree(rng, max_leaves=7, integer_values=i % 3 == 2),
+               random_merge_tree(rng, max_leaves=7, integer_values=i % 3 == 2))
+    trees = list(_comb_trees())
+    yield from zip(trees[::2], trees[1::2])
+
+
+def _relabelled(mt, rng):
+    """The same tree under new node ids, inserted in a new order."""
+    old = list(mt.values)
+    new = dict(zip(old, (1000 + 7 * int(k) for k in rng.permutation(len(old)))))
+    order = [old[k] for k in rng.permutation(len(old))]
+    return MergeTree({new[n]: mt.values[n] for n in order},
+                     {new[n]: new[mt.parent[n]] for n in order})
+
+
 def test_symmetry_exact(rng):
-    for _ in range(25):
-        x = random_merge_tree(rng, max_leaves=4)
-        y = random_merge_tree(rng, max_leaves=4)
+    for x, y in _metamorphic_pairs(rng):
         assert branching_distance(x, y) == branching_distance(y, x) >= 0.0
+
+
+def test_relabelling_and_power_of_two_scaling_exact(rng):
+    # scaling by 2**k is exact in floating point, so the distance scales exactly
+    for x, y in _metamorphic_pairs(rng):
+        d = branching_distance(x, y)
+        assert branching_distance(_relabelled(x, rng), _relabelled(y, rng)) == d
+        for k in (-3, 5):
+            sx, sy = (MergeTree({n: math.ldexp(v, k) for n, v in t.values.items()}, dict(t.parent))
+                      for t in (x, y))
+            assert branching_distance(sx, sy) == math.ldexp(d, k)
 
 
 def test_monotonicity_of_decision(rng):
@@ -524,22 +665,25 @@ def test_positivity_under_perturbation(rng):
         assert branching_distance(x, perturbed) > 0.0
 
 
+def star_tree(n):
+    return MergeTree({i: float(i) for i in range(n)} | {100: 100.0},
+                     {i: 100 for i in range(n)} | {100: 100})
+
+
 def test_size_guards():
-    n = 13
-    values = {i: float(i) for i in range(n)}
-    values[100] = 100.0
-    parent = {i: 100 for i in range(n)}
-    parent[100] = 100
-    big = MergeTree(values, parent)
-    with pytest.raises(ValueError, match=r"merge tree has 13 leaves; .* is limited to 12"):
+    big = star_tree(MAX_LEAVES + 1)
+    with pytest.raises(ValueError, match="merge tree has 21 leaves; representations is limited to 20"):
         representations(big)
     small = tree({0: 0.0}, {0: 0})
-    refusal = "merge tree has 13 leaves; representations is limited to 12"
+    refusal = "merge tree has 21 leaves; branching_distance is limited to 20"
     for x, y in ((big, big), (small, big), (big, small)):
         with pytest.raises(ValueError, match=refusal):
             branching_distance(x, y)
         with pytest.raises(ValueError, match=refusal):
             is_eps_similar(x, y, 1.0)
+    at_limit = star_tree(MAX_LEAVES)
+    assert branching_distance(at_limit, at_limit) == 0.0
+    assert branching_distance(small, at_limit) == 100.0
     six = MergeTree(
         {i: float(i) for i in range(6)} | {10: 10.0},
         {i: 10 for i in range(6)} | {10: 10},

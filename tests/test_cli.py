@@ -31,6 +31,14 @@ def test_tree_w_path(w_path, capsys):
     assert values == [0.0, 1.0, 2.0, 5.0, 6.0]
 
 
+@pytest.mark.parametrize("angle", ["nan", "inf"])
+def test_tree_non_finite_angle_rejected(w_path, capsys, angle):
+    assert main(["tree", str(w_path), "--angle", angle]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: angle {float(angle)!r} is not finite\n"
+
+
 def test_tree_monotone_trivial(tmp_path, capsys):
     g = EmbeddedGraph({0: (0, 0.0), 1: (1, 1.0), 2: (2, 2.0)}, [(0, 1), (1, 2)])
     p = tmp_path / "mono.json"

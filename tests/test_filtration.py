@@ -27,6 +27,13 @@ def test_projection_diagonal():
     assert direction_filter(g, math.pi / 4).values[0] == pytest.approx(math.sqrt(2), abs=1e-12)
 
 
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+def test_non_finite_angle_rejected(omega):
+    g = EmbeddedGraph({0: (3.0, 4.0)}, [])
+    with pytest.raises(ValueError, match=f"angle {omega!r} is not finite"):
+        direction_filter(g, omega)
+
+
 @given(x=finite, y=finite, omega=st.floats(0, 2 * math.pi))
 @settings(max_examples=200, deadline=None)
 def test_projection_periodic(x, y, omega):
