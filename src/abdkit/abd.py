@@ -9,6 +9,7 @@ the median (default) or mean of the per-frame distances.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,8 +108,11 @@ def average_branching_distance(
 
 
 def _aggregate(values: list[float], avg: str) -> float:
+    """Median or mean; ``statistics.median`` is bit-identical to ``np.median``
+    here and far cheaper per call, but ``np.mean`` stays: its pairwise sum
+    differs from a sequential one from 9 values on."""
     if avg == "median":
-        return float(np.median(values))
+        return float(statistics.median(values))
     if avg == "mean":
         return float(np.mean(values))
     raise ValueError(f"unknown avg {avg!r}, expected 'median' or 'mean'")

@@ -88,18 +88,16 @@ class Embedding2D:
     n_clamped: int = 0
 
 
-def _pair_abd(trees, labels, avg, mode, tol, i, j) -> float:
-    """ABD of graphs ``i`` and ``j`` from their per-frame merge trees."""
-    dists = []
-    for frame, (a, b) in enumerate(zip(trees[i], trees[j])):
-        try:
-            dists.append(branching_distance(a, b, mode=mode, tol=tol))
-        except ValueError as exc:
-            raise ValueError(f"{labels[i]} vs {labels[j]}, frame {frame}: {exc}") from exc
-    return _aggregate(sorted(dists), avg)
+def _frame_distance(trees, labels, mode, tol, item: tuple[int, int, int]) -> float:
+    """Branching distance of graphs ``i`` and ``j`` in frame ``f``; errors name them."""
+    i, j, f = item
+    try:
+        return branching_distance(trees[i][f], trees[j][f], mode=mode, tol=tol)
+    except ValueError as exc:
+        raise ValueError(f"{labels[i]} vs {labels[j]}, frame {f}: {exc}") from exc
 
 
-_worker_args: tuple = ()  # _pair_abd's leading arguments, set once in each pool worker
+_worker_args: tuple = ()  # _frame_distance's leading arguments, set once in each pool worker
 
 
 def _init_worker(*args) -> None:
@@ -107,8 +105,8 @@ def _init_worker(*args) -> None:
     _worker_args = args
 
 
-def _worker_pair_abd(pair: tuple[int, int]) -> float:
-    return _pair_abd(*_worker_args, *pair)
+def _worker_frame_distance(item: tuple[int, int, int]) -> float:
+    return _frame_distance(*_worker_args, item)
 
 
 def distance_matrix(
@@ -123,10 +121,14 @@ def distance_matrix(
 ) -> DistanceMatrix:
     """Pairwise ABD matrix; each merge tree is built once per (graph, angle).
 
-    Unordered pairs are independent work items; ``jobs`` > 1 runs them in a
-    process pool that gets every tree once per worker and then only pair
-    indices.  Per-frame values are sorted before aggregation, so the result
-    does not depend on scheduling.  Errors name pair and frame.
+    Equal trees (same values and shape, whatever their node ids) share one
+    comparison: each distinct ordered pair of trees is one work item,
+    computed once on the first (pair, frame) that produces it.  ``jobs`` > 1
+    runs the items in a process pool of at most ``min(jobs, items)``
+    workers, each sent every tree once and then only item indices.
+    Per-frame values are sorted before aggregation, so the result does not
+    depend on scheduling.  Items run in the order pairs, then frames, first
+    met, so a refusal names the first failing pair and frame.
     """
     if len(graphs) < 2:
         raise ValueError("need at least 2 graphs")
@@ -134,20 +136,30 @@ def distance_matrix(
         labels = [f"g{i}" for i in range(len(graphs))]
     if len(labels) != len(graphs):
         raise ValueError("labels/graphs length mismatch")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     comps = [largest_component(g) for g in graphs]
     angles = frame_angles(n_frames).angles
     trees = [[merge_tree_at(g, w, collapse_tol) for w in angles] for g in comps]
+    ids: dict = {}  # canonical key -> small id, shared by all frames
+    tree_ids = [[ids.setdefault(t.canonical_key(), len(ids)) for t in row] for row in trees]
     n = len(graphs)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    args = (trees, labels, avg, mode, tol)
-    out = np.zeros((n, n))
-    if jobs > 1:
-        with ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=args) as pool:
-            values = list(pool.map(_worker_pair_abd, pairs))
+    items: dict[tuple[int, int], tuple[int, int, int]] = {}  # (id_x, id_y) -> first (i, j, f)
+    pair_items = [
+        [items.setdefault((tree_ids[i][f], tree_ids[j][f]), (i, j, f)) for f in range(n_frames)]
+        for i, j in pairs
+    ]
+    args, work = (trees, labels, mode, tol), list(items.values())
+    workers = min(jobs, len(work))
+    if workers > 1:
+        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=args) as pool:
+            values = dict(zip(work, pool.map(_worker_frame_distance, work)))
     else:
-        values = [_pair_abd(*args, i, j) for i, j in pairs]
-    for (i, j), val in zip(pairs, values):
-        out[i, j] = out[j, i] = val
+        values = {item: _frame_distance(*args, item) for item in work}
+    out = np.zeros((n, n))
+    for (i, j), row in zip(pairs, pair_items):
+        out[i, j] = out[j, i] = _aggregate(sorted(values[item] for item in row), avg)
     return DistanceMatrix(labels, out)
 
 

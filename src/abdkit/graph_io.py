@@ -215,10 +215,14 @@ def connected_components(g: EmbeddedGraph) -> list[list[int]]:
 def largest_component(g: EmbeddedGraph) -> EmbeddedGraph:
     """Induced subgraph on the largest connected component.
 
-    Size ties are broken by the smallest minimum vertex id, so the result is
-    deterministic and independent of vertex order.
+    A connected graph is returned as it is (the result is then ``g``
+    itself, not a copy).  Size ties are broken by the smallest minimum
+    vertex id, so the result is deterministic and independent of vertex
+    order.
     """
     comps = connected_components(g)
+    if len(comps) == 1:
+        return g
     best = max(comps, key=lambda c: (len(c), -min(c)))
     keep = set(best)
     vertices = {v: xy for v, xy in g.vertices.items() if v in keep}

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -112,14 +113,20 @@ class MergeTree:
             if n != root:
                 raise ValueError("disconnected node")
 
-    def canonical_key(self):
-        """Order-insensitive (value, structure) key; equal for isomorphic trees."""
+    def canonical_key(self) -> tuple:
+        """Order-insensitive (value, structure) key; equal for isomorphic trees.
+
+        A flat tuple, built bottom-up in ascending value order: a node's key
+        is its value, its child count, then its children's keys in sorted
+        order.  Being flat, it is built, hashed and compared without
+        recursion however deep the tree.
+        """
         ch = self.children()
-
-        def rec(n: int):
-            return (self.values[n], tuple(sorted(rec(c) for c in ch[n])))
-
-        return rec(self.root)
+        key: dict[int, tuple] = {}
+        for n in sorted(self.values, key=self.values.__getitem__):  # children first
+            key[n] = (self.values[n], len(ch[n]),
+                      *chain.from_iterable(sorted(key.pop(c) for c in ch[n])))
+        return key[self.root]
 
     def shifted(self, delta: float) -> "MergeTree":
         return MergeTree({n: v + delta for n, v in self.values.items()}, dict(self.parent))

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .abd import average_branching_distance, merge_tree_at
-from .branching import branching_distance, brute_force_distance, candidate_costs, is_eps_similar
+from .branching import branching_distance, brute_force_distance, candidate_costs
 from .fixtures import tree_counterexample, indistinguishable_pair, graph_counterexample
 from .graph_io import is_isomorphic
 from .merge_tree import compute_merge_tree, merge_tree_oracle, trees_equal
@@ -188,22 +188,21 @@ def _perturb_leaf(tree):
     return out
 
 
-def check_eps_monotonicity(trials: int = 50, seed: int = 0) -> CheckResult:
-    """is_eps_similar stays true once true as eps grows."""
+def check_tolerance_bracket(trials: int = 50, seed: int = 0) -> CheckResult:
+    """Tolerance mode lands in [exact, exact + tol] for tol in 1e-6, 1e-3, 1e-1."""
     rng = np.random.default_rng(seed)
     bad = 0
     for _ in range(trials):
         x = random_merge_tree(rng, max_leaves=4)
         y = random_merge_tree(rng, max_leaves=4)
-        cands = candidate_costs(x, y)
-        answers = [is_eps_similar(x, y, c) for c in cands]
-        first = answers.index(True) if True in answers else len(answers)
-        if not all(answers[first:]):
-            bad += 1
+        exact = branching_distance(x, y)
+        for tol in (1e-6, 1e-3, 1e-1):
+            if not exact <= branching_distance(x, y, mode="tolerance", tol=tol) <= exact + tol:
+                bad += 1
     return CheckResult(
-        "eps-similarity monotonicity",
+        "tolerance-mode bracket",
         bad == 0,
-        f"{trials} pairs, {bad} non-monotone decision sequences",
+        f"{trials} pairs x tol 1e-6/1e-3/1e-1, {bad} values outside [exact, exact + tol]",
     )
 
 
@@ -268,6 +267,6 @@ def run_all(trials: int = 200, seed: int = 0, fixtures_dir: str | Path | None = 
     run("merge-tree oracle equivalence", check_merge_tree_oracle, trials=trials, seed=seed)
     run("distance oracle equivalence", check_distance_oracle, pairs=trials // 2, seed=seed)
     run("semi-metric properties of d_B", check_semi_metric, pairs=trials, seed=seed)
-    run("eps-similarity monotonicity", check_eps_monotonicity, trials=trials // 4, seed=seed)
+    run("tolerance-mode bracket", check_tolerance_bracket, trials=trials // 4, seed=seed)
     run("frame-count stability", check_frame_stability, seed=seed)
     return report

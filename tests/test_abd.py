@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from abdkit.abd import average_branching_distance, frame_angles, merge_tree_at, per_frame_distances
+from abdkit.abd import (
+    _aggregate,
+    average_branching_distance,
+    frame_angles,
+    merge_tree_at,
+    per_frame_distances,
+)
 from abdkit.fixtures import indistinguishable_pair, graph_counterexample
 from abdkit.graph_io import EmbeddedGraph, is_isomorphic
 from abdkit.synth import blob, comb, convex_polygon, star
@@ -143,3 +149,11 @@ def test_merge_tree_at_median_zero(rng):
     for omega in frame_angles(5).angles:
         mt = merge_tree_at(g, omega)
         assert float(np.median(list(mt.values.values()))) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_median_aggregation_matches_numpy(rng):
+    # zeros and repeats, as convex shapes and shared trees produce
+    for _ in range(400):
+        pool = [0.0, 0.0, *rng.uniform(0.0, 5.0, 3).tolist(), float(rng.integers(1, 4))]
+        values = sorted(rng.choice(pool, int(rng.integers(1, 13))).tolist())
+        assert repr(_aggregate(values, "median")) == repr(float(np.median(values)))

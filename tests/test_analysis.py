@@ -6,7 +6,8 @@ import pytest
 from scipy.linalg import orthogonal_procrustes
 from scipy.sparse.csgraph import minimum_spanning_tree
 
-from abdkit import branching
+from abdkit import analysis, branching
+from abdkit.abd import average_branching_distance, frame_angles, merge_tree_at
 from abdkit.analysis import (
     Dendrogram,
     _dendrogram_svg,
@@ -22,6 +23,7 @@ from abdkit.analysis import (
     single_linkage,
 )
 from abdkit.fixtures import graph_counterexample
+from abdkit.graph_io import EmbeddedGraph
 from abdkit.synth import comb, convex_polygon, star
 
 
@@ -94,6 +96,119 @@ def test_matrix_leaf_guard_names_pair_and_frame(rng):
     with pytest.raises(ValueError, match=refusal) as err:
         distance_matrix(combs, n_frames=1, labels=["left", "right"])
     assert "left vs right, frame 0" in str(err.value)
+
+
+def duplicate_heavy_set(rng):
+    """Graphs whose trees repeat: convex polygons, a translated star, a comb twice."""
+    polys = [convex_polygon(rng, k) for k in (4, 5, 6, 9, 12, 17)]
+    s, c = star(rng), comb(rng)
+    return polys + [s, s.translated(3.0, -2.0), c, c, *graph_counterexample()]
+
+
+@pytest.mark.parametrize("n_frames", [1, 2, 10])
+@pytest.mark.parametrize("avg", ["median", "mean"])
+@pytest.mark.parametrize("mode, tol", [("exact", 1e-6), ("tolerance", 1e-3)], ids=["exact", "tolerance"])
+def test_matrix_equals_per_pair_abd(rng, n_frames, avg, mode, tol):
+    graphs = duplicate_heavy_set(rng)
+    n = len(graphs)
+    kw = dict(n_frames=n_frames, avg=avg, mode=mode, tol=tol)
+    expected = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            expected[i, j] = expected[j, i] = average_branching_distance(graphs[i], graphs[j], **kw)
+    for jobs in (1, 2):
+        got = distance_matrix(graphs, jobs=jobs, **kw).d
+        assert [v.hex() for v in got.ravel()] == [v.hex() for v in expected.ravel()]
+
+
+@pytest.mark.parametrize("n_frames", [1, 10])
+def test_matrix_compares_each_distinct_tree_pair_once(rng, monkeypatch, n_frames):
+    graphs = duplicate_heavy_set(rng)
+    calls = []
+    real = analysis.branching_distance
+
+    def counted(x, y, **kw):
+        calls.append((x.canonical_key(), y.canonical_key()))
+        return real(x, y, **kw)
+
+    monkeypatch.setattr(analysis, "branching_distance", counted)
+    distance_matrix(graphs, n_frames=n_frames)
+    keys = [[merge_tree_at(g, w).canonical_key() for w in frame_angles(n_frames).angles]
+            for g in graphs]
+    n = len(graphs)
+    distinct = {(keys[i][f], keys[j][f])
+                for i in range(n) for j in range(i + 1, n) for f in range(n_frames)}
+    assert sorted(calls) == sorted(distinct)  # each distinct ordered pair once
+    assert len(calls) < n * (n - 1) // 2 * n_frames
+
+
+def zigzag_path(minima: int) -> EmbeddedGraph:
+    """Path whose minima rise one by one: its vertical merge tree is a caterpillar."""
+    vertices = {}
+    for k in range(minima):
+        vertices[2 * k] = (2.0 * k, float(k))
+        if k + 1 < minima:
+            vertices[2 * k + 1] = (2.0 * k + 1.0, k + 1.5)
+    return EmbeddedGraph(vertices, [(v, v + 1) for v in range(len(vertices) - 1)])
+
+
+def test_matrix_refuses_deep_tree_with_error_line(rng):
+    with pytest.raises(ValueError) as err:
+        distance_matrix([star(rng), zigzag_path(1500)], n_frames=1, labels=["s", "zig"])
+    assert str(err.value) == (
+        "s vs zig, frame 0: merge tree has 1500 leaves; branching_distance is limited to 20"
+    )
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_matrix_refusal_names_first_failing_pair_and_frame(rng, jobs):
+    graphs = [star(rng), zigzag_path(30), zigzag_path(25)]  # every zigzag tree is refused
+    with pytest.raises(ValueError, match="^s vs zig, frame 0: merge tree has 30 leaves"):
+        distance_matrix(graphs, n_frames=2, labels=["s", "zig", "zag"], jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_matrix_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+        distance_matrix(list(graph_counterexample()), n_frames=1, jobs=jobs)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.started.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, workers", [(2, [2]), (64, [3])])
+def test_matrix_pool_size_capped_by_items(monkeypatch, jobs, workers):
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "started", [])
+    graphs = list(graph_counterexample())  # 3 pairs of distinct trees at one frame
+    out = distance_matrix(graphs, n_frames=1, jobs=jobs)
+    assert RecordingPool.started == workers
+    assert np.array_equal(out.d, distance_matrix(graphs, n_frames=1).d)
+
+
+def test_matrix_single_item_starts_no_pool(rng, monkeypatch):
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "started", [])
+    polys = [convex_polygon(rng, k) for k in (5, 7, 9)]  # one trivial tree at one frame
+    out = distance_matrix(polys, n_frames=1, jobs=4)
+    assert RecordingPool.started == []
+    assert np.array_equal(out.d, np.zeros((3, 3)))
 
 
 def test_matrix_needs_two_graphs(rng):

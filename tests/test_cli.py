@@ -169,6 +169,12 @@ def test_mds_dims_below_one_rejected(tmp_path, capsys, dims):
     assert not out.exists() and not svg.exists()
 
 
+def test_matrix_jobs_zero_rejected(capsys):
+    files = [str(fixture_path(f"graph_triple_{n}.json")) for n in "gh"]
+    assert main(["matrix", *files, "--jobs", "0"]) == 1
+    assert capsys.readouterr().err == "error: jobs must be at least 1, got 0\n"
+
+
 def test_matrix_deterministic_bytes(tmp_path):
     files = []
     for name in ("graph_triple_g", "graph_triple_h"):

@@ -78,7 +78,16 @@ def test_non_finite_coordinate_rejected(tmp_path, fmt, text):
 
 
 def test_largest_component_connected_identity(triangle):
-    assert largest_component(triangle) == triangle
+    assert largest_component(triangle) is triangle
+
+
+def test_largest_component_disconnected_copy():
+    vertices = {0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (5, 5), 4: (6, 6)}
+    g = EmbeddedGraph(dict(vertices), [(0, 1), (1, 2), (3, 4)])
+    lc = largest_component(g)
+    assert lc is not g
+    assert lc == EmbeddedGraph({v: vertices[v] for v in (0, 1, 2)}, [(0, 1), (1, 2)])
+    assert g.vertices == vertices and g.edges == [(0, 1), (1, 2), (3, 4)]  # input untouched
 
 
 def test_largest_component_picks_bigger():

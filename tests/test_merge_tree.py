@@ -201,6 +201,26 @@ def test_subdividing_monotone_edge_preserves_tree(rng):
         assert trees_equal(before, after)
 
 
+def test_trees_equal_deep_caterpillar():
+    # 1,500 rising minima joined one by one: 2,999 nodes, 1,499 levels deep
+    def caterpillar(ids):
+        values = {ids[2 * k]: float(k) for k in range(1500)}
+        values.update({ids[2 * k + 1]: k + 1.5 for k in range(1499)})
+        parent = {ids[0]: ids[1], ids[2997]: ids[2997]}
+        for k in range(1499):
+            parent[ids[2 * k + 2]] = ids[2 * k + 1]
+            if k < 1498:
+                parent[ids[2 * k + 1]] = ids[2 * k + 3]
+        return MergeTree(values, parent)
+
+    a = caterpillar(list(range(2999)))
+    b = caterpillar([5000 - n for n in range(2999)])
+    a.validate()
+    assert trees_equal(a, b)
+    b.values[4900] -= 0.25  # one leaf moved
+    assert not trees_equal(a, b)
+
+
 def test_convex_polygon_trivial_small(rng):
     for _ in range(10):
         poly = convex_polygon(rng, int(rng.integers(5, 20)))
