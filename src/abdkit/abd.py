@@ -17,12 +17,13 @@ import numpy as np
 from .branching import branching_distance
 from .filtration import DEFAULT_COLLAPSE_TOL, collapse_equal_adjacent, direction_filter
 from .graph_io import EmbeddedGraph, largest_component
-from .merge_tree import MergeTree, compute_merge_tree, shift_median_zero
+from .merge_tree import DisconnectedGraphError, MergeTree, compute_merge_tree, shift_median_zero
 
 __all__ = [
     "FrameSet",
     "frame_angles",
     "merge_tree_at",
+    "frame_trees",
     "per_frame_distances",
     "average_branching_distance",
 ]
@@ -61,6 +62,25 @@ def merge_tree_at(
     return mt if normalize == "none" else shift_median_zero(mt, normalize)
 
 
+def frame_trees(
+    g: EmbeddedGraph,
+    angles: tuple[float, ...],
+    collapse_tol: float = DEFAULT_COLLAPSE_TOL,
+) -> list[MergeTree]:
+    """Median-shifted merge trees of ``g`` at each angle, in angle order.
+
+    A disconnected ``g`` is reduced to its largest component.  Connectivity
+    does not depend on the angle, so the first angle's sweep decides it: a
+    connected graph is never searched for components.
+    """
+    try:
+        first = merge_tree_at(g, angles[0], collapse_tol)
+    except DisconnectedGraphError:
+        g = largest_component(g)
+        first = merge_tree_at(g, angles[0], collapse_tol)
+    return [first, *(merge_tree_at(g, omega, collapse_tol) for omega in angles[1:])]
+
+
 def per_frame_distances(
     g: EmbeddedGraph,
     h: EmbeddedGraph,
@@ -73,13 +93,10 @@ def per_frame_distances(
 
     A distance error such as the leaf guard is re-raised naming the frame.
     """
-    g = largest_component(g)
-    h = largest_component(h)
-    frames = frame_angles(n_frames)
+    angles = frame_angles(n_frames).angles
+    trees = zip(frame_trees(g, angles, collapse_tol), frame_trees(h, angles, collapse_tol))
     out = []
-    for i, omega in enumerate(frames.angles):
-        mg = merge_tree_at(g, omega, collapse_tol)
-        mh = merge_tree_at(h, omega, collapse_tol)
+    for i, (omega, (mg, mh)) in enumerate(zip(angles, trees)):
         try:
             out.append(branching_distance(mg, mh, mode=mode, tol=tol))
         except ValueError as exc:

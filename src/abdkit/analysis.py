@@ -16,10 +16,16 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .abd import _aggregate, frame_angles, merge_tree_at
+from .abd import _aggregate, frame_angles, frame_trees
 from .branching import branching_distance
 from .filtration import DEFAULT_COLLAPSE_TOL
-from .graph_io import EmbeddedGraph, largest_component
+from .graph_io import EmbeddedGraph
+
+# Not called here: the benchmark's tracer patches these two names in this
+# module.  The matrix builds its trees through abd.frame_trees, which calls
+# them in abd, where the tracer patches them too.
+from .abd import merge_tree_at  # noqa: F401
+from .graph_io import largest_component  # noqa: F401
 
 __all__ = [
     "DistanceMatrix",
@@ -121,11 +127,14 @@ def distance_matrix(
 ) -> DistanceMatrix:
     """Pairwise ABD matrix; each merge tree is built once per (graph, angle).
 
-    Equal trees (same values and shape, whatever their node ids) share one
-    comparison: each distinct ordered pair of trees is one work item,
-    computed once on the first (pair, frame) that produces it.  ``jobs`` > 1
-    runs the items in a process pool of at most ``min(jobs, items)``
-    workers, each sent every tree once and then only item indices.
+    Trees come from :func:`abd.frame_trees`, so each graph is indexed once
+    and reduced to its largest component only if its first sweep finds it
+    disconnected.  Equal trees (same values and shape, whatever their node
+    ids) share one comparison: each distinct ordered pair of trees is one
+    work item, computed once on the first (pair, frame) that produces it.
+    ``jobs`` > 1 runs the items in a process pool of at most
+    ``min(jobs, items)`` workers, each sent every tree once and then item
+    indices in about four chunks per worker.
     Per-frame values are sorted before aggregation, so the result does not
     depend on scheduling.  Items run in the order pairs, then frames, first
     met, so a refusal names the first failing pair and frame.
@@ -138,9 +147,8 @@ def distance_matrix(
         raise ValueError("labels/graphs length mismatch")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    comps = [largest_component(g) for g in graphs]
     angles = frame_angles(n_frames).angles
-    trees = [[merge_tree_at(g, w, collapse_tol) for w in angles] for g in comps]
+    trees = [frame_trees(g, angles, collapse_tol) for g in graphs]
     ids: dict = {}  # canonical key -> small id, shared by all frames
     tree_ids = [[ids.setdefault(t.canonical_key(), len(ids)) for t in row] for row in trees]
     n = len(graphs)
@@ -154,7 +162,8 @@ def distance_matrix(
     workers = min(jobs, len(work))
     if workers > 1:
         with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=args) as pool:
-            values = dict(zip(work, pool.map(_worker_frame_distance, work)))
+            chunk = -(-len(work) // (4 * workers))  # about four chunks per worker
+            values = dict(zip(work, pool.map(_worker_frame_distance, work, chunksize=chunk)))
     else:
         values = {item: _frame_distance(*args, item) for item in work}
     out = np.zeros((n, n))

@@ -18,6 +18,7 @@ outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -27,8 +28,8 @@ from . import analysis, synth, verify
 from .abd import average_branching_distance, frame_angles, merge_tree_at, per_frame_distances
 from .branching import branching_distance
 from .filtration import DEFAULT_COLLAPSE_TOL
-from .graph_io import GraphFormatError, connected_components, largest_component, load_graph, write_graph
-from .merge_tree import load_tree, tree_to_dict
+from .graph_io import GraphFormatError, largest_component, load_graph, write_graph
+from .merge_tree import DisconnectedGraphError, load_tree, tree_to_dict
 
 ENGINE = "baseline"  # label printed by dist for the one engine, the min-max recursion
 
@@ -42,10 +43,11 @@ def _write_out(text: str, out: str | None) -> None:
 
 def cmd_tree(args) -> int:
     g = load_graph(args.graph, args.format)
-    if len(connected_components(g)) > 1:
+    try:
+        mt = merge_tree_at(g, args.angle, args.collapse_tol, args.normalize)
+    except DisconnectedGraphError:
         print("warning: graph is disconnected; using the largest component", file=sys.stderr)
-        g = largest_component(g)
-    mt = merge_tree_at(g, args.angle, args.collapse_tol, args.normalize)
+        mt = merge_tree_at(largest_component(g), args.angle, args.collapse_tol, args.normalize)
     _write_out(json.dumps(tree_to_dict(mt), indent=1) + "\n", args.out)
     return 0
 
@@ -165,6 +167,7 @@ def cmd_gen(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: building it costs milliseconds a call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="abd-kit",
@@ -253,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (GraphFormatError, ValueError, OSError) as exc:

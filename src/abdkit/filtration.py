@@ -6,12 +6,21 @@ onto the unit vector at that angle.  At ``omega = pi/2`` this is just the
 y-coordinate.  Adjacent vertices with (near-)equal values are contracted
 before merge-tree construction so every edge has a well-defined lower and
 upper endpoint.
+
+The first filtration of a graph stores its index arrays on it (vertex ids,
+coordinate columns, edge endpoints as row indices); every direction then
+computes one value column from them, and the collapse tests every edge for
+a tie in one vectorised comparison.  A scalar graph carries its arrays
+along, so the merge-tree sweep reads them instead of the dicts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from .graph_io import EmbeddedGraph
 
@@ -24,10 +33,18 @@ DEFAULT_COLLAPSE_TOL = 1e-9
 
 @dataclass
 class ScalarGraph:
-    """A graph with one real value per vertex, for a fixed direction."""
+    """A graph with one real value per vertex, for a fixed direction.
+
+    ``arrays`` holds ``(ids, values, u rows, v rows)``: the vertex ids and
+    values in ``values`` order and each edge's endpoints as row indices.
+    :func:`direction_filter` passes them in; for a graph built from dicts
+    :func:`scalar_arrays` builds them on first use (not compared, not in
+    ``repr``), so a scalar graph is not edited once collapsed or swept.
+    """
 
     values: dict[int, float]
     edges: list[tuple[int, int]]
+    arrays: tuple | None = field(default=None, compare=False, repr=False, kw_only=True)
 
     @property
     def n_vertices(self) -> int:
@@ -55,6 +72,30 @@ class ScalarGraph:
         return len(seen) == len(self.values)
 
 
+def _edge_rows(vertices: dict, edges: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    row = {v: i for i, v in enumerate(vertices)}
+    rows = np.fromiter(map(row.__getitem__, chain.from_iterable(edges)), np.intp, 2 * len(edges))
+    return rows[0::2], rows[1::2]
+
+
+def graph_arrays(g: EmbeddedGraph) -> tuple[np.ndarray, ...]:
+    """``g.arrays``: (ids, xs, ys, u rows, v rows), built on the first call."""
+    if g.arrays is None:
+        xy = np.fromiter(chain.from_iterable(g.vertices.values()), float, 2 * g.n_vertices)
+        g.arrays = (np.array(list(g.vertices)), xy[0::2], xy[1::2],
+                    *_edge_rows(g.vertices, g.edges))
+    return g.arrays
+
+
+def scalar_arrays(sg: ScalarGraph) -> tuple[np.ndarray, ...]:
+    """``sg.arrays``: (ids, values, u rows, v rows), built on the first call."""
+    if sg.arrays is None:
+        sg.arrays = (np.array(list(sg.values)),
+                     np.fromiter(sg.values.values(), float, sg.n_vertices),
+                     *_edge_rows(sg.values, sg.edges))
+    return sg.arrays
+
+
 def _snap(t: float) -> float:
     """Clean up trig noise so cardinal directions project exactly."""
     if abs(t) < 1e-15:
@@ -73,8 +114,10 @@ def direction_filter(g: EmbeddedGraph, omega: float) -> ScalarGraph:
     if not math.isfinite(omega):
         raise ValueError(f"angle {omega!r} is not finite")
     c, s = _snap(math.cos(omega)), _snap(math.sin(omega))
-    values = {v: x * c + y * s for v, (x, y) in g.vertices.items()}
-    return ScalarGraph(values, list(g.edges))
+    ids, xs, ys, eu, ev = graph_arrays(g)
+    values = xs * c + ys * s  # a multiply and an add, never fused: x*c + y*s to the bit
+    return ScalarGraph(dict(zip(g.vertices, values.tolist())), list(g.edges),
+                       arrays=(ids, values, eu, ev))
 
 
 def collapse_equal_adjacent(sg: ScalarGraph, tol: float = DEFAULT_COLLAPSE_TOL) -> ScalarGraph:
@@ -92,11 +135,15 @@ def collapse_equal_adjacent(sg: ScalarGraph, tol: float = DEFAULT_COLLAPSE_TOL) 
     if tol < 0:
         raise ValueError("tol must be >= 0")
     current = sg
-    # a self-loop is no tie: a pass drops it but contracts nothing
-    while any(u != v and abs(current.values[u] - current.values[v]) <= tol
-              for u, v in current.edges):
+    while _has_tie(current, tol):
         current = _collapse_once(current, tol)
     return current
+
+
+def _has_tie(sg: ScalarGraph, tol: float) -> bool:
+    _, values, eu, ev = scalar_arrays(sg)
+    # a self-loop is no tie: a pass drops it but contracts nothing
+    return bool(np.any((np.abs(values[eu] - values[ev]) <= tol) & (eu != ev)))
 
 
 def _collapse_once(sg: ScalarGraph, tol: float) -> ScalarGraph:

@@ -46,11 +46,16 @@ class EmbeddedGraph:
     """Vertices with 2-D coordinates plus undirected, deduplicated edges.
 
     ``vertices`` maps id -> (x, y) and preserves insertion order.  Edges are
-    stored as a list of ``(u, v)`` pairs with ``u < v``.
+    stored as a list of ``(u, v)`` pairs with ``u < v``.  The first
+    filtration stores the graph's index arrays in ``arrays`` (vertex ids in
+    vertex order, x and y columns, edge endpoints as row indices; not
+    compared, not in ``repr``), and every later direction reuses them, so a
+    graph is not edited after its first filtration.
     """
 
     vertices: dict[int, tuple[float, float]] = field(default_factory=dict)
     edges: list[tuple[int, int]] = field(default_factory=list)
+    arrays: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.edges = _normalize_edges(self.vertices, self.edges)

@@ -8,9 +8,12 @@ a trivial (single-node) tree.
 
 Two constructions are provided:
 
-* :func:`compute_merge_tree` -- one near-linear union-find sweep over
-  vertices in ascending value order that builds the tree and checks its
-  input (no tie across an edge, one component) as it goes.
+* :func:`compute_merge_tree` -- one sweep over the graph's index arrays in
+  ascending value order.  Vertices with one lower neighbour are linked in
+  arrays; only the critical ones (minima and vertices with several lower
+  neighbours) run the union-find in Python.  It checks its input (no tie
+  across an edge) and counts the components it ends with, so a caller
+  learns that a graph is disconnected from the sweep itself.
 * :func:`merge_tree_oracle` -- a quadratic reference that recomputes the
   connected components of both the closed and open sublevel graphs at
   every distinct value, straight from the definition.  Test use only.
@@ -19,16 +22,18 @@ Two constructions are provided:
 from __future__ import annotations
 
 import json
+import statistics
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .filtration import ScalarGraph
+from .filtration import ScalarGraph, scalar_arrays
 
 __all__ = [
     "MergeTree",
+    "DisconnectedGraphError",
     "compute_merge_tree",
     "merge_tree_oracle",
     "shift_median_zero",
@@ -137,11 +142,19 @@ def trees_equal(a: MergeTree, b: MergeTree) -> bool:
     return a.canonical_key() == b.canonical_key()
 
 
+class DisconnectedGraphError(ValueError):
+    """The swept scalar graph has more than one connected component."""
+
+
 def compute_merge_tree(sg: ScalarGraph) -> MergeTree:
     """Sweep construction of the tail-less merge tree.
 
-    Vertices are processed ascending by (value, id); a tree node takes the
-    id of the vertex that creates it.  Union-find tracks the swept
+    Vertices are ordered by (value, id); a tree node takes the id of the
+    vertex that creates it.  A vertex with exactly one lower neighbour
+    extends that neighbour's component, so these are linked to their lower
+    neighbour and pointer-jumped, in arrays, down to the bottom of their
+    chain.  Only the other vertices -- minima and vertices with several
+    lower neighbours -- are swept in Python: union-find tracks their
     components, and each component root maps to the tree node at the top
     of its component.  No lower component makes a leaf; one extends that
     component; two or more make a merge node adopting each component's top.
@@ -150,17 +163,45 @@ def compute_merge_tree(sg: ScalarGraph) -> MergeTree:
     when the parent map is written out, so one merge event gives one node
     of higher arity.
 
-    Requires a connected input with distinct values across every edge;
-    both are checked during the sweep.
+    Requires distinct values across every edge (checked first) and a
+    connected input: the sweep counts the components it ends with and
+    raises :class:`DisconnectedGraphError` for more than one.
     """
     if sg.n_vertices == 0:
         raise ValueError("empty scalar graph")
-    values = sg.values
-    adj = sg.neighbors()
-    comp: dict[int, int] = {}  # union-find links over swept vertices
+    ids, values, eu, ev = scalar_arrays(sg)
+    n = len(ids)
+    order = np.lexsort((ids, values))
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    loops = eu == ev  # a self-loop joins nothing
+    if loops.any():
+        eu, ev = eu[~loops], ev[~loops]
+    up = rank[eu] > rank[ev]
+    hi, lo = np.where(up, eu, ev), np.where(up, ev, eu)
+    tied = np.flatnonzero(values[hi] == values[lo])
+    if tied.size:
+        # the first tie a sweep meets: at the earliest later endpoint, first in edge order
+        e = tied[np.argmin(rank[hi[tied]])]
+        u, v = sorted((int(ids[lo[e]]), int(ids[hi[e]])))
+        raise ValueError(f"adjacent equal values at edge ({u}, {v}); "
+                         "run collapse_equal_adjacent first")
+    n_lower = np.bincount(hi, minlength=n)
+    link = np.arange(n)
+    one = n_lower[hi] == 1
+    link[hi[one]] = lo[one]
+    for _ in range((n - 1).bit_length()):  # pointer jumping: a chain is shorter than n
+        link = link[link]
+    below: dict[int, list[int]] = {}  # vertex with several lower neighbours -> their chain bottoms
+    many = n_lower[hi] > 1
+    for v, r in zip(hi[many].tolist(), link[lo[many]].tolist()):
+        below.setdefault(v, []).append(r)
+
+    comp: dict[int, int] = {}  # union-find links over swept chain bottoms
     top: dict[int, int] = {}  # component root -> tree node at its top
     parent: dict[int, int] = {}  # tree node -> parent, tops map to themselves
     absorbed: dict[int, int] = {}  # absorbed node -> the node that took its children
+    node_value: dict[int, float] = {}
 
     def find(v: int) -> int:
         root = v
@@ -170,39 +211,34 @@ def compute_merge_tree(sg: ScalarGraph) -> MergeTree:
             comp[v], v = root, comp[v]
         return root
 
-    for v in sorted(values, key=lambda v: (values[v], v)):
-        value = values[v]
-        lower = set()  # components of the neighbors swept before v
-        for u in adj[v]:
-            if u in comp:
-                if values[u] == value:
-                    raise ValueError(
-                        f"adjacent equal values at edge ({min(u, v)}, {max(u, v)}); "
-                        "run collapse_equal_adjacent first"
-                    )
-                lower.add(find(u))
+    swept = order[n_lower[order] != 1]
+    for v, value in zip(swept.tolist(), values[swept].tolist()):
+        lower = {find(r) for r in below.get(v, ())}
         if len(lower) == 1:
             comp[v] = lower.pop()
             continue
         comp[v] = parent[v] = top[v] = v
+        node_value[v] = value
         for r in lower:
             t = top.pop(r)
-            if values[t] == value:
+            if node_value[t] == value:
                 absorbed[t] = v
             else:
                 parent[t] = v
             comp[r] = v
 
     if len(top) != 1:
-        raise ValueError("scalar graph is disconnected; pass the largest component")
+        raise DisconnectedGraphError("scalar graph is disconnected; pass the largest component")
 
     def resolve(p: int) -> int:
         while p in absorbed:
             p = absorbed[p]
         return p
 
-    ordered = sorted((n for n in parent if n not in absorbed), key=lambda n: (values[n], n))
-    return MergeTree({n: values[n] for n in ordered}, {n: resolve(parent[n]) for n in ordered})
+    nodes = [v for v in parent if v not in absorbed]  # created in (value, id) order
+    ident = dict(zip(nodes, ids[nodes].tolist()))
+    return MergeTree({ident[v]: node_value[v] for v in nodes},
+                     {ident[v]: ident[resolve(parent[v])] for v in nodes})
 
 
 @dataclass(frozen=True)
@@ -309,11 +345,12 @@ def shift_median_zero(mt: MergeTree, mode: str = "median") -> MergeTree:
     """
     if mt.n_nodes == 0:
         raise ValueError("empty merge tree")
-    vals = np.array(list(mt.values.values()), dtype=float)
     if mode == "median":
-        stat = float(np.median(vals))
+        # bit-identical to np.median, whose sum starts at 0.0 and so turns a
+        # -0.0 middle into 0.0; adding 0.0 to each value does the same
+        stat = statistics.median([v + 0.0 for v in mt.values.values()])
     elif mode == "mean":
-        stat = float(np.mean(vals))
+        stat = float(np.mean(np.array(list(mt.values.values()), dtype=float)))
     else:
         raise ValueError(f"unknown mode {mode!r}, expected 'median' or 'mean'")
     return mt.shifted(-stat)

@@ -7,9 +7,11 @@ from abdkit.abd import (
     _aggregate,
     average_branching_distance,
     frame_angles,
+    frame_trees,
     merge_tree_at,
     per_frame_distances,
 )
+from abdkit.merge_tree import tree_to_dict
 from abdkit.fixtures import indistinguishable_pair, graph_counterexample
 from abdkit.graph_io import EmbeddedGraph, is_isomorphic
 from abdkit.synth import blob, comb, convex_polygon, star
@@ -157,3 +159,17 @@ def test_median_aggregation_matches_numpy(rng):
         pool = [0.0, 0.0, *rng.uniform(0.0, 5.0, 3).tolist(), float(rng.integers(1, 4))]
         values = sorted(rng.choice(pool, int(rng.integers(1, 13))).tolist())
         assert repr(_aggregate(values, "median")) == repr(float(np.median(values)))
+
+
+def test_frame_trees_disconnected_takes_largest_component_with_tie_rule():
+    # two 3-vertex components: the one holding the smaller minimum id (-5) wins,
+    # whatever the vertex order; its first sweep is what finds the split
+    g = EmbeddedGraph(
+        {0: (0.0, 0.0), 1: (1.0, 3.0), 2: (2.0, 1.0), 7: (10.0, 2.0), -5: (11.0, 0.5), 8: (12.0, 4.0)},
+        [(0, 1), (1, 2), (7, -5), (-5, 8)],
+    )
+    winner = EmbeddedGraph({7: (10.0, 2.0), -5: (11.0, 0.5), 8: (12.0, 4.0)}, [(7, -5), (-5, 8)])
+    angles = frame_angles(5).angles
+    got = [tree_to_dict(t) for t in frame_trees(g, angles)]
+    assert got == [tree_to_dict(t) for t in frame_trees(winner, angles)]
+    assert got == [tree_to_dict(merge_tree_at(winner, w)) for w in angles]

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from scipy.linalg import orthogonal_procrustes
 from scipy.sparse.csgraph import minimum_spanning_tree
 
-from abdkit import analysis, branching
+from abdkit import analysis, branching, filtration, graph_io
 from abdkit.abd import average_branching_distance, frame_angles, merge_tree_at
 from abdkit.analysis import (
     Dendrogram,
@@ -23,8 +24,9 @@ from abdkit.analysis import (
     single_linkage,
 )
 from abdkit.fixtures import graph_counterexample
+from abdkit.filtration import ScalarGraph
 from abdkit.graph_io import EmbeddedGraph
-from abdkit.synth import comb, convex_polygon, star
+from abdkit.synth import comb, convex_polygon, shape_dataset, star
 
 
 def dm(labels, rows):
@@ -174,9 +176,11 @@ def test_matrix_rejects_jobs_below_one(jobs):
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and chunksize,
+    maps in-process."""
 
     started: list[int] = []
+    chunks: list[int] = []
 
     def __init__(self, max_workers, initializer, initargs):
         self.started.append(max_workers)
@@ -188,7 +192,8 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
+    def map(self, fn, items, chunksize=1):
+        self.chunks.append(chunksize)
         return map(fn, items)
 
 
@@ -196,10 +201,64 @@ class RecordingPool:
 def test_matrix_pool_size_capped_by_items(monkeypatch, jobs, workers):
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "started", [])
+    monkeypatch.setattr(RecordingPool, "chunks", [])
     graphs = list(graph_counterexample())  # 3 pairs of distinct trees at one frame
     out = distance_matrix(graphs, n_frames=1, jobs=jobs)
     assert RecordingPool.started == workers
+    assert RecordingPool.chunks == [1]
     assert np.array_equal(out.d, distance_matrix(graphs, n_frames=1).d)
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_matrix_pool_sends_about_four_chunks_per_worker(monkeypatch, jobs):
+    graphs = shape_dataset(seed=0)[0][::2]  # 9 graphs: 36 pairs, many distinct trees
+    calls = []
+    real = analysis.branching_distance
+
+    def counted(x, y, **kw):
+        calls.append(1)
+        return real(x, y, **kw)
+
+    monkeypatch.setattr(analysis, "branching_distance", counted)
+    serial = distance_matrix(graphs, n_frames=3)
+    items = len(calls)
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "started", [])
+    monkeypatch.setattr(RecordingPool, "chunks", [])
+    out = distance_matrix(graphs, n_frames=3, jobs=jobs)
+    assert items > 4 * jobs
+    assert RecordingPool.started == [jobs]
+    assert RecordingPool.chunks == [math.ceil(items / (4 * jobs))]
+    assert np.array_equal(out.d, serial.d)
+
+
+def test_matrix_builds_each_graph_index_once(rng, monkeypatch):
+    graphs = [star(rng), comb(rng), star(rng), convex_polygon(rng, 6)]
+    builds = []
+    real = filtration.graph_arrays
+
+    def counted(g):
+        if g.arrays is None:
+            builds.append(id(g))
+        return real(g)
+
+    monkeypatch.setattr(filtration, "graph_arrays", counted)
+    distance_matrix(graphs, n_frames=4)
+    assert sorted(builds) == sorted(id(g) for g in graphs)
+
+
+def test_matrix_connected_graphs_build_no_adjacency(rng, monkeypatch):
+    graphs = [star(rng), comb(rng), convex_polygon(rng, 6)]
+    expected = distance_matrix(graphs, n_frames=3).d
+
+    def refuse(*args):
+        raise AssertionError("adjacency built for a connected graph")
+
+    for cls in (EmbeddedGraph, ScalarGraph):
+        monkeypatch.setattr(cls, "neighbors", refuse)
+    monkeypatch.setattr(graph_io, "connected_components", refuse)
+    fresh = [EmbeddedGraph(dict(g.vertices), list(g.edges)) for g in graphs]
+    assert np.array_equal(distance_matrix(fresh, n_frames=3).d, expected)
 
 
 def test_matrix_single_item_starts_no_pool(rng, monkeypatch):

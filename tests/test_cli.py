@@ -4,6 +4,7 @@ import shutil
 
 import pytest
 
+from abdkit import cli
 from abdkit.cli import main
 from abdkit.fixtures import fixture_path
 from abdkit.graph_io import EmbeddedGraph, write_graph
@@ -238,3 +239,34 @@ def test_bad_graph_file_errors(tmp_path, capsys):
     p.write_text("{broken")
     assert main(["tree", str(p)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cached_parser_leaks_no_state_between_calls(w_path, tmp_path, capsys):
+    shutil.copy(fixture_path("graph_triple_g.json"), tmp_path / "g.json")
+    shutil.copy(fixture_path("graph_triple_h.json"), tmp_path / "h.json")
+    g, h = str(tmp_path / "g.json"), str(tmp_path / "h.json")
+    calls = [
+        ["abd", g, h, "--frames", "3", "--tol", "1e-3"],
+        ["abd", g, h, "--frames", "3"],
+        ["abd", g, h, "--frames", "4", "--per-frame"],
+        ["abd", g, h, "--frames", "4"],
+        ["abd", g, h, "--frames", "5", "--avg", "mean"],
+        ["abd", g, h, "--frames", "5"],
+        ["matrix", g, h, str(w_path), "--frames", "2", "--tol", "1e-3", "--avg", "mean"],
+        ["matrix", g, h, str(w_path), "--frames", "2"],
+        ["tree", str(w_path), "--normalize", "median"],
+        ["tree", str(w_path)],
+    ]
+
+    def outputs(fresh: bool) -> list[tuple[int, str, str]]:
+        out = []
+        for argv in calls:
+            if fresh:
+                cli.build_parser.cache_clear()
+            out.append((main(argv), *capsys.readouterr()))
+        return out
+
+    cached = outputs(fresh=False)
+    assert cli.build_parser() is cli.build_parser()
+    assert cached == outputs(fresh=True)
+    assert [o for o, _, _ in cached] == [0] * len(calls)

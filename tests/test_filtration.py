@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abdkit.filtration import ScalarGraph, collapse_equal_adjacent, direction_filter
+from abdkit.filtration import ScalarGraph, _snap, collapse_equal_adjacent, direction_filter
 from abdkit.graph_io import EmbeddedGraph
 
 from conftest import random_embedded_graph, scalar
@@ -128,3 +128,43 @@ def test_collapse_identity_on_generic(rng):
 def test_negative_tol_rejected():
     with pytest.raises(ValueError):
         collapse_equal_adjacent(scalar({0: 0.0}, []), -1.0)
+
+
+@given(coords=st.lists(st.tuples(finite, finite), min_size=1, max_size=12),
+       omega=st.sampled_from([0.0, math.pi / 2, math.pi, 1.5 * math.pi]) | st.floats(0, 2 * math.pi))
+@settings(max_examples=200, deadline=None)
+def test_projection_bitwise_equals_scalar_formula(coords, omega):
+    # the vectorised multiply and add give x*c + y*s to the bit, signed zeros included
+    ids = [3 * i - 7 for i in range(len(coords))]
+    g = EmbeddedGraph(dict(zip(ids, coords)), [(ids[i - 1], ids[i]) for i in range(1, len(ids))])
+    c, s = _snap(math.cos(omega)), _snap(math.sin(omega))
+    expected = {v: x * c + y * s for v, (x, y) in g.vertices.items()}
+    assert repr(direction_filter(g, omega).values) == repr(expected)
+
+
+def test_projection_reuses_graph_arrays(rng):
+    g = random_embedded_graph(rng)
+    assert g.arrays is None
+    first = direction_filter(g, 0.3)
+    arrays = g.arrays
+    second = direction_filter(g, 2.0)
+    assert g.arrays is arrays
+    assert first.arrays[0] is second.arrays[0] is arrays[0]  # ids shared, values per angle
+    assert repr(second.arrays[1].tolist()) == repr(list(second.values.values()))
+
+
+def test_collapse_tie_test_matches_scalar_predicate(rng):
+    for _ in range(300):
+        n = int(rng.integers(1, 10))
+        values = {i: float(rng.integers(0, 4)) * 0.5 + float(rng.choice([0.0, 1e-10, 0.3]))
+                  for i in range(n)}
+        edges = [(int(rng.integers(0, n)), int(rng.integers(0, n))) for _ in range(n)]
+        sg = ScalarGraph(values, edges)
+        for tol in (0.0, 1e-9, 0.25):
+            tie = any(u != v and abs(values[u] - values[v]) <= tol for u, v in edges)
+            assert (collapse_equal_adjacent(sg, tol) is not sg) == tie
+
+
+def test_collapse_self_loop_is_no_tie():
+    sg = ScalarGraph({0: 1.0, 1: 2.0}, [(0, 0), (0, 1)])
+    assert collapse_equal_adjacent(sg, 0.5) is sg

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abdkit.abd import frame_angles, merge_tree_at
 
 from abdkit.filtration import ScalarGraph, collapse_equal_adjacent, direction_filter
+from abdkit.graph_io import EmbeddedGraph
 from abdkit.merge_tree import (
+    DisconnectedGraphError,
     MergeTree,
     compute_merge_tree,
     load_tree,
@@ -131,6 +135,169 @@ def test_sweep_golden_ids_and_order():
     ties = [compute_merge_tree(sg) for sg in _tie_heavy_graphs()]
     assert _tree_digest(ties) == (
         "b0460da59cf9d540daab01d9f7347ded015f9feae33681a6e465753cc2cc3fae")
+
+
+def _reference_sweep(sg: ScalarGraph) -> MergeTree:
+    """Reference for compute_merge_tree: every vertex swept in (value, id)
+    order over dicts; node ids, values, dict order and refusals must match."""
+    if sg.n_vertices == 0:
+        raise ValueError("empty scalar graph")
+    values = sg.values
+    adj = sg.neighbors()
+    comp: dict[int, int] = {}
+    top: dict[int, int] = {}
+    parent: dict[int, int] = {}
+    absorbed: dict[int, int] = {}
+
+    def find(v: int) -> int:
+        while comp[v] != v:
+            v = comp[v]
+        return v
+
+    for v in sorted(values, key=lambda v: (values[v], v)):
+        value = values[v]
+        lower = set()
+        for u in adj[v]:
+            if u in comp:
+                if values[u] == value:
+                    raise ValueError(
+                        f"adjacent equal values at edge ({min(u, v)}, {max(u, v)}); "
+                        "run collapse_equal_adjacent first"
+                    )
+                lower.add(find(u))
+        if len(lower) == 1:
+            comp[v] = lower.pop()
+            continue
+        comp[v] = parent[v] = top[v] = v
+        for r in lower:
+            t = top.pop(r)
+            if values[t] == value:
+                absorbed[t] = v
+            else:
+                parent[t] = v
+            comp[r] = v
+    if len(top) != 1:
+        raise ValueError("scalar graph is disconnected; pass the largest component")
+
+    def resolve(p: int) -> int:
+        while p in absorbed:
+            p = absorbed[p]
+        return p
+
+    ordered = sorted((n for n in parent if n not in absorbed), key=lambda n: (values[n], n))
+    return MergeTree({n: values[n] for n in ordered}, {n: resolve(parent[n]) for n in ordered})
+
+
+def _outcome(build, sg: ScalarGraph) -> str:
+    """The tree's JSON (ids, signed values, dict order) or the refusal text."""
+    try:
+        return json.dumps(tree_to_dict(build(sg)))
+    except ValueError as exc:
+        return f"refused: {exc}"
+
+
+def _assert_sweep_exact(sg: ScalarGraph) -> None:
+    fresh = ScalarGraph(dict(sg.values), list(sg.edges))  # no arrays yet
+    got = _outcome(compute_merge_tree, sg)
+    assert got == _outcome(_reference_sweep, sg)
+    assert _outcome(compute_merge_tree, fresh) == got
+    if not got.startswith("refused") and all(u != v for u, v in sg.edges):  # the oracle takes no loops
+        assert trees_equal(compute_merge_tree(sg), merge_tree_oracle(sg))
+
+
+@st.composite
+def scalar_graphs(draw):
+    """Random graphs over non-contiguous, partly negative ids, with repeated
+    values (signed zeros among them), parallel edges and self-loops; about
+    one in four is left disconnected."""
+    ids = draw(st.lists(st.integers(-60, 60), min_size=1, max_size=14, unique=True))
+    level = st.sampled_from([-2.0, -0.0, 0.0, 0.5, 1.0, 3.0]) | st.floats(-10, 10)
+    values = {v: draw(level) for v in ids}
+    n = len(ids)
+    edges = [(ids[draw(st.integers(0, i - 1))], ids[i]) for i in range(1, n)]
+    edges += draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=n))
+    if draw(st.integers(0, 3)) == 0:
+        edges = [e for e in edges if draw(st.booleans())]
+    return ScalarGraph(values, edges)
+
+
+@given(sg=scalar_graphs(), tol=st.sampled_from([0.0, 0.3, 1e-9]))
+@settings(max_examples=300, deadline=None)
+def test_sweep_matches_reference_and_oracle(sg, tol):
+    _assert_sweep_exact(sg)  # ties and disconnection refused alike
+    _assert_sweep_exact(collapse_equal_adjacent(sg, tol))
+
+
+def test_sweep_matches_reference_on_seeded_graphs(rng):
+    for _ in range(200):
+        sg = random_connected_scalar_graph(rng, max_vertices=40)
+        _assert_sweep_exact(sg)
+    for sg in _tie_heavy_graphs():
+        _assert_sweep_exact(sg)
+
+
+def test_sweep_noncontiguous_negative_ids():
+    # the W path on ids -7, 100, 3, -1, 42: leaves -7, 3, 42; saddles 100, -1
+    sg = scalar({-7: 0.0, 100: 5.0, 3: 1.0, -1: 6.0, 42: 2.0},
+                [(-7, 100), (100, 3), (3, -1), (-1, 42)])
+    mt = compute_merge_tree(sg)
+    assert list(mt.values.items()) == [(-7, 0.0), (3, 1.0), (42, 2.0), (100, 5.0), (-1, 6.0)]
+    assert mt.parent == {-7: 100, 3: 100, 42: -1, 100: -1, -1: -1}
+    _assert_sweep_exact(sg)
+
+
+def test_sweep_signed_zero_minima():
+    # -0.0 and 0.0 are equal values: ordered by id, each keeps its sign
+    sg = ScalarGraph({9: 0.0, 2: 1.0, 5: -0.0}, [(5, 2), (2, 9)])
+    mt = compute_merge_tree(sg)
+    assert [(n, repr(v)) for n, v in mt.values.items()] == [(5, "-0.0"), (9, "0.0"), (2, "1.0")]
+    _assert_sweep_exact(sg)
+    # adjacent, they are a tie: refused, and contracted onto the smaller id
+    tied = ScalarGraph({9: 0.0, 5: -0.0, 2: 1.0}, [(9, 5), (5, 2)])
+    with pytest.raises(ValueError, match=r"adjacent equal values at edge \(5, 9\)"):
+        compute_merge_tree(tied)
+    assert repr(collapse_equal_adjacent(tied, 0.0).values[5]) == "-0.0"
+
+
+def test_sweep_absorbs_equal_tops_across_long_chains():
+    # minima 0, 20, 40 on a path; the saddles 10 and 30 share the value 10,
+    # each reached through monotone chains of 9 vertices, and are not adjacent
+    values = {0: 0.0, 20: 0.2, 40: 0.4, 10: 10.0, 30: 10.0}
+    for i in range(1, 10):
+        values[i] = values[20 - i] = values[20 + i] = values[40 - i] = float(i)
+    sg = scalar(values, [(i, i + 1) for i in range(40)])
+    mt = compute_merge_tree(sg)
+    assert mt.parent == {0: 30, 20: 30, 40: 30, 30: 30}  # 10 absorbed into 30
+    _assert_sweep_exact(sg)
+
+
+def test_sweep_single_vertex():
+    mt = compute_merge_tree(scalar({-4: 2.5}, []))
+    assert (mt.values, mt.parent) == ({-4: 2.5}, {-4: -4})
+    g = EmbeddedGraph({7: (3.0, -1.5)}, [])
+    assert merge_tree_at(g, math.pi / 2, normalize="none").values == {7: -1.5}
+
+
+def test_axis_aligned_comb_at_half_pi():
+    # spine x=0, teeth along y=0, 2, 4 tie with the spine at pi/2 and are
+    # collapsed; tips hang below each tooth and become the three leaves
+    vertices = {0: (0.0, 0.0), 1: (0.0, 2.0), 2: (0.0, 4.0),
+                3: (1.0, 0.0), 4: (1.0, 2.0), 5: (1.0, 4.0),
+                6: (2.0, -0.5), 7: (2.0, 1.5), 8: (2.0, 3.5)}
+    edges = [(0, 1), (1, 2), (0, 3), (1, 4), (2, 5), (3, 6), (4, 7), (5, 8)]
+    g = EmbeddedGraph(vertices, edges)
+    sg = collapse_equal_adjacent(direction_filter(g, math.pi / 2))
+    assert sg.values == {0: 0.0, 1: 2.0, 2: 4.0, 6: -0.5, 7: 1.5, 8: 3.5}
+    _assert_sweep_exact(sg)
+    mt = merge_tree_at(g, math.pi / 2, normalize="none")
+    assert list(mt.values.items()) == [(6, -0.5), (7, 1.5), (1, 2.0), (8, 3.5), (2, 4.0)]
+    assert mt.parent == {6: 1, 7: 1, 1: 2, 8: 2, 2: 2}
+
+
+def test_disconnected_raises_disconnected_graph_error():
+    sg = scalar({0: 0.0, 1: 1.0, 2: 3.0, 3: 0.5}, [(0, 1), (2, 3)])
+    with pytest.raises(DisconnectedGraphError):
+        compute_merge_tree(sg)
 
 
 def test_disconnected_rejected():
@@ -257,6 +424,17 @@ def test_shift_preserves_differences(rng):
                 assert (mt.values[a] - mt.values[b]) == pytest.approx(
                     shifted.values[a] - shifted.values[b], abs=1e-12
                 )
+
+
+def test_shift_median_matches_numpy(rng):
+    # repr equality, so signed zeros count: np.median turns a -0.0 middle into 0.0
+    pool = [-3.5, -1.0, -0.0, 0.0, 0.25, 1.0, 2.0, 5e-324, -5e-324, 7.125]
+    for _ in range(2000):
+        vals = [float(v) for v in rng.choice(pool, int(rng.integers(1, 16)))]
+        mt = MergeTree(dict(enumerate(vals)), {i: 0 for i in range(len(vals))})
+        shift = -float(np.median(np.array(vals)))
+        expected = {n: v + shift for n, v in mt.values.items()}
+        assert repr(shift_median_zero(mt).values) == repr(expected)
 
 
 def test_shift_bad_mode():
