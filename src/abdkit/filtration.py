@@ -7,17 +7,20 @@ y-coordinate.  Adjacent vertices with (near-)equal values are contracted
 before merge-tree construction so every edge has a well-defined lower and
 upper endpoint.
 
-The first filtration of a graph stores its index arrays on it (vertex ids,
-coordinate columns, edge endpoints as row indices); every direction then
-computes one value column from them, and the collapse tests every edge for
-a tie in one vectorised comparison.  A scalar graph carries its arrays
-along, so the merge-tree sweep reads them instead of the dicts.
+A scalar graph is stored only as index arrays: the vertex ids, one value
+per vertex, and each edge's endpoints as row indices.  The first filtration
+of an embedded graph stores its own arrays on it (ids, coordinate columns,
+edge rows), so every direction computes one value column and shares the
+rest.  The collapse tests every edge for a tie in one vectorised comparison
+and contracts the rows; the merge-tree sweep reads the same arrays.  The
+id -> value dict and the edge list are views, derived on request for the
+oracles and the tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -31,45 +34,37 @@ __all__ = ["ScalarGraph", "direction_filter", "collapse_equal_adjacent", "DEFAUL
 DEFAULT_COLLAPSE_TOL = 1e-9
 
 
-@dataclass
+@dataclass(eq=False)
 class ScalarGraph:
     """A graph with one real value per vertex, for a fixed direction.
 
-    ``arrays`` holds ``(ids, values, u rows, v rows)``: the vertex ids and
-    values in ``values`` order and each edge's endpoints as row indices.
-    :func:`direction_filter` passes them in; for a graph built from dicts
-    :func:`scalar_arrays` builds them on first use (not compared, not in
-    ``repr``), so a scalar graph is not edited once collapsed or swept.
+    ``ids[i]`` is the id of row ``i`` and ``column[i]`` its value; edge ``k``
+    joins rows ``eu[k]`` and ``ev[k]``.  :meth:`from_dict` builds one from an
+    id -> value dict and an edge list of id pairs; :attr:`values` and
+    :attr:`edges` give them back, built anew on every access.
     """
 
-    values: dict[int, float]
-    edges: list[tuple[int, int]]
-    arrays: tuple | None = field(default=None, compare=False, repr=False, kw_only=True)
+    ids: np.ndarray
+    column: np.ndarray
+    eu: np.ndarray
+    ev: np.ndarray
+
+    @classmethod
+    def from_dict(cls, values: dict[int, float], edges: list[tuple[int, int]]) -> "ScalarGraph":
+        return cls(np.array(list(values)), np.fromiter(values.values(), float, len(values)),
+                   *_edge_rows(values, edges))
 
     @property
     def n_vertices(self) -> int:
-        return len(self.values)
+        return len(self.ids)
 
-    def neighbors(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {v: [] for v in self.values}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
+    @property
+    def values(self) -> dict[int, float]:
+        return dict(zip(self.ids.tolist(), self.column.tolist()))
 
-    def is_connected(self) -> bool:
-        if not self.values:
-            return False
-        adj = self.neighbors()
-        seen = {next(iter(self.values))}
-        stack = list(seen)
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.values)
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        return list(zip(self.ids[self.eu].tolist(), self.ids[self.ev].tolist()))
 
 
 def _edge_rows(vertices: dict, edges: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -85,15 +80,6 @@ def graph_arrays(g: EmbeddedGraph) -> tuple[np.ndarray, ...]:
         g.arrays = (np.array(list(g.vertices)), xy[0::2], xy[1::2],
                     *_edge_rows(g.vertices, g.edges))
     return g.arrays
-
-
-def scalar_arrays(sg: ScalarGraph) -> tuple[np.ndarray, ...]:
-    """``sg.arrays``: (ids, values, u rows, v rows), built on the first call."""
-    if sg.arrays is None:
-        sg.arrays = (np.array(list(sg.values)),
-                     np.fromiter(sg.values.values(), float, sg.n_vertices),
-                     *_edge_rows(sg.values, sg.edges))
-    return sg.arrays
 
 
 def _snap(t: float) -> float:
@@ -115,9 +101,8 @@ def direction_filter(g: EmbeddedGraph, omega: float) -> ScalarGraph:
         raise ValueError(f"angle {omega!r} is not finite")
     c, s = _snap(math.cos(omega)), _snap(math.sin(omega))
     ids, xs, ys, eu, ev = graph_arrays(g)
-    values = xs * c + ys * s  # a multiply and an add, never fused: x*c + y*s to the bit
-    return ScalarGraph(dict(zip(g.vertices, values.tolist())), list(g.edges),
-                       arrays=(ids, values, eu, ev))
+    # a multiply and an add, never fused: x*c + y*s to the bit
+    return ScalarGraph(ids, xs * c + ys * s, eu, ev)
 
 
 def collapse_equal_adjacent(sg: ScalarGraph, tol: float = DEFAULT_COLLAPSE_TOL) -> ScalarGraph:
@@ -135,50 +120,46 @@ def collapse_equal_adjacent(sg: ScalarGraph, tol: float = DEFAULT_COLLAPSE_TOL) 
     if tol < 0:
         raise ValueError("tol must be >= 0")
     current = sg
-    while _has_tie(current, tol):
+    while _ties(current, tol).any():
         current = _collapse_once(current, tol)
     return current
 
 
-def _has_tie(sg: ScalarGraph, tol: float) -> bool:
-    _, values, eu, ev = scalar_arrays(sg)
+def _ties(sg: ScalarGraph, tol: float) -> np.ndarray:
+    """Mask of the edges whose endpoint values differ by at most ``tol``."""
     # a self-loop is no tie: a pass drops it but contracts nothing
-    return bool(np.any((np.abs(values[eu] - values[ev]) <= tol) & (eu != ev)))
+    return (np.abs(sg.column[sg.eu] - sg.column[sg.ev]) <= tol) & (sg.eu != sg.ev)
 
 
 def _collapse_once(sg: ScalarGraph, tol: float) -> ScalarGraph:
-    parent = {v: v for v in sg.values}
+    ids, eu, ev = sg.ids, sg.eu, sg.ev
+    n = len(ids)
+    id_of = ids.tolist()
+    parent = list(range(n))  # row -> row, over the tie edges only
 
-    def find(v: int) -> int:
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
+    def find(r: int) -> int:
+        while parent[r] != r:
+            parent[r] = parent[parent[r]]  # path halving
+            r = parent[r]
+        return r
 
-    def union(u: int, v: int) -> None:
+    tie = _ties(sg, tol)
+    for u, v in zip(eu[tie].tolist(), ev[tie].tolist()):
         ru, rv = find(u), find(v)
-        if ru == rv:
-            return
-        # keep the smaller id as representative
-        if ru > rv:
-            ru, rv = rv, ru
-        parent[rv] = ru
-
-    for u, v in sg.edges:
-        if abs(sg.values[u] - sg.values[v]) <= tol:
-            union(u, v)
-
-    values = {v: sg.values[v] for v in sg.values if find(v) == v}
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for u, v in sg.edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            continue
-        key = (ru, rv) if ru < rv else (rv, ru)
-        if key not in seen:
-            seen.add(key)
-            edges.append(key)
-    return ScalarGraph(values, edges)
+        if ru != rv:  # the set's least id represents it
+            if id_of[ru] > id_of[rv]:
+                ru, rv = rv, ru
+            parent[rv] = ru
+    rep = np.array(parent, dtype=np.intp)
+    for _ in range((n - 1).bit_length()):  # pointer jumping: a path is shorter than n
+        rep = rep[rep]
+    keep = rep == np.arange(n)  # representatives, in their original row order
+    new_row = (np.cumsum(keep) - 1)[rep]
+    a, b = new_row[eu], new_row[ev]
+    a, b = a[a != b], b[a != b]
+    kept_ids = ids[keep]
+    flip = kept_ids[a] > kept_ids[b]  # orient each edge as (smaller id, larger id)
+    lo, hi = np.where(flip, b, a), np.where(flip, a, b)
+    _, first = np.unique(lo * len(kept_ids) + hi, return_index=True)  # index of first occurrence
+    first.sort()
+    return ScalarGraph(kept_ids, sg.column[keep], lo[first], hi[first])

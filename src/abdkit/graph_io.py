@@ -11,15 +11,16 @@ coordinates.  Two on-disk formats are supported:
 * edge list: a ``# id x y`` coordinate header block followed by one
   ``u v`` pair per line.
 
-Loading validates the graph (unique ids, finite coordinates, no dangling
-endpoints, no self-loops) and collapses parallel edges, which never affect
-sublevel-set connectivity.
+Loading validates the graph (unique ids, finite coordinates within
+``MAX_COORDINATE_SUM``, no dangling endpoints, no self-loops) and collapses
+parallel edges, which never affect sublevel-set connectivity.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,6 +36,11 @@ __all__ = [
 ]
 
 FORMATS = ("json", "edgelist")
+
+# Largest |x| + |y| a loaded vertex may have: every projection then stays
+# within it, and a median shift, a value difference or a tolerance-mode
+# span within a few times it, all finite.
+MAX_COORDINATE_SUM = sys.float_info.max / 8
 
 
 class GraphFormatError(ValueError):
@@ -125,7 +131,8 @@ def load_graph(path: str | Path, format: str = "json") -> EmbeddedGraph:
     Parallel edges are collapsed; vertex order is preserved as given.
     Raises :class:`GraphFormatError` on parse failures, a non-finite
     coordinate (``NaN``/``Infinity`` in JSON, ``nan``/``inf`` in an edge
-    list), dangling edge endpoints, self-loops, or an empty vertex set.
+    list), a vertex with ``|x| + |y|`` above ``MAX_COORDINATE_SUM``,
+    dangling edge endpoints, self-loops, or an empty vertex set.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
@@ -134,6 +141,9 @@ def load_graph(path: str | Path, format: str = "json") -> EmbeddedGraph:
     for v, (x, y) in g.vertices.items():
         if not (math.isfinite(x) and math.isfinite(y)):
             raise GraphFormatError(f"{path}: vertex {v} has a non-finite coordinate ({x}, {y})")
+        if abs(x) + abs(y) > MAX_COORDINATE_SUM:
+            raise GraphFormatError(f"{path}: vertex {v} at ({x}, {y}) exceeds the coordinate "
+                                   f"limit |x| + |y| <= {MAX_COORDINATE_SUM!r}")
     return g
 
 

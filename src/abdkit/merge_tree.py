@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .filtration import ScalarGraph, scalar_arrays
+from .filtration import ScalarGraph
 
 __all__ = [
     "MergeTree",
@@ -169,7 +169,7 @@ def compute_merge_tree(sg: ScalarGraph) -> MergeTree:
     """
     if sg.n_vertices == 0:
         raise ValueError("empty scalar graph")
-    ids, values, eu, ev = scalar_arrays(sg)
+    ids, values, eu, ev = sg.ids, sg.column, sg.eu, sg.ev
     n = len(ids)
     order = np.lexsort((ids, values))
     rank = np.empty(n, dtype=np.intp)
@@ -259,7 +259,11 @@ class SublevelSnapshot:
 
 def sublevel_snapshots(sg: ScalarGraph) -> list[SublevelSnapshot]:
     """One snapshot per distinct vertex value, ascending, by fresh traversal."""
-    adj = sg.neighbors()
+    values = sg.values
+    adj: dict[int, list[int]] = {v: [] for v in values}
+    for u, v in sg.edges:
+        adj[u].append(v)
+        adj[v].append(u)
 
     def components(keep: set[int]) -> list[set[int]]:
         seen: set[int] = set()
@@ -283,13 +287,13 @@ def sublevel_snapshots(sg: ScalarGraph) -> list[SublevelSnapshot]:
     def minima(comp: set[int]) -> frozenset[int]:
         return frozenset(
             v for v in comp
-            if all(sg.values[v] <= sg.values[w] for w in adj[v] if w in comp)
+            if all(values[v] <= values[w] for w in adj[v] if w in comp)
         )
 
     out = []
-    for a in sorted(set(sg.values.values())):
-        closed = {v for v in sg.values if sg.values[v] <= a}
-        below = {v for v in sg.values if sg.values[v] < a}
+    for a in sorted(set(values.values())):
+        closed = {v for v in values if values[v] <= a}
+        below = {v for v in values if values[v] < a}
         gamma_closed = frozenset(minima(c) for c in components(closed))
         gamma_open = frozenset(minima(c) for c in components(below))
         out.append(SublevelSnapshot(a, gamma_closed, gamma_closed - gamma_open))
@@ -301,22 +305,25 @@ def merge_tree_oracle(sg: ScalarGraph) -> MergeTree:
 
     A merge-tree node is created for every element of every snapshot's
     ``delta`` and attached to the identified components of the sublevel set
-    strictly below that it properly contains.  Quadratic or worse; intended
-    only as a test oracle.
+    strictly below that it properly contains.  The last snapshot holds one
+    component per connected component of the graph, so it also decides
+    connectivity.  Quadratic or worse; intended only as a test oracle.
     """
     if sg.n_vertices == 0:
         raise ValueError("empty scalar graph")
+    values = sg.values
     for u, v in sg.edges:
-        if sg.values[u] == sg.values[v]:
+        if values[u] == values[v]:
             raise ValueError(f"adjacent equal values at edge ({u}, {v})")
-    if not sg.is_connected():
+    snapshots = sublevel_snapshots(sg)
+    if len(snapshots[-1].identified) != 1:
         raise ValueError("scalar graph is disconnected")
 
     node_value: dict[frozenset[int], float] = {}
     node_parent: dict[frozenset[int], frozenset[int]] = {}
     gamma_below: frozenset[frozenset[int]] = frozenset()
 
-    for snap in sublevel_snapshots(sg):
+    for snap in snapshots:
         for entering in snap.delta:
             node_value[entering] = snap.level
             node_parent[entering] = entering

@@ -224,4 +224,4 @@ def random_connected_scalar_graph(
         if key not in seen:
             seen.add(key)
             dedup.append(key)
-    return ScalarGraph(values, dedup)
+    return ScalarGraph.from_dict(values, dedup)

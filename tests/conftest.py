@@ -13,7 +13,7 @@ def tree(values: dict[int, float], parent: dict[int, int]) -> MergeTree:
 
 
 def scalar(values: dict[int, float], edges) -> ScalarGraph:
-    return ScalarGraph({k: float(v) for k, v in values.items()}, list(edges))
+    return ScalarGraph.from_dict({k: float(v) for k, v in values.items()}, list(edges))
 
 
 @pytest.fixture

@@ -173,3 +173,35 @@ def test_frame_trees_disconnected_takes_largest_component_with_tie_rule():
     got = [tree_to_dict(t) for t in frame_trees(g, angles)]
     assert got == [tree_to_dict(t) for t in frame_trees(winner, angles)]
     assert got == [tree_to_dict(merge_tree_at(winner, w)) for w in angles]
+
+
+def _integer_graph(rng: np.random.Generator) -> EmbeddedGraph:
+    # small integer coordinates: the cardinal frames see many exact ties
+    n = int(rng.integers(2, 10))
+    vertices = {i: (float(rng.integers(-3, 4)), float(rng.integers(-3, 4))) for i in range(n)}
+    edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]  # connected
+    edges += [tuple(int(x) for x in rng.choice(n, 2, replace=False)) for _ in range(n // 2)]
+    return EmbeddedGraph(vertices, edges)
+
+
+def _relabelled(g: EmbeddedGraph, rng: np.random.Generator) -> EmbeddedGraph:
+    """The same graph under random non-contiguous ids, vertex order and edge order."""
+    new_ids = rng.choice(np.arange(-500, 500), g.n_vertices, replace=False).tolist()
+    name = dict(zip(g.vertices, new_ids))
+    order = rng.permutation(g.n_vertices).tolist()
+    old = list(g.vertices)
+    vertices = {name[old[i]]: g.vertices[old[i]] for i in order}
+    edges = [(name[u], name[v]) for u, v in g.edges]
+    return EmbeddedGraph(vertices, [edges[i] for i in rng.permutation(len(edges))])
+
+
+def test_vertex_relabelling_invariance(rng):
+    # the collapse keeps each tied set's least id and the sweep orders by
+    # (value, id), so ids only name nodes: every frame's distance is the same
+    # to the bit under any relabelling
+    for _ in range(100):
+        g, h = _integer_graph(rng), _integer_graph(rng)
+        rg, rh = _relabelled(g, rng), _relabelled(h, rng)
+        for n_frames in (1, 4):
+            assert (repr(per_frame_distances(rg, rh, n_frames))
+                    == repr(per_frame_distances(g, h, n_frames)))

@@ -8,7 +8,7 @@ from scipy.linalg import orthogonal_procrustes
 from scipy.sparse.csgraph import minimum_spanning_tree
 
 from abdkit import analysis, branching, filtration, graph_io
-from abdkit.abd import average_branching_distance, frame_angles, merge_tree_at
+from abdkit.abd import average_branching_distance, frame_angles, merge_tree_at, per_frame_distances
 from abdkit.analysis import (
     Dendrogram,
     _dendrogram_svg,
@@ -254,11 +254,30 @@ def test_matrix_connected_graphs_build_no_adjacency(rng, monkeypatch):
     def refuse(*args):
         raise AssertionError("adjacency built for a connected graph")
 
-    for cls in (EmbeddedGraph, ScalarGraph):
-        monkeypatch.setattr(cls, "neighbors", refuse)
+    monkeypatch.setattr(EmbeddedGraph, "neighbors", refuse)
     monkeypatch.setattr(graph_io, "connected_components", refuse)
     fresh = [EmbeddedGraph(dict(g.vertices), list(g.edges)) for g in graphs]
     assert np.array_equal(distance_matrix(fresh, n_frames=3).d, expected)
+
+
+def test_production_path_builds_no_dict_view(rng, monkeypatch):
+    # direction filter, collapse and sweep work on the index arrays only;
+    # the integer comb ties across edges at pi/2, so the collapse runs too
+    tied = EmbeddedGraph({0: (0.0, 0.0), 1: (0.0, 2.0), 2: (1.0, 0.0), 3: (1.0, 2.0),
+                          4: (2.0, -1.0), 5: (2.0, 1.0)},
+                         [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5)])
+    graphs = [star(rng), comb(rng), convex_polygon(rng, 6), tied]
+    expected = distance_matrix(graphs, n_frames=4).d.tobytes()
+    frames = repr(per_frame_distances(graphs[0], tied, 4))
+
+    def refuse(self):
+        raise AssertionError("dict view of a scalar graph built")
+
+    for view in ("values", "edges"):
+        monkeypatch.setattr(ScalarGraph, view, property(refuse))
+    fresh = [EmbeddedGraph(dict(g.vertices), list(g.edges)) for g in graphs]
+    assert distance_matrix(fresh, n_frames=4).d.tobytes() == expected
+    assert repr(per_frame_distances(fresh[0], fresh[3], 4)) == frames
 
 
 def test_matrix_single_item_starts_no_pool(rng, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from abdkit import cli
 from abdkit.cli import main
 from abdkit.fixtures import fixture_path
-from abdkit.graph_io import EmbeddedGraph, write_graph
+from abdkit.graph_io import MAX_COORDINATE_SUM, EmbeddedGraph, write_graph
 
 
 def w_path_graph():
@@ -232,6 +232,36 @@ def test_non_finite_graph_rejected(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {p}: vertex 1 has a non-finite coordinate (1.0, nan)\n"
+
+
+def _square(tmp_path, name, corners):
+    p = tmp_path / name
+    write_graph(EmbeddedGraph(dict(enumerate(corners)), [(0, 1), (1, 2), (2, 3)]), p)
+    return str(p)
+
+
+def test_graph_beyond_coordinate_limit_rejected(tmp_path, capsys):
+    big = 1.7e308
+    p = _square(tmp_path, "huge.json", [(big, big), (-big, big), (big, -big), (-big, -big)])
+    for argv in (["tree", p, "--angle", "0.7"], ["abd", p, p, "--frames", "3"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {p}: vertex 0 at ({big}, {big}) exceeds the coordinate "
+                                f"limit |x| + |y| <= {MAX_COORDINATE_SUM!r}\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_graph_at_coordinate_limit_runs(tmp_path, capsys):
+    m = MAX_COORDINATE_SUM
+    g = _square(tmp_path, "g.json", [(m, 0.0), (-m / 2, m / 2), (0.0, -m), (m / 4, -m / 2)])
+    h = _square(tmp_path, "h.json", [(0.0, m), (m / 2, -m / 2), (-m, 0.0), (m / 4, m / 4)])
+    assert main(["tree", g, "--angle", "0.7"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["nodes"] and all(math.isfinite(n["value"]) for n in doc["nodes"])
+    for extra in ([], ["--tol", "1e300"]):
+        assert main(["abd", g, h, "--frames", "3", *extra]) == 0
+        assert 0.0 < float(capsys.readouterr().out) < m
 
 
 def test_bad_graph_file_errors(tmp_path, capsys):

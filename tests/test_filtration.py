@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abdkit.filtration import ScalarGraph, _snap, collapse_equal_adjacent, direction_filter
+from abdkit.filtration import (
+    ScalarGraph,
+    _collapse_once,
+    _snap,
+    collapse_equal_adjacent,
+    direction_filter,
+)
 from abdkit.graph_io import EmbeddedGraph
 
 from conftest import random_embedded_graph, scalar
@@ -96,7 +102,7 @@ def test_collapse_transitive_groups():
 
 def test_collapse_fixed_point_guarantees_invariant():
     # one pass leaves reps 0.5 and 0.9 adjacent within tol; iteration fixes it
-    sg = ScalarGraph({0: 0.5, 1: 0.0, 2: 0.9}, [(0, 1), (1, 2)])
+    sg = ScalarGraph.from_dict({0: 0.5, 1: 0.0, 2: 0.9}, [(0, 1), (1, 2)])
     out = collapse_equal_adjacent(sg, 0.5)
     for u, v in out.edges:
         assert abs(out.values[u] - out.values[v]) > 0.5
@@ -107,7 +113,7 @@ def test_collapse_idempotent(rng):
         n = int(rng.integers(2, 10))
         values = {i: float(rng.integers(0, 4)) for i in range(n)}
         edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
-        sg = ScalarGraph(values, edges)
+        sg = ScalarGraph.from_dict(values, edges)
         once = collapse_equal_adjacent(sg, 0.0)
         twice = collapse_equal_adjacent(once, 0.0)
         assert once.values == twice.values
@@ -118,7 +124,8 @@ def test_collapse_identity_on_generic(rng):
     for _ in range(20):
         g = random_embedded_graph(rng)
         sg = direction_filter(g, float(rng.uniform(0, 2 * math.pi)))
-        if any(sg.values[u] == sg.values[v] for u, v in sg.edges):
+        values = sg.values
+        if any(values[u] == values[v] for u, v in sg.edges):
             continue  # astronomically unlikely, but stay honest
         out = collapse_equal_adjacent(sg, 0.0)
         assert out.values == sg.values
@@ -149,8 +156,9 @@ def test_projection_reuses_graph_arrays(rng):
     arrays = g.arrays
     second = direction_filter(g, 2.0)
     assert g.arrays is arrays
-    assert first.arrays[0] is second.arrays[0] is arrays[0]  # ids shared, values per angle
-    assert repr(second.arrays[1].tolist()) == repr(list(second.values.values()))
+    assert first.ids is second.ids is arrays[0]  # ids shared, values per angle
+    assert first.eu is second.eu is arrays[3] and first.ev is second.ev is arrays[4]
+    assert repr(second.column.tolist()) == repr(list(second.values.values()))
 
 
 def test_collapse_tie_test_matches_scalar_predicate(rng):
@@ -159,12 +167,89 @@ def test_collapse_tie_test_matches_scalar_predicate(rng):
         values = {i: float(rng.integers(0, 4)) * 0.5 + float(rng.choice([0.0, 1e-10, 0.3]))
                   for i in range(n)}
         edges = [(int(rng.integers(0, n)), int(rng.integers(0, n))) for _ in range(n)]
-        sg = ScalarGraph(values, edges)
+        sg = ScalarGraph.from_dict(values, edges)
         for tol in (0.0, 1e-9, 0.25):
             tie = any(u != v and abs(values[u] - values[v]) <= tol for u, v in edges)
             assert (collapse_equal_adjacent(sg, tol) is not sg) == tie
 
 
 def test_collapse_self_loop_is_no_tie():
-    sg = ScalarGraph({0: 1.0, 1: 2.0}, [(0, 0), (0, 1)])
+    sg = ScalarGraph.from_dict({0: 1.0, 1: 2.0}, [(0, 0), (0, 1)])
     assert collapse_equal_adjacent(sg, 0.5) is sg
+
+
+def _reference_collapse_once(values: dict[int, float], edges, tol: float):
+    """Reference for one collapse pass: the former dict contraction, over
+    the id -> value dict and the edge list; returns both for the result."""
+    parent = {v: v for v in values}
+
+    def find(v: int) -> int:
+        root = v
+        while parent[root] != root:
+            root = parent[root]
+        while parent[v] != root:
+            parent[v], v = root, parent[v]
+        return root
+
+    def union(u: int, v: int) -> None:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return
+        # keep the smaller id as representative
+        if ru > rv:
+            ru, rv = rv, ru
+        parent[rv] = ru
+
+    for u, v in edges:
+        if abs(values[u] - values[v]) <= tol:
+            union(u, v)
+
+    kept = {v: values[v] for v in values if find(v) == v}
+    out: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            continue
+        key = (ru, rv) if ru < rv else (rv, ru)
+        if key not in seen:
+            seen.add(key)
+            out.append(key)
+    return kept, out
+
+
+def _reference_collapse(values: dict[int, float], edges, tol: float):
+    while any(u != v and abs(values[u] - values[v]) <= tol for u, v in edges):
+        values, edges = _reference_collapse_once(values, edges, tol)
+    return values, edges
+
+
+@st.composite
+def tie_heavy_graphs(draw):
+    """Non-contiguous, partly negative ids; few distinct values (signed zeros
+    and near-ties among them); random edges, so self-loops and parallel
+    edges in both orientations are common."""
+    ids = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=14, unique=True))
+    level = st.sampled_from([-1.0, -0.0, 0.0, 1e-10, 0.2, 0.5, 1.0])
+    values = {v: draw(level) for v in ids}
+    pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+    return values, draw(st.lists(pairs, max_size=2 * len(ids)))
+
+
+def _as_lists(values: dict[int, float], edges):
+    return list(values), [repr(x) for x in values.values()], list(edges)
+
+
+@given(graph=tie_heavy_graphs(), tol=st.sampled_from([0.0, 1e-9, 0.3]))
+@settings(max_examples=300, deadline=None)
+def test_collapse_matches_dict_reference(graph, tol):
+    values, edges = graph
+    sg = ScalarGraph.from_dict(values, edges)
+    if any(u != v and abs(values[u] - values[v]) <= tol for u, v in edges):
+        once = _collapse_once(sg, tol)
+        assert _as_lists(once.values, once.edges) == _as_lists(
+            *_reference_collapse_once(values, edges, tol))
+    else:
+        assert collapse_equal_adjacent(sg, tol) is sg
+    out = collapse_equal_adjacent(sg, tol)
+    assert _as_lists(out.values, out.edges) == _as_lists(*_reference_collapse(values, edges, tol))

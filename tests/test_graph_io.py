@@ -1,8 +1,11 @@
 import json
+import math
+import re
 
 import pytest
 
 from abdkit.graph_io import (
+    MAX_COORDINATE_SUM,
     EmbeddedGraph,
     GraphFormatError,
     connected_components,
@@ -75,6 +78,27 @@ def test_non_finite_coordinate_rejected(tmp_path, fmt, text):
     p.write_text(text)
     with pytest.raises(GraphFormatError, match="vertex 7 has a non-finite coordinate"):
         load_graph(p, fmt)
+
+
+def test_coordinate_limit(tmp_path):
+    # beyond the limit a projection can overflow to inf; at it every value stays finite
+    m, edges = MAX_COORDINATE_SUM, [(0, 1), (1, 2), (2, 3)]
+    huge = EmbeddedGraph({0: (1.7e308, 1.7e308), 1: (-1.7e308, 1.7e308),
+                          2: (1.7e308, -1.7e308), 3: (-1.7e308, -1.7e308)}, edges)
+    over = EmbeddedGraph({0: (0.0, 0.0), 1: (0.0, 1.0), 2: (1.0, 1.0),
+                          3: (math.nextafter(m, math.inf), 0.0)}, edges)
+    at = EmbeddedGraph({0: (m, 0.0), 1: (-m / 2, m / 2), 2: (0.0, -m), 3: (m / 4, -m / 2)}, edges)
+    for fmt in ("json", "edgelist"):
+        p = tmp_path / f"g.{fmt}"
+        for g, vertex in ((huge, 0), (over, 3)):
+            write_graph(g, p, fmt)
+            x, y = g.vertices[vertex]
+            expected = (f"{p}: vertex {vertex} at ({x}, {y}) exceeds the coordinate limit "
+                        f"|x| + |y| <= {m!r}")
+            with pytest.raises(GraphFormatError, match=f"^{re.escape(expected)}$"):
+                load_graph(p, fmt)
+        write_graph(at, p, fmt)
+        assert load_graph(p, fmt) == at
 
 
 def test_largest_component_connected_identity(triangle):

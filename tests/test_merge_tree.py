@@ -81,7 +81,7 @@ def test_oracle_equivalence_with_ties(rng):
         n = int(rng.integers(3, 12))
         values = {i: float(rng.integers(0, 4)) for i in range(n)}
         edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
-        sg = collapse_equal_adjacent(ScalarGraph(values, edges), 0.0)
+        sg = collapse_equal_adjacent(ScalarGraph.from_dict(values, edges), 0.0)
         assert trees_equal(compute_merge_tree(sg), merge_tree_oracle(sg))
 
 
@@ -119,7 +119,7 @@ def _tie_heavy_graphs():
             u, v = (int(x) for x in rng.integers(0, n, 2))
             if u != v:
                 edges.append((min(u, v), max(u, v)))
-        yield collapse_equal_adjacent(ScalarGraph(values, sorted(set(edges))), 0.0)
+        yield collapse_equal_adjacent(ScalarGraph.from_dict(values, sorted(set(edges))), 0.0)
 
 
 def test_sweep_golden_ids_and_order():
@@ -137,13 +137,21 @@ def test_sweep_golden_ids_and_order():
         "b0460da59cf9d540daab01d9f7347ded015f9feae33681a6e465753cc2cc3fae")
 
 
+def _adjacency(sg: ScalarGraph) -> dict[int, list[int]]:
+    adj: dict[int, list[int]] = {v: [] for v in sg.ids.tolist()}
+    for u, v in sg.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
 def _reference_sweep(sg: ScalarGraph) -> MergeTree:
     """Reference for compute_merge_tree: every vertex swept in (value, id)
     order over dicts; node ids, values, dict order and refusals must match."""
     if sg.n_vertices == 0:
         raise ValueError("empty scalar graph")
     values = sg.values
-    adj = sg.neighbors()
+    adj = _adjacency(sg)
     comp: dict[int, int] = {}
     top: dict[int, int] = {}
     parent: dict[int, int] = {}
@@ -197,7 +205,7 @@ def _outcome(build, sg: ScalarGraph) -> str:
 
 
 def _assert_sweep_exact(sg: ScalarGraph) -> None:
-    fresh = ScalarGraph(dict(sg.values), list(sg.edges))  # no arrays yet
+    fresh = ScalarGraph.from_dict(sg.values, sg.edges)  # rebuilt from its views
     got = _outcome(compute_merge_tree, sg)
     assert got == _outcome(_reference_sweep, sg)
     assert _outcome(compute_merge_tree, fresh) == got
@@ -218,7 +226,7 @@ def scalar_graphs(draw):
     edges += draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=n))
     if draw(st.integers(0, 3)) == 0:
         edges = [e for e in edges if draw(st.booleans())]
-    return ScalarGraph(values, edges)
+    return ScalarGraph.from_dict(values, edges)
 
 
 @given(sg=scalar_graphs(), tol=st.sampled_from([0.0, 0.3, 1e-9]))
@@ -248,12 +256,12 @@ def test_sweep_noncontiguous_negative_ids():
 
 def test_sweep_signed_zero_minima():
     # -0.0 and 0.0 are equal values: ordered by id, each keeps its sign
-    sg = ScalarGraph({9: 0.0, 2: 1.0, 5: -0.0}, [(5, 2), (2, 9)])
+    sg = ScalarGraph.from_dict({9: 0.0, 2: 1.0, 5: -0.0}, [(5, 2), (2, 9)])
     mt = compute_merge_tree(sg)
     assert [(n, repr(v)) for n, v in mt.values.items()] == [(5, "-0.0"), (9, "0.0"), (2, "1.0")]
     _assert_sweep_exact(sg)
     # adjacent, they are a tie: refused, and contracted onto the smaller id
-    tied = ScalarGraph({9: 0.0, 5: -0.0, 2: 1.0}, [(9, 5), (5, 2)])
+    tied = ScalarGraph.from_dict({9: 0.0, 5: -0.0, 2: 1.0}, [(9, 5), (5, 2)])
     with pytest.raises(ValueError, match=r"adjacent equal values at edge \(5, 9\)"):
         compute_merge_tree(tied)
     assert repr(collapse_equal_adjacent(tied, 0.0).values[5]) == "-0.0"
@@ -326,11 +334,11 @@ def test_adjacent_equal_rejected():
 def test_leaf_count_equals_local_minima(rng):
     for _ in range(30):
         sg = random_connected_scalar_graph(rng, max_vertices=16)
-        adj = sg.neighbors()
+        values, adj = sg.values, _adjacency(sg)
         minima = sum(
             1
-            for v in sg.values
-            if all(sg.values[v] < sg.values[u] for u in adj[v])
+            for v in values
+            if all(values[v] < values[u] for u in adj[v])
         )
         assert compute_merge_tree(sg).n_leaves == minima
 
@@ -351,20 +359,20 @@ def test_sublevel_snapshot_invariants(rng):
 def test_subdividing_monotone_edge_preserves_tree(rng):
     for _ in range(25):
         sg = random_connected_scalar_graph(rng, max_vertices=12)
-        if not sg.edges:
+        values, edges = sg.values, sg.edges
+        if not edges:
             continue
         before = compute_merge_tree(sg)
-        u, v = sg.edges[int(rng.integers(0, len(sg.edges)))]
-        lo, hi = sorted((sg.values[u], sg.values[v]))
+        u, v = edges[int(rng.integers(0, len(edges)))]
+        lo, hi = sorted((values[u], values[v]))
         mid_val = float(rng.uniform(lo, hi))
         if mid_val in (lo, hi):
             continue
-        new_id = max(sg.values) + 1
-        values = dict(sg.values)
+        new_id = max(values) + 1
         values[new_id] = mid_val
-        edges = [e for e in sg.edges if e != (min(u, v), max(u, v))]
+        edges = [e for e in edges if e != (min(u, v), max(u, v))]
         edges += [(u, new_id), (v, new_id)]
-        after = compute_merge_tree(ScalarGraph(values, edges))
+        after = compute_merge_tree(ScalarGraph.from_dict(values, edges))
         assert trees_equal(before, after)
 
 
