@@ -7,14 +7,7 @@ merge twice, while scanning sideways it is a single monotone sweep.
 
 import math
 
-from abdkit import (
-    EmbeddedGraph,
-    collapse_equal_adjacent,
-    compute_merge_tree,
-    direction_filter,
-    merge_tree_oracle,
-    shift_median_zero,
-)
+from abdkit import EmbeddedGraph, direction_filter, merge_tree_at, merge_tree_oracle
 from abdkit.merge_tree import trees_equal
 
 w_path = EmbeddedGraph(
@@ -34,15 +27,13 @@ def describe(tree):
 
 for omega in (math.pi / 2, 0.0, math.pi / 3):
     print(f"\ndirection omega = {omega:.4f} rad")
-    sg = collapse_equal_adjacent(direction_filter(w_path, omega))
-    tree = compute_merge_tree(sg)
+    tree = merge_tree_at(w_path, omega, normalize="none")
     print(f"  {tree.n_nodes} nodes, {tree.n_leaves} leaves"
           + (" (trivial)" if tree.is_trivial() else ""))
     describe(tree)
 
-    # the sweep agrees with the literal sublevel-set definition
-    assert trees_equal(tree, merge_tree_oracle(sg))
+    # the sweep agrees with the literal sublevel-set definition (no ties to collapse here)
+    assert trees_equal(tree, merge_tree_oracle(direction_filter(w_path, omega)))
 
 print("\nafter median normalization (the form used by the ABD):")
-sg = collapse_equal_adjacent(direction_filter(w_path, math.pi / 2))
-describe(shift_median_zero(compute_merge_tree(sg)))
+describe(merge_tree_at(w_path, math.pi / 2))

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 import statistics
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .branching import branching_distance
-from .filtration import DEFAULT_COLLAPSE_TOL, collapse_equal_adjacent, direction_filter
+from .filtration import collapse_equal_adjacent, direction_filter, graph_arrays
 from .graph_io import EmbeddedGraph, largest_component
 from .merge_tree import DisconnectedGraphError, MergeTree, compute_merge_tree, shift_median_zero
 
@@ -29,6 +30,9 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+
+# Adjacent values within this fraction of the graph's extent of each other are tied.
+COLLAPSE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -47,26 +51,21 @@ def frame_angles(n: int) -> FrameSet:
     return FrameSet(n, angles)
 
 
-def merge_tree_at(
-    g: EmbeddedGraph,
-    omega: float,
-    collapse_tol: float = DEFAULT_COLLAPSE_TOL,
-    normalize: str = "median",
-) -> MergeTree:
+def merge_tree_at(g: EmbeddedGraph, omega: float, normalize: str = "median") -> MergeTree:
     """Filtration pipeline for one direction: project, collapse, build, shift.
 
-    ``normalize`` is ``'median'``, ``'mean'`` or ``'none'`` (no shift).
+    Adjacent values within ``COLLAPSE_RTOL`` times the graph's extent (the
+    larger of its x and y spans) are collapsed, so the tree scales with the
+    coordinates.  ``normalize`` is ``'median'``, ``'mean'`` or ``'none'``
+    (no shift).
     """
-    sg = collapse_equal_adjacent(direction_filter(g, omega), collapse_tol)
+    sg = direction_filter(g, omega)
+    sg = collapse_equal_adjacent(sg, COLLAPSE_RTOL * graph_arrays(g)[-1])
     mt = compute_merge_tree(sg)
     return mt if normalize == "none" else shift_median_zero(mt, normalize)
 
 
-def frame_trees(
-    g: EmbeddedGraph,
-    angles: tuple[float, ...],
-    collapse_tol: float = DEFAULT_COLLAPSE_TOL,
-) -> list[MergeTree]:
+def frame_trees(g: EmbeddedGraph, angles: tuple[float, ...]) -> list[MergeTree]:
     """Median-shifted merge trees of ``g`` at each angle, in angle order.
 
     A disconnected ``g`` is reduced to its largest component.  Connectivity
@@ -74,31 +73,28 @@ def frame_trees(
     connected graph is never searched for components.
     """
     try:
-        first = merge_tree_at(g, angles[0], collapse_tol)
+        first = merge_tree_at(g, angles[0])
     except DisconnectedGraphError:
         g = largest_component(g)
-        first = merge_tree_at(g, angles[0], collapse_tol)
-    return [first, *(merge_tree_at(g, omega, collapse_tol) for omega in angles[1:])]
+        first = merge_tree_at(g, angles[0])
+    return [first, *(merge_tree_at(g, omega) for omega in angles[1:])]
 
 
 def per_frame_distances(
-    g: EmbeddedGraph,
-    h: EmbeddedGraph,
-    n_frames: int,
-    mode: str = "exact",
-    tol: float = 1e-6,
-    collapse_tol: float = DEFAULT_COLLAPSE_TOL,
+    g: EmbeddedGraph, h: EmbeddedGraph, n_frames: int, tol: float | None = None
 ) -> list[float]:
     """Branching distance per frame, in frame order (unsorted).
 
-    A distance error such as the leaf guard is re-raised naming the frame.
+    ``tol`` selects tolerance mode (see :func:`branching_distance`); ``None``
+    is exact.  A distance error such as the leaf guard is re-raised naming
+    the frame.
     """
     angles = frame_angles(n_frames).angles
-    trees = zip(frame_trees(g, angles, collapse_tol), frame_trees(h, angles, collapse_tol))
+    trees = zip(frame_trees(g, angles), frame_trees(h, angles))
     out = []
     for i, (omega, (mg, mh)) in enumerate(zip(angles, trees)):
         try:
-            out.append(branching_distance(mg, mh, mode=mode, tol=tol))
+            out.append(branching_distance(mg, mh, tol=tol))
         except ValueError as exc:
             raise ValueError(f"frame {i} (angle {omega!r}): {exc}") from exc
     return out
@@ -109,9 +105,7 @@ def average_branching_distance(
     h: EmbeddedGraph,
     n_frames: int = 10,
     avg: str = "median",
-    mode: str = "exact",
-    tol: float = 1e-6,
-    collapse_tol: float = DEFAULT_COLLAPSE_TOL,
+    tol: float | None = None,
 ) -> float:
     """Median (or mean) of the per-frame branching distances.
 
@@ -120,7 +114,7 @@ def average_branching_distance(
     evaluation order; an even frame count uses the midpoint of the two
     central values for the median.
     """
-    dists = sorted(per_frame_distances(g, h, n_frames, mode, tol, collapse_tol))
+    dists = sorted(per_frame_distances(g, h, n_frames, tol))
     return _aggregate(dists, avg)
 
 
@@ -131,5 +125,9 @@ def _aggregate(values: list[float], avg: str) -> float:
     if avg == "median":
         return float(statistics.median(values))
     if avg == "mean":
-        return float(np.mean(values))
+        if max(values) <= sys.float_info.max / len(values):
+            return float(np.mean(values))
+        # the sum could overflow: scale by a power of two, exactly, so it cannot
+        e = math.frexp(len(values))[1]
+        return math.ldexp(float(np.mean(np.ldexp(values, -e))), e)
     raise ValueError(f"unknown avg {avg!r}, expected 'median' or 'mean'")

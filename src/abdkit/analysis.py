@@ -18,7 +18,6 @@ import numpy as np
 
 from .abd import _aggregate, frame_angles, frame_trees
 from .branching import branching_distance
-from .filtration import DEFAULT_COLLAPSE_TOL
 from .graph_io import EmbeddedGraph
 
 # Not called here: the benchmark's tracer patches these two names in this
@@ -94,11 +93,11 @@ class Embedding2D:
     n_clamped: int = 0
 
 
-def _frame_distance(trees, labels, mode, tol, item: tuple[int, int, int]) -> float:
+def _frame_distance(trees, labels, tol, item: tuple[int, int, int]) -> float:
     """Branching distance of graphs ``i`` and ``j`` in frame ``f``; errors name them."""
     i, j, f = item
     try:
-        return branching_distance(trees[i][f], trees[j][f], mode=mode, tol=tol)
+        return branching_distance(trees[i][f], trees[j][f], tol=tol)
     except ValueError as exc:
         raise ValueError(f"{labels[i]} vs {labels[j]}, frame {f}: {exc}") from exc
 
@@ -119,10 +118,8 @@ def distance_matrix(
     graphs: list[EmbeddedGraph],
     n_frames: int = 10,
     avg: str = "median",
-    mode: str = "exact",
-    tol: float = 1e-6,
+    tol: float | None = None,
     labels: list[str] | None = None,
-    collapse_tol: float = DEFAULT_COLLAPSE_TOL,
     jobs: int = 1,
 ) -> DistanceMatrix:
     """Pairwise ABD matrix; each merge tree is built once per (graph, angle).
@@ -148,7 +145,7 @@ def distance_matrix(
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     angles = frame_angles(n_frames).angles
-    trees = [frame_trees(g, angles, collapse_tol) for g in graphs]
+    trees = [frame_trees(g, angles) for g in graphs]
     ids: dict = {}  # canonical key -> small id, shared by all frames
     tree_ids = [[ids.setdefault(t.canonical_key(), len(ids)) for t in row] for row in trees]
     n = len(graphs)
@@ -158,7 +155,7 @@ def distance_matrix(
         [items.setdefault((tree_ids[i][f], tree_ids[j][f]), (i, j, f)) for f in range(n_frames)]
         for i, j in pairs
     ]
-    args, work = (trees, labels, mode, tol), list(items.values())
+    args, work = (trees, labels, tol), list(items.values())
     workers = min(jobs, len(work))
     if workers > 1:
         with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=args) as pool:

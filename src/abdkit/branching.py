@@ -276,25 +276,19 @@ def candidate_costs(x: MergeTree, y: MergeTree) -> list[float]:
     return sorted(cands)
 
 
-def branching_distance(
-    x: MergeTree,
-    y: MergeTree,
-    mode: str = "exact",
-    tol: float = 1e-6,
-) -> float:
+def branching_distance(x: MergeTree, y: MergeTree, tol: float | None = None) -> float:
     """Smallest eps for which the trees are eps-similar.
 
-    ``mode='exact'`` returns the optimum itself, one of
-    :func:`candidate_costs`.  ``mode='tolerance'`` bisects [0, span of both
-    trees' values] down to width ``tol`` against ``optimum <= mid`` and
-    returns a feasible value within ``tol`` of the optimum.
+    With ``tol`` None (exact mode) the optimum itself, one of
+    :func:`candidate_costs`.  A ``tol`` selects tolerance mode: bisect
+    [0, span of both trees' values] down to width ``tol`` against
+    ``optimum <= mid`` and return a feasible value within ``tol`` of the
+    optimum.
     """
-    if mode not in ("exact", "tolerance"):
-        raise ValueError(f"unknown mode {mode!r}, expected 'exact' or 'tolerance'")
-    if mode == "tolerance" and tol <= 0:
-        raise ValueError("tol must be > 0 in tolerance mode")
+    if tol is not None and not 0.0 < tol < inf:  # NaN fails too
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     d = _distance(x, y)
-    if mode == "exact" or d <= 0.0:
+    if tol is None or d <= 0.0:
         return d
     values = [*x.values.values(), *y.values.values()]
     lo, hi = 0.0, max(values) - min(values)

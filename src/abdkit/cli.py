@@ -27,7 +27,6 @@ from pathlib import Path
 from . import analysis, synth, verify
 from .abd import average_branching_distance, frame_angles, merge_tree_at, per_frame_distances
 from .branching import branching_distance
-from .filtration import DEFAULT_COLLAPSE_TOL
 from .graph_io import GraphFormatError, largest_component, load_graph, write_graph
 from .merge_tree import DisconnectedGraphError, load_tree, tree_to_dict
 
@@ -44,24 +43,19 @@ def _write_out(text: str, out: str | None) -> None:
 def cmd_tree(args) -> int:
     g = load_graph(args.graph, args.format)
     try:
-        mt = merge_tree_at(g, args.angle, args.collapse_tol, args.normalize)
+        mt = merge_tree_at(g, args.angle, args.normalize)
     except DisconnectedGraphError:
         print("warning: graph is disconnected; using the largest component", file=sys.stderr)
-        mt = merge_tree_at(largest_component(g), args.angle, args.collapse_tol, args.normalize)
+        mt = merge_tree_at(largest_component(g), args.angle, args.normalize)
     _write_out(json.dumps(tree_to_dict(mt), indent=1) + "\n", args.out)
     return 0
-
-
-def _mode_tol(args) -> tuple[str, float]:
-    """(mode, tol) for the distance engine; ``--tol`` implies tolerance mode."""
-    return ("tolerance", args.tol) if args.tol is not None else (args.mode, 1e-6)
 
 
 def cmd_dist(args) -> int:
     a = load_tree(args.tree_a)
     b = load_tree(args.tree_b)
-    mode, tol = _mode_tol(args)
-    value = branching_distance(a, b, mode=mode, tol=tol)
+    value = branching_distance(a, b, tol=args.tol)
+    mode = "exact" if args.tol is None else "tolerance"
     print(f"engine: {ENGINE} ({mode} mode)", file=sys.stderr)
     _write_out(f"{value!r}\n", args.out)
     return 0
@@ -70,17 +64,14 @@ def cmd_dist(args) -> int:
 def cmd_abd(args) -> int:
     g = load_graph(args.graph_g, args.format)
     h = load_graph(args.graph_h, args.format)
-    mode, tol = _mode_tol(args)
     if args.per_frame:
-        dists = per_frame_distances(g, h, args.frames, mode, tol, args.collapse_tol)
+        dists = per_frame_distances(g, h, args.frames, args.tol)
         lines = ["frame,angle,distance"]
         for i, (w, d) in enumerate(zip(frame_angles(args.frames).angles, dists)):
             lines.append(f"{i},{w!r},{d!r}")
         _write_out("\n".join(lines) + "\n", args.out)
         return 0
-    value = average_branching_distance(
-        g, h, n_frames=args.frames, avg=args.avg, mode=mode, tol=tol, collapse_tol=args.collapse_tol
-    )
+    value = average_branching_distance(g, h, n_frames=args.frames, avg=args.avg, tol=args.tol)
     _write_out(f"{value!r}\n", args.out)
     return 0
 
@@ -88,16 +79,8 @@ def cmd_abd(args) -> int:
 def cmd_matrix(args) -> int:
     graphs = [load_graph(p, args.format) for p in args.graphs]
     labels = [Path(p).stem for p in args.graphs]
-    mode, tol = _mode_tol(args)
     dm = analysis.distance_matrix(
-        graphs,
-        n_frames=args.frames,
-        avg=args.avg,
-        mode=mode,
-        tol=tol,
-        labels=labels,
-        collapse_tol=args.collapse_tol,
-        jobs=args.jobs,
+        graphs, n_frames=args.frames, avg=args.avg, tol=args.tol, labels=labels, jobs=args.jobs
     )
     if args.out:
         analysis.export(dm, args.out, "csv")
@@ -176,18 +159,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    common.add_argument("--format", choices=("json", "edgelist"), default="json",
-                        help="graph file format")
-    common.add_argument("--collapse-tol", type=float, default=DEFAULT_COLLAPSE_TOL,
-                        help="tolerance for collapsing equal adjacent values")
+    out_opt = argparse.ArgumentParser(add_help=False)
+    out_opt.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
-    dist_opts = argparse.ArgumentParser(add_help=False)
-    dist_opts.add_argument("--mode", choices=("exact", "tolerance"), default="exact",
-                           help="distance engine mode")
-    dist_opts.add_argument("--tol", type=float, default=None,
-                           help="bisection width; implies tolerance mode")
+    graph_opts = argparse.ArgumentParser(add_help=False, parents=[out_opt])
+    graph_opts.add_argument("--format", choices=("json", "edgelist"), default="json",
+                            help="graph file format")
+
+    tol_opt = argparse.ArgumentParser(add_help=False)
+    tol_opt.add_argument("--tol", type=float, default=None,
+                         help="bisection width; selects tolerance mode (default: exact)")
 
     abd_opts = argparse.ArgumentParser(add_help=False)
     abd_opts.add_argument("--frames", type=int, default=10,
@@ -195,20 +176,20 @@ def build_parser() -> argparse.ArgumentParser:
     abd_opts.add_argument("--avg", choices=("median", "mean"), default="median",
                           help="per-frame aggregation")
 
-    p = sub.add_parser("tree", parents=[common], help="merge tree for one direction")
+    p = sub.add_parser("tree", parents=[graph_opts], help="merge tree for one direction")
     p.add_argument("graph")
     p.add_argument("--angle", type=float, default=math.pi / 2, help="direction in radians")
     p.add_argument("--normalize", choices=("none", "median", "mean"), default="none",
                    help="shift node values so their median/mean is 0")
     p.set_defaults(func=cmd_tree)
 
-    p = sub.add_parser("dist", parents=[common, dist_opts],
+    p = sub.add_parser("dist", parents=[out_opt, tol_opt],
                        help="branching distance between two merge-tree JSON files")
     p.add_argument("tree_a")
     p.add_argument("tree_b")
     p.set_defaults(func=cmd_dist)
 
-    p = sub.add_parser("abd", parents=[common, dist_opts, abd_opts],
+    p = sub.add_parser("abd", parents=[graph_opts, tol_opt, abd_opts],
                        help="average branching distance between two graphs")
     p.add_argument("graph_g")
     p.add_argument("graph_h")
@@ -216,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit the individual per-frame distances as CSV")
     p.set_defaults(func=cmd_abd)
 
-    p = sub.add_parser("matrix", parents=[common, dist_opts, abd_opts],
+    p = sub.add_parser("matrix", parents=[graph_opts, tol_opt, abd_opts],
                        help="pairwise ABD matrix as CSV")
     p.add_argument("graphs", nargs="+")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers for pair tasks")

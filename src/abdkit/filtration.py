@@ -10,11 +10,11 @@ upper endpoint.
 A scalar graph is stored only as index arrays: the vertex ids, one value
 per vertex, and each edge's endpoints as row indices.  The first filtration
 of an embedded graph stores its own arrays on it (ids, coordinate columns,
-edge rows), so every direction computes one value column and shares the
-rest.  The collapse tests every edge for a tie in one vectorised comparison
-and contracts the rows; the merge-tree sweep reads the same arrays.  The
-id -> value dict and the edge list are views, derived on request for the
-oracles and the tests.
+edge rows) and its extent, so every direction computes one value column and
+shares the rest.  The collapse tests every edge for a tie in one vectorised
+comparison and contracts the rows; the merge-tree sweep reads the same
+arrays.  The id -> value dict and the edge list are views, derived on
+request for the oracles and the tests.
 """
 
 from __future__ import annotations
@@ -27,11 +27,7 @@ import numpy as np
 
 from .graph_io import EmbeddedGraph
 
-__all__ = ["ScalarGraph", "direction_filter", "collapse_equal_adjacent", "DEFAULT_COLLAPSE_TOL"]
-
-# Absolute tolerance for treating adjacent values as equal.  Floating-point
-# rotations rarely produce exact ties; tol=0 recovers exact-tie semantics.
-DEFAULT_COLLAPSE_TOL = 1e-9
+__all__ = ["ScalarGraph", "direction_filter", "collapse_equal_adjacent"]
 
 
 @dataclass(eq=False)
@@ -73,12 +69,16 @@ def _edge_rows(vertices: dict, edges: list[tuple[int, int]]) -> tuple[np.ndarray
     return rows[0::2], rows[1::2]
 
 
-def graph_arrays(g: EmbeddedGraph) -> tuple[np.ndarray, ...]:
-    """``g.arrays``: (ids, xs, ys, u rows, v rows), built on the first call."""
+def graph_arrays(g: EmbeddedGraph) -> tuple:
+    """``g.arrays``: (ids, xs, ys, u rows, v rows, extent), built on the first call.
+
+    The extent is the larger of the x span and the y span.
+    """
     if g.arrays is None:
         xy = np.fromiter(chain.from_iterable(g.vertices.values()), float, 2 * g.n_vertices)
-        g.arrays = (np.array(list(g.vertices)), xy[0::2], xy[1::2],
-                    *_edge_rows(g.vertices, g.edges))
+        xs, ys = xy[0::2], xy[1::2]
+        extent = float(max(np.ptp(xs), np.ptp(ys))) if g.n_vertices else 0.0
+        g.arrays = (np.array(list(g.vertices)), xs, ys, *_edge_rows(g.vertices, g.edges), extent)
     return g.arrays
 
 
@@ -100,12 +100,12 @@ def direction_filter(g: EmbeddedGraph, omega: float) -> ScalarGraph:
     if not math.isfinite(omega):
         raise ValueError(f"angle {omega!r} is not finite")
     c, s = _snap(math.cos(omega)), _snap(math.sin(omega))
-    ids, xs, ys, eu, ev = graph_arrays(g)
+    ids, xs, ys, eu, ev, _ = graph_arrays(g)
     # a multiply and an add, never fused: x*c + y*s to the bit
     return ScalarGraph(ids, xs * c + ys * s, eu, ev)
 
 
-def collapse_equal_adjacent(sg: ScalarGraph, tol: float = DEFAULT_COLLAPSE_TOL) -> ScalarGraph:
+def collapse_equal_adjacent(sg: ScalarGraph, tol: float) -> ScalarGraph:
     """Contract adjacent vertices whose values differ by at most ``tol``.
 
     Each maximal set of vertices connected through such edges becomes a

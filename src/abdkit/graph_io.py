@@ -54,9 +54,9 @@ class EmbeddedGraph:
     ``vertices`` maps id -> (x, y) and preserves insertion order.  Edges are
     stored as a list of ``(u, v)`` pairs with ``u < v``.  The first
     filtration stores the graph's index arrays in ``arrays`` (vertex ids in
-    vertex order, x and y columns, edge endpoints as row indices; not
-    compared, not in ``repr``), and every later direction reuses them, so a
-    graph is not edited after its first filtration.
+    vertex order, x and y columns, edge endpoints as row indices, then the
+    extent; not compared, not in ``repr``), and every later direction reuses
+    them, so a graph is not edited after its first filtration.
     """
 
     vertices: dict[int, tuple[float, float]] = field(default_factory=dict)

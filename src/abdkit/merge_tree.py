@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import statistics
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -370,11 +371,29 @@ def tree_to_dict(mt: MergeTree) -> dict:
     }
 
 
+# Largest |value| a loaded tree may hold, so the span of two trees' values,
+# which tolerance mode bisects, stays finite.
+MAX_TREE_VALUE = sys.float_info.max / 2
+
+
 def tree_from_dict(doc: dict) -> MergeTree:
-    values = {int(n["id"]): float(n["value"]) for n in doc["nodes"]}
-    parent = {int(k): int(v) for k, v in doc["parent"].items()}
-    tree = MergeTree(values, parent)
-    tree.validate()
+    """Build and validate a tree.
+
+    A missing key, a wrong type, or a value that is NaN or beyond
+    ``MAX_TREE_VALUE`` is a ValueError.
+    """
+    try:
+        values = {int(n["id"]): float(n["value"]) for n in doc["nodes"]}
+        parent = {int(k): int(v) for k, v in doc["parent"].items()}
+        for n, v in values.items():
+            if not abs(v) <= MAX_TREE_VALUE:  # NaN fails too
+                raise ValueError(f"node {n} has value {v!r}, beyond |value| <= {MAX_TREE_VALUE!r}")
+        tree = MergeTree(values, parent)
+        tree.validate()
+    except KeyError as exc:
+        raise ValueError(f"malformed merge tree: missing key {exc}") from None
+    except (TypeError, AttributeError, OverflowError) as exc:
+        raise ValueError(f"malformed merge tree: {exc}") from None
     return tree
 
 
@@ -383,4 +402,8 @@ def write_tree(mt: MergeTree, path: str | Path) -> None:
 
 
 def load_tree(path: str | Path) -> MergeTree:
-    return tree_from_dict(json.loads(Path(path).read_text()))
+    """Read a tree JSON file; malformed content is a ValueError naming ``path``."""
+    try:
+        return tree_from_dict(json.loads(Path(path).read_text()))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

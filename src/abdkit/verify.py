@@ -197,7 +197,7 @@ def check_tolerance_bracket(trials: int = 50, seed: int = 0) -> CheckResult:
         y = random_merge_tree(rng, max_leaves=4)
         exact = branching_distance(x, y)
         for tol in (1e-6, 1e-3, 1e-1):
-            if not exact <= branching_distance(x, y, mode="tolerance", tol=tol) <= exact + tol:
+            if not exact <= branching_distance(x, y, tol=tol) <= exact + tol:
                 bad += 1
     return CheckResult(
         "tolerance-mode bracket",

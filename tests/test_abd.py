@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abdkit.abd import (
     _aggregate,
@@ -13,8 +15,8 @@ from abdkit.abd import (
 )
 from abdkit.merge_tree import tree_to_dict
 from abdkit.fixtures import indistinguishable_pair, graph_counterexample
-from abdkit.graph_io import EmbeddedGraph, is_isomorphic
-from abdkit.synth import blob, comb, convex_polygon, star
+from abdkit.graph_io import MAX_COORDINATE_SUM, EmbeddedGraph, is_isomorphic
+from abdkit.synth import blob, comb, convex_polygon, make_shape, star
 
 from conftest import random_embedded_graph
 
@@ -86,6 +88,37 @@ def test_mean_aggregation(rng):
     mean = average_branching_distance(g, h, n_frames=4, avg="mean")
     assert med == pytest.approx((per[1] + per[2]) / 2)
     assert mean == pytest.approx(sum(per) / 4)
+
+
+def _scaled(g: EmbeddedGraph, s: float) -> EmbeddedGraph:
+    return EmbeddedGraph({v: (x * s, y * s) for v, (x, y) in g.vertices.items()}, list(g.edges))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mean_at_coordinate_limit():
+    # 100 per-frame values near float max / 4 overflow a plain sum; scaling
+    # by a power of two is exact, so the mean is the scaled-down run's, scaled up
+    m = MAX_COORDINATE_SUM
+    ring = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    g = EmbeddedGraph({0: (m, 0.0), 1: (-m / 2, m / 2), 2: (0.0, -m), 3: (m / 4, -m / 2)}, ring)
+    h = EmbeddedGraph({0: (0.0, m), 1: (m / 2, -m / 2), 2: (-m, 0.0), 3: (m / 4, m / 4)}, ring)
+    mean = average_branching_distance(g, h, n_frames=100, avg="mean")
+    small = average_branching_distance(_scaled(g, 2.0**-20), _scaled(h, 2.0**-20), 100, "mean")
+    assert 0.0 < mean == math.ldexp(small, 20) < m
+
+
+@given(a=st.sampled_from(["star", "comb", "zigzag", "blob"]),
+       b=st.sampled_from(["star", "comb", "zigzag", "blob"]),
+       seed=st.integers(0, 2**32 - 1), e=st.integers(-300, 300))
+@settings(max_examples=150, deadline=None)
+def test_abd_scales_linearly(a, b, seed, e):
+    # the collapse tolerance follows each graph's extent, so no scale
+    # collapses more or less of a graph: ABD(sG, sH) = s ABD(G, H)
+    rng = np.random.default_rng(seed)
+    g, h = make_shape(a, rng), make_shape(b, rng)
+    s = 10.0**e
+    d = s * average_branching_distance(g, h, n_frames=4)
+    assert abs(average_branching_distance(_scaled(g, s), _scaled(h, s), n_frames=4) - d) <= 1e-12 * d
 
 
 def test_bad_avg(rng):

@@ -43,9 +43,9 @@ def criterion(n: int, desc: str, budget_s: float):
 def test_criterion_1_branching_triangle_violation():
     with criterion(1, "d_B triangle violation: 5/3/1 on the frozen tree triple", 1.0):
         x, y, z = tree_counterexample()
-        dxy = branching_distance(x, y, mode="exact")
-        dyz = branching_distance(y, z, mode="exact")
-        dxz = branching_distance(x, z, mode="exact")
+        dxy = branching_distance(x, y)
+        dyz = branching_distance(y, z)
+        dxz = branching_distance(x, z)
         assert dxy == 5.0
         assert dyz == 3.0
         assert dxz == 1.0
@@ -97,7 +97,7 @@ def _criterion5_pairs():
 def test_criterion_5_distance_oracle_equivalence():
     with criterion(5, "exact d_B == brute force on 100 random tree pairs", 300.0):
         for x, y in _criterion5_pairs():
-            assert branching_distance(x, y, mode="exact") == brute_force_distance(x, y)
+            assert branching_distance(x, y) == brute_force_distance(x, y)
 
 
 def test_criterion_6_semi_metric_properties():
@@ -138,6 +138,6 @@ def test_criterion_8_frame_count_stability():
 def test_criterion_9_tolerance_mode_contract():
     with criterion(9, "tolerance mode within 1e-6 of exact on the criterion-5 pairs", 300.0):
         for x, y in _criterion5_pairs():
-            exact = branching_distance(x, y, mode="exact")
-            approx = branching_distance(x, y, mode="tolerance", tol=1e-6)
+            exact = branching_distance(x, y)
+            approx = branching_distance(x, y, tol=1e-6)
             assert abs(approx - exact) <= 1e-6

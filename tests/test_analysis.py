@@ -69,10 +69,10 @@ def test_matrix_permutation_equivariance():
 
 
 @pytest.mark.parametrize("avg", ["median", "mean"])
-@pytest.mark.parametrize("mode, tol", [("exact", 1e-6), ("tolerance", 1e-3)], ids=["exact", "tolerance"])
-def test_matrix_jobs_parallel_matches_serial(avg, mode, tol):
+@pytest.mark.parametrize("tol", [None, 1e-3], ids=["exact", "tolerance"])
+def test_matrix_jobs_parallel_matches_serial(avg, tol):
     g, h, j = graph_counterexample()
-    kw = dict(n_frames=3, avg=avg, mode=mode, tol=tol)
+    kw = dict(n_frames=3, avg=avg, tol=tol)
     a = distance_matrix([g, h, j], jobs=1, **kw)
     b = distance_matrix([g, h, j], jobs=2, **kw)
     assert np.array_equal(a.d, b.d)
@@ -109,11 +109,11 @@ def duplicate_heavy_set(rng):
 
 @pytest.mark.parametrize("n_frames", [1, 2, 10])
 @pytest.mark.parametrize("avg", ["median", "mean"])
-@pytest.mark.parametrize("mode, tol", [("exact", 1e-6), ("tolerance", 1e-3)], ids=["exact", "tolerance"])
-def test_matrix_equals_per_pair_abd(rng, n_frames, avg, mode, tol):
+@pytest.mark.parametrize("tol", [None, 1e-3], ids=["exact", "tolerance"])
+def test_matrix_equals_per_pair_abd(rng, n_frames, avg, tol):
     graphs = duplicate_heavy_set(rng)
     n = len(graphs)
-    kw = dict(n_frames=n_frames, avg=avg, mode=mode, tol=tol)
+    kw = dict(n_frames=n_frames, avg=avg, tol=tol)
     expected = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):

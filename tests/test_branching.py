@@ -22,7 +22,6 @@ from abdkit.branching import (
     removal_cost,
     representations,
 )
-from abdkit.filtration import DEFAULT_COLLAPSE_TOL
 from abdkit.fixtures import tree_counterexample
 from abdkit.merge_tree import MergeTree
 from abdkit.synth import comb, random_merge_tree
@@ -181,7 +180,7 @@ def _comb_trees():
     for teeth, k in COMB_MIX:
         rng = np.random.default_rng([teeth, k])
         for _ in range(2):
-            yield merge_tree_at(comb(rng, teeth=teeth), angle, DEFAULT_COLLAPSE_TOL)
+            yield merge_tree_at(comb(rng, teeth=teeth), angle)
 
 
 def test_representations_match_oracle_random(rng):
@@ -507,7 +506,7 @@ def test_recursion_matches_enumeration_random(rng):
             return eps >= 0 and answers[bisect_right(cands, eps) - 1]
 
         for tol in (1e-6, 1e-2):
-            assert branching_distance(x, y, mode="tolerance", tol=tol) == _tolerance(decide, x, y, tol)
+            assert branching_distance(x, y, tol=tol) == _tolerance(decide, x, y, tol)
 
 
 def test_recursion_matches_enumeration_combs():
@@ -630,7 +629,7 @@ def test_tolerance_mode_within_delta(rng):
         x = random_merge_tree(rng, max_leaves=4)
         y = random_merge_tree(rng, max_leaves=4)
         exact = branching_distance(x, y)
-        approx = branching_distance(x, y, mode="tolerance", tol=1e-6)
+        approx = branching_distance(x, y, tol=1e-6)
         assert abs(approx - exact) <= 1e-6
 
 
@@ -690,11 +689,3 @@ def test_size_guards():
     )
     with pytest.raises(ValueError, match="limited to 5"):
         brute_force_distance(six, six)
-
-
-def test_bad_mode_rejected():
-    a = tree({0: 0.0}, {0: 0})
-    with pytest.raises(ValueError, match="unknown mode"):
-        branching_distance(a, a, mode="fast")
-    with pytest.raises(ValueError, match="tol must be"):
-        branching_distance(a, a, mode="tolerance", tol=0.0)

@@ -94,6 +94,51 @@ def test_dist_tolerance_mode(tmp_path, capsys):
     assert "tolerance mode" in captured.err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_dist_rejects_tol_not_positive_and_finite(tmp_path, capsys, tol):
+    x = shutil.copy(fixture_path("tree_triple_x.json"), tmp_path / "x.json")
+    y = shutil.copy(fixture_path("tree_triple_y.json"), tmp_path / "y.json")
+    assert main(["dist", str(x), str(y), "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: tol must be a positive finite number, got {float(tol)!r}\n"
+
+
+@pytest.mark.parametrize("content, problem", [
+    ('{"a": 1}', "missing key 'nodes'"),
+    ('{"vertices": [{"id": 0, "x": 0.0, "y": 0.0}], "edges": []}', "missing key 'nodes'"),
+    ('[1, 2]', "list indices must be integers"),
+    ('{"nodes": [{"id": 0, "value": "low"}], "parent": {"0": 0}}', "could not convert"),
+    ('{"nodes": [{"id": 0, "value": 1.0}], "parent": [0]}', "no attribute 'items'"),
+    ('{"nodes": [{"id": 0, "value": -Infinity}], "parent": {"0": 0}}', "node 0 has value -inf"),
+    ('{"nodes": [{"id": 0, "value": 1e308}], "parent": {"0": 0}}', "node 0 has value 1e+308"),
+], ids=["no-nodes", "graph-file", "list", "text-value", "parent-list", "infinite", "too-large"])
+def test_dist_malformed_tree_file_errors(tmp_path, capsys, content, problem):
+    p = tmp_path / "t.json"
+    p.write_text(content)
+    assert main(["dist", str(p), str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {p}: ") and problem in captured.err
+
+
+def test_dist_format_is_a_usage_error(tmp_path, capsys):
+    # dist reads tree files: a graph-file option is rejected, not ignored
+    x = str(shutil.copy(fixture_path("tree_triple_x.json"), tmp_path / "x.json"))
+    with pytest.raises(SystemExit) as exit_:
+        main(["dist", x, x, "--format", "json"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["tree", "dist", "abd", "matrix"])
+def test_help_lists_neither_mode_nor_collapse_tol(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert "--mode" not in out and "--collapse-tol" not in out
+
+
 def test_abd_self_zero(w_path, capsys):
     assert main(["abd", str(w_path), str(w_path), "--frames", "4"]) == 0
     assert float(capsys.readouterr().out.strip()) == 0.0

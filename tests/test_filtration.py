@@ -70,14 +70,14 @@ def test_collapse_equal_path():
 
 def test_collapse_identity_when_distinct():
     sg = scalar({0: 0.0, 1: 1.0, 2: 2.0}, [(0, 1), (1, 2)])
-    out = collapse_equal_adjacent(sg)
+    out = collapse_equal_adjacent(sg, 1e-9)
     assert out.values == sg.values
     assert out.edges == sg.edges
 
 
 def test_collapse_returns_input_without_tied_edge():
     sg = scalar({0: 0.0, 1: 1.0, 2: 2.0}, [(0, 1), (1, 2)])
-    assert collapse_equal_adjacent(sg) is sg
+    assert collapse_equal_adjacent(sg, 1e-9) is sg
 
 
 def test_collapse_full_triangle():

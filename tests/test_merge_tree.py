@@ -294,7 +294,7 @@ def test_axis_aligned_comb_at_half_pi():
                 6: (2.0, -0.5), 7: (2.0, 1.5), 8: (2.0, 3.5)}
     edges = [(0, 1), (1, 2), (0, 3), (1, 4), (2, 5), (3, 6), (4, 7), (5, 8)]
     g = EmbeddedGraph(vertices, edges)
-    sg = collapse_equal_adjacent(direction_filter(g, math.pi / 2))
+    sg = collapse_equal_adjacent(direction_filter(g, math.pi / 2), 0.0)
     assert sg.values == {0: 0.0, 1: 2.0, 2: 4.0, 6: -0.5, 7: 1.5, 8: 3.5}
     _assert_sweep_exact(sg)
     mt = merge_tree_at(g, math.pi / 2, normalize="none")
@@ -401,8 +401,7 @@ def test_convex_polygon_trivial_small(rng):
         poly = convex_polygon(rng, int(rng.integers(5, 20)))
         for _ in range(10):
             omega = float(rng.uniform(0, 2 * math.pi))
-            sg = collapse_equal_adjacent(direction_filter(poly, omega))
-            assert compute_merge_tree(sg).is_trivial()
+            assert merge_tree_at(poly, omega).is_trivial()
 
 
 def test_shift_trivial_to_zero():
