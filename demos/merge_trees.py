@@ -7,8 +7,9 @@ merge twice, while scanning sideways it is a single monotone sweep.
 
 import math
 
-from abdkit import EmbeddedGraph, direction_filter, merge_tree_at, merge_tree_oracle
+from abdkit import EmbeddedGraph, direction_filter, merge_tree_at
 from abdkit.merge_tree import trees_equal
+from abdkit.oracles import merge_tree_oracle
 
 w_path = EmbeddedGraph(
     {0: (0.0, 0.0), 1: (1.0, 5.0), 2: (2.0, 1.0), 3: (3.0, 6.0), 4: (4.0, 2.0)},

@@ -12,23 +12,9 @@ them to single-linkage clustering and classical MDS.
 
 from .graph_io import EmbeddedGraph, largest_component, load_graph, write_graph
 from .filtration import ScalarGraph, collapse_equal_adjacent, direction_filter
-from .merge_tree import (
-    MergeTree,
-    compute_merge_tree,
-    load_tree,
-    merge_tree_oracle,
-    shift_median_zero,
-    write_tree,
-)
-from .branching import (
-    Branch,
-    branching_distance,
-    brute_force_distance,
-    is_eps_similar,
-    matching_cost,
-    removal_cost,
-)
-from .abd import FrameSet, average_branching_distance, frame_angles, merge_tree_at
+from .merge_tree import MergeTree, compute_merge_tree, load_tree, shift_median_zero, write_tree
+from .branching import Branch, branching_distance, matching_cost, removal_cost
+from .abd import average_branching_distance, frame_angles, merge_tree_at
 from .analysis import (
     DistanceMatrix,
     classical_mds,
@@ -46,22 +32,18 @@ __all__ = [
     "MergeTree",
     "Branch",
     "DistanceMatrix",
-    "FrameSet",
     "load_graph",
     "write_graph",
     "largest_component",
     "direction_filter",
     "collapse_equal_adjacent",
     "compute_merge_tree",
-    "merge_tree_oracle",
     "shift_median_zero",
     "load_tree",
     "write_tree",
     "matching_cost",
     "removal_cost",
-    "is_eps_similar",
     "branching_distance",
-    "brute_force_distance",
     "frame_angles",
     "merge_tree_at",
     "average_branching_distance",

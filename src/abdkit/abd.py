@@ -9,19 +9,19 @@ the median (default) or mean of the per-frame distances.
 from __future__ import annotations
 
 import math
-import statistics
-import sys
-from dataclasses import dataclass
-
-import numpy as np
 
 from .branching import branching_distance
 from .filtration import collapse_equal_adjacent, direction_filter, graph_arrays
 from .graph_io import EmbeddedGraph, largest_component
-from .merge_tree import DisconnectedGraphError, MergeTree, compute_merge_tree, shift_median_zero
+from .merge_tree import (
+    DisconnectedGraphError,
+    MergeTree,
+    compute_merge_tree,
+    median_or_mean,
+    shift_median_zero,
+)
 
 __all__ = [
-    "FrameSet",
     "frame_angles",
     "merge_tree_at",
     "frame_trees",
@@ -35,20 +35,11 @@ TWO_PI = 2.0 * math.pi
 COLLAPSE_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class FrameSet:
+def frame_angles(n: int) -> tuple[float, ...]:
     """n evenly spaced angles ``pi/2 + 2*pi*i/n``, wrapped into [0, 2*pi)."""
-
-    n: int
-    angles: tuple[float, ...]
-
-
-def frame_angles(n: int) -> FrameSet:
-    """Evenly spaced rotation frames starting at the vertical direction."""
     if n < 1:
         raise ValueError("frame count must be >= 1")
-    angles = tuple((math.pi / 2.0 + TWO_PI * i / n) % TWO_PI for i in range(n))
-    return FrameSet(n, angles)
+    return tuple((math.pi / 2.0 + TWO_PI * i / n) % TWO_PI for i in range(n))
 
 
 def merge_tree_at(g: EmbeddedGraph, omega: float, normalize: str = "median") -> MergeTree:
@@ -89,7 +80,7 @@ def per_frame_distances(
     is exact.  A distance error such as the leaf guard is re-raised naming
     the frame.
     """
-    angles = frame_angles(n_frames).angles
+    angles = frame_angles(n_frames)
     trees = zip(frame_trees(g, angles), frame_trees(h, angles))
     out = []
     for i, (omega, (mg, mh)) in enumerate(zip(angles, trees)):
@@ -114,20 +105,4 @@ def average_branching_distance(
     evaluation order; an even frame count uses the midpoint of the two
     central values for the median.
     """
-    dists = sorted(per_frame_distances(g, h, n_frames, tol))
-    return _aggregate(dists, avg)
-
-
-def _aggregate(values: list[float], avg: str) -> float:
-    """Median or mean; ``statistics.median`` is bit-identical to ``np.median``
-    here and far cheaper per call, but ``np.mean`` stays: its pairwise sum
-    differs from a sequential one from 9 values on."""
-    if avg == "median":
-        return float(statistics.median(values))
-    if avg == "mean":
-        if max(values) <= sys.float_info.max / len(values):
-            return float(np.mean(values))
-        # the sum could overflow: scale by a power of two, exactly, so it cannot
-        e = math.frexp(len(values))[1]
-        return math.ldexp(float(np.mean(np.ldexp(values, -e))), e)
-    raise ValueError(f"unknown avg {avg!r}, expected 'median' or 'mean'")
+    return median_or_mean(sorted(per_frame_distances(g, h, n_frames, tol)), avg, "avg")

@@ -16,9 +16,10 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .abd import _aggregate, frame_angles, frame_trees
+from .abd import frame_angles, frame_trees
 from .branching import branching_distance
 from .graph_io import EmbeddedGraph
+from .merge_tree import median_or_mean
 
 # Not called here: the benchmark's tracer patches these two names in this
 # module.  The matrix builds its trees through abd.frame_trees, which calls
@@ -144,7 +145,7 @@ def distance_matrix(
         raise ValueError("labels/graphs length mismatch")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    angles = frame_angles(n_frames).angles
+    angles = frame_angles(n_frames)
     trees = [frame_trees(g, angles) for g in graphs]
     ids: dict = {}  # canonical key -> small id, shared by all frames
     tree_ids = [[ids.setdefault(t.canonical_key(), len(ids)) for t in row] for row in trees]
@@ -165,7 +166,7 @@ def distance_matrix(
         values = {item: _frame_distance(*args, item) for item in work}
     out = np.zeros((n, n))
     for (i, j), row in zip(pairs, pair_items):
-        out[i, j] = out[j, i] = _aggregate(sorted(values[item] for item in row), avg)
+        out[i, j] = out[j, i] = median_or_mean(sorted(values[item] for item in row), avg, "avg")
     return DistanceMatrix(labels, out)
 
 

@@ -17,37 +17,42 @@ between, and slot ``c`` holds a branch ``(m', parent of c)`` for any leaf
 costs ``V = max(matching_cost, least t at which every slot of either side
 is removed or matched to a slot of the other within t)``, a slot pair
 weighing its least ``V``; d_B is the least ``V`` of root branches.  Only
-the float operations of :func:`candidate_costs` occur, so the exact value
-is a candidate; tolerance mode bisects against ``d_B <= mid``.  Trees are
-limited to 20 leaves.  :func:`representations` (exponential) and
-:func:`brute_force_distance` (5 leaves at most) are the test oracles.
+the float operations of the candidate costs occur (a node value of one tree
+minus one of the other, half a branch length), so the exact value is one of
+them; tolerance mode bisects against ``d_B <= mid``.  Trees are limited to
+20 leaves.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
 from math import inf
 
 from .merge_tree import MergeTree
 
 __all__ = [
     "Branch",
-    "RootedTreeRep",
     "matching_cost",
     "removal_cost",
-    "representations",
-    "is_eps_similar",
     "branching_distance",
-    "brute_force_distance",
-    "candidate_costs",
     "MAX_LEAVES",
-    "MAX_LEAVES_BRUTE_FORCE",
 ]
 
 MAX_LEAVES = 20
-MAX_LEAVES_BRUTE_FORCE = 5
+
+# The benchmark's tracer patches representations and candidate_costs in this
+# module and imports is_eps_similar from it, so the three names still resolve
+# here, to abdkit.oracles, on first access.  ROADMAP item 1 deletes this hook.
+_TRACED_ORACLES = ("representations", "candidate_costs", "is_eps_similar")
+
+
+def __getattr__(name: str):
+    if name in _TRACED_ORACLES:
+        from . import oracles
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -74,82 +79,9 @@ def removal_cost(u: Branch) -> float:
     return abs(u.m_value - u.s_value) / 2.0
 
 
-@dataclass
-class RootedTreeRep:
-    """Tree of branches, rooted at the root branch (index ``root``)."""
-
-    branches: list[Branch]
-    root: int
-    children: list[list[int]]
-    subtree_max_rc: list[float]
-
-    def canonical_key(self):
-        def rec(i: int):
-            b = self.branches[i]
-            return (b.m_value, b.s_value, tuple(sorted(rec(c) for c in self.children[i])))
-
-        return rec(self.root)
-
-
 def _guard_leaves(n: int, limit: int, what: str) -> None:
     if n > limit:
         raise ValueError(f"merge tree has {n} leaves; {what} is limited to {limit}")
-
-
-def representations(mt: MergeTree) -> list[RootedTreeRep]:
-    """The distinct rooted tree representations of ``mt``, one per canonical key.
-
-    One recursion over the tree.  Each node yields its distinct upward
-    chains, keyed by (minimum value, keys of the branches hanging off the
-    chain).  At a saddle one child chain continues and every other child
-    chain ends there as a branch hanging off the continuing one; the chain
-    through the root is the root branch.  The first chain met under each key
-    is kept, so duplicates never form.  Exponential in the number of leaves.
-    """
-    _guard_leaves(mt.n_leaves, MAX_LEAVES, "representations")
-    ch = mt.children()
-    vals = mt.values
-
-    def chains(n: int) -> dict:
-        # key -> (id of the chain's minimum, branches hanging off the chain),
-        # where a branch is (key, Branch, branches hanging off it)
-        if not ch[n]:
-            return {(vals[n], ()): (n, ())}
-        s = vals[n]
-        below = [chains(c) for c in sorted(ch[n])]
-        out: dict = {}
-        for i, through in enumerate(below):
-            for ended in product(*(c.items() for c in below[:i] + below[i + 1 :])):
-                new = tuple(((m, s, att), Branch(m_id, m, n, s), hung)
-                            for (m, att), (m_id, hung) in ended)
-                for (m, att), (m_id, hung) in through.items():
-                    key = (m, tuple(sorted(att + tuple(b[0] for b in new))))
-                    out.setdefault(key, (m_id, hung + new))
-        return out
-
-    root, s = mt.root, vals[mt.root]
-    return [_rep(((m, s, att), Branch(m_id, m, root, s), hung))
-            for (m, att), (m_id, hung) in chains(root).items()]
-
-
-def _rep(top) -> RootedTreeRep:
-    """Index a (key, Branch, hanging branches) tree, root first."""
-    rep = RootedTreeRep([], 0, [], [])
-
-    def add(node) -> int:
-        _, b, hung = node
-        i = len(rep.branches)
-        rep.branches.append(b)
-        rep.children.append([])
-        rep.subtree_max_rc.append(removal_cost(b))
-        for h in hung:
-            c = add(h)
-            rep.children[i].append(c)
-            rep.subtree_max_rc[i] = max(rep.subtree_max_rc[i], rep.subtree_max_rc[c])
-        return i
-
-    add(top)
-    return rep
 
 
 def _table(mt: MergeTree) -> tuple[dict, dict, dict, dict, dict]:
@@ -253,29 +185,6 @@ def _distance(x: MergeTree, y: MergeTree) -> float:
     return slot(x.root, y.root)
 
 
-def is_eps_similar(x: MergeTree, y: MergeTree, eps: float) -> bool:
-    """Does some pair of branch decompositions match within ``eps``?"""
-    return branching_distance(x, y) <= eps
-
-
-def candidate_costs(x: MergeTree, y: MergeTree) -> list[float]:
-    """Every value the optimal max-cost can take, sorted ascending.
-
-    A matched cost is the absolute difference between a node value of ``x``
-    and one of ``y``; a removal cost is half a branch length, i.e. half the
-    value difference between a leaf and one of its ancestors.
-    """
-    cands = {0.0}
-    cands.update(abs(a - b) for a in x.values.values() for b in y.values.values())
-    for t in (x, y):
-        for leaf in t.leaves():
-            node = leaf
-            while node != t.parent[node]:
-                node = t.parent[node]
-                cands.add(abs(t.values[leaf] - t.values[node]) / 2.0)
-    return sorted(cands)
-
-
 def branching_distance(x: MergeTree, y: MergeTree, tol: float | None = None) -> float:
     """Smallest eps for which the trees are eps-similar.
 
@@ -297,97 +206,3 @@ def branching_distance(x: MergeTree, y: MergeTree, tol: float | None = None) -> 
         lo, hi = (lo, mid) if d <= mid else (mid, hi)
     return hi
 
-
-# ---------------------------------------------------------------------------
-# exhaustive oracle
-# ---------------------------------------------------------------------------
-
-def _kept_sets(rep: RootedTreeRep) -> list[tuple[frozenset[int], float]]:
-    """All connected kept-sets containing the representation root.
-
-    Returns (kept vertices, max removal cost over the discarded fringe
-    subtrees) for every way of pruning whole subtrees.
-    """
-
-    def rec(i: int) -> list[tuple[frozenset[int], float]]:
-        per_child = []
-        for c in rep.children[i]:
-            opts = rec(c) + [(frozenset(), rep.subtree_max_rc[c])]
-            per_child.append(opts)
-        out = []
-        for combo in product(*per_child):
-            kept = {i}
-            cost = 0.0
-            for ks, cc in combo:
-                kept |= ks
-                cost = max(cost, cc)
-            out.append((frozenset(kept), cost))
-        return out
-
-    return rec(rep.root)
-
-
-def _min_max_matched(
-    rx: RootedTreeRep,
-    ry: RootedTreeRep,
-    kept_x: frozenset[int],
-    kept_y: frozenset[int],
-) -> float:
-    """Minimal max matching cost over all order-preserving bijections.
-
-    Infinity when the kept subtrees are not shape-isomorphic.  Choices in
-    disjoint child subtrees are independent, so the min-max splits per
-    child pair and the bijection at each vertex is brute-forced.
-    """
-    memo: dict[tuple[int, int], float] = {}
-
-    def rec(i: int, j: int) -> float:
-        key = (i, j)
-        if key in memo:
-            return memo[key]
-        cu = [c for c in rx.children[i] if c in kept_x]
-        cv = [c for c in ry.children[j] if c in kept_y]
-        base = matching_cost(rx.branches[i], ry.branches[j])
-        if len(cu) != len(cv):
-            memo[key] = float("inf")
-            return memo[key]
-        if not cu:
-            memo[key] = base
-            return base
-        sub = {(a, b): rec(a, b) for a in cu for b in cv}
-        best = float("inf")
-        for perm in permutations(cv):
-            worst = max(sub[(a, b)] for a, b in zip(cu, perm))
-            if worst < best:
-                best = worst
-        memo[key] = max(base, best)
-        return memo[key]
-
-    return rec(rx.root, ry.root)
-
-
-def brute_force_distance(x: MergeTree, y: MergeTree) -> float:
-    """Exhaustive branching distance; independent oracle for small trees.
-
-    Enumerates every representation pair, every fringe-subtree removal set
-    on both sides, and every order-preserving bijection on the remainders,
-    returning the global min-max cost.  Limited to 5 leaves per tree.
-    """
-    for t in (x, y):
-        _guard_leaves(t.n_leaves, MAX_LEAVES_BRUTE_FORCE, "brute_force_distance")
-    best = float("inf")
-    for rx in representations(x):
-        kept_xs = _kept_sets(rx)
-        for ry in representations(y):
-            kept_ys = _kept_sets(ry)
-            for kept_x, rem_x in kept_xs:
-                for kept_y, rem_y in kept_ys:
-                    if len(kept_x) != len(kept_y):
-                        continue
-                    matched = _min_max_matched(rx, ry, kept_x, kept_y)
-                    if matched == float("inf"):
-                        continue
-                    total = max(matched, rem_x, rem_y)
-                    if total < best:
-                        best = total
-    return best

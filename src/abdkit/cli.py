@@ -24,13 +24,13 @@ import math
 import sys
 from pathlib import Path
 
-from . import analysis, synth, verify
+from . import analysis, synth
 from .abd import average_branching_distance, frame_angles, merge_tree_at, per_frame_distances
 from .branching import branching_distance
 from .graph_io import GraphFormatError, largest_component, load_graph, write_graph
 from .merge_tree import DisconnectedGraphError, load_tree, tree_to_dict
 
-ENGINE = "baseline"  # label printed by dist for the one engine, the min-max recursion
+ENGINE = "min-max recursion"  # label printed by dist for its one engine
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -67,7 +67,7 @@ def cmd_abd(args) -> int:
     if args.per_frame:
         dists = per_frame_distances(g, h, args.frames, args.tol)
         lines = ["frame,angle,distance"]
-        for i, (w, d) in enumerate(zip(frame_angles(args.frames).angles, dists)):
+        for i, (w, d) in enumerate(zip(frame_angles(args.frames), dists)):
             lines.append(f"{i},{w!r},{d!r}")
         _write_out("\n".join(lines) + "\n", args.out)
         return 0
@@ -122,6 +122,8 @@ def cmd_mds(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # the only command that loads the oracles
+
     report = verify.run_all(trials=args.trials, seed=args.seed, fixtures_dir=args.fixtures_dir)
     print("\n".join(report.lines()))
     return 0 if report.passed else 1

@@ -32,7 +32,6 @@ __all__ = [
     "write_graph",
     "largest_component",
     "connected_components",
-    "is_isomorphic",
 ]
 
 FORMATS = ("json", "edgelist")
@@ -244,43 +243,3 @@ def largest_component(g: EmbeddedGraph) -> EmbeddedGraph:
     edges = [(u, v) for u, v in g.edges if u in keep and v in keep]
     return EmbeddedGraph(vertices, edges)
 
-
-def is_isomorphic(a: EmbeddedGraph, b: EmbeddedGraph) -> bool:
-    """Exact graph-isomorphism test on the combinatorial structure.
-
-    Backtracking over degree-compatible assignments; intended for the small
-    graphs this package works with, not for large instances.
-    """
-    if a.n_vertices != b.n_vertices or a.n_edges != b.n_edges:
-        return False
-    adj_a = {u: set(ns) for u, ns in a.neighbors().items()}
-    adj_b = {u: set(ns) for u, ns in b.neighbors().items()}
-    deg_a = sorted(len(ns) for ns in adj_a.values())
-    deg_b = sorted(len(ns) for ns in adj_b.values())
-    if deg_a != deg_b:
-        return False
-    ids_a = sorted(adj_a, key=lambda u: len(adj_a[u]))
-    return _iso_backtrack(ids_a, adj_a, adj_b, {}, set())
-
-
-def _iso_backtrack(order, adj_a, adj_b, mapping, used) -> bool:
-    if len(mapping) == len(order):
-        return True
-    u = order[len(mapping)]
-    for v in adj_b:
-        if v in used or len(adj_b[v]) != len(adj_a[u]):
-            continue
-        ok = True
-        for w in adj_a[u]:
-            if w in mapping and mapping[w] not in adj_b[v]:
-                ok = False
-                break
-        if not ok:
-            continue
-        mapping[u] = v
-        used.add(v)
-        if _iso_backtrack(order, adj_a, adj_b, mapping, used):
-            return True
-        del mapping[u]
-        used.remove(v)
-    return False

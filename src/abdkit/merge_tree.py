@@ -6,22 +6,18 @@ rises: components are born at local minima and joined at saddles.  The
 the largest value and a graph whose sublevel sets are always connected has
 a trivial (single-node) tree.
 
-Two constructions are provided:
-
-* :func:`compute_merge_tree` -- one sweep over the graph's index arrays in
-  ascending value order.  Vertices with one lower neighbour are linked in
-  arrays; only the critical ones (minima and vertices with several lower
-  neighbours) run the union-find in Python.  It checks its input (no tie
-  across an edge) and counts the components it ends with, so a caller
-  learns that a graph is disconnected from the sweep itself.
-* :func:`merge_tree_oracle` -- a quadratic reference that recomputes the
-  connected components of both the closed and open sublevel graphs at
-  every distinct value, straight from the definition.  Test use only.
+:func:`compute_merge_tree` builds it in one sweep over the graph's index
+arrays in ascending value order.  Vertices with one lower neighbour are
+linked in arrays; only the critical ones (minima and vertices with several
+lower neighbours) run the union-find in Python.  It checks its input (no tie
+across an edge) and counts the components it ends with, so a caller learns
+that a graph is disconnected from the sweep itself.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import statistics
 import sys
 from dataclasses import dataclass, field
@@ -36,7 +32,7 @@ __all__ = [
     "MergeTree",
     "DisconnectedGraphError",
     "compute_merge_tree",
-    "merge_tree_oracle",
+    "median_or_mean",
     "shift_median_zero",
     "trees_equal",
     "load_tree",
@@ -242,126 +238,31 @@ def compute_merge_tree(sg: ScalarGraph) -> MergeTree:
                      {ident[v]: ident[resolve(parent[v])] for v in nodes})
 
 
-@dataclass(frozen=True)
-class SublevelSnapshot:
-    """Identified components of one closed sublevel set (oracle-internal).
+def median_or_mean(values: list[float], mode: str = "median", what: str = "mode") -> float:
+    """The median or the mean of ``values``; ``what`` names ``mode`` in the error.
 
-    ``identified`` holds the minima set of every component of the closed
-    sublevel graph at ``level``; ``delta`` is the subset that was not
-    already identified strictly below the level (the change in
-    connectedness).  Elements of ``identified`` are pairwise disjoint and
-    ``delta`` is contained in ``identified``.
+    The median is bit-identical to ``np.median``, whose sum starts at 0.0 and
+    so turns a -0.0 middle into 0.0; adding 0.0 to each value does the same.
+    An even count uses the midpoint of the two central values.  The mean is
+    ``np.mean``, whose pairwise sum differs from a sequential one from 9
+    values on; where that sum could overflow, the values are first scaled
+    down by a power of two, which is exact.
     """
-
-    level: float
-    identified: frozenset[frozenset[int]]
-    delta: frozenset[frozenset[int]]
-
-
-def sublevel_snapshots(sg: ScalarGraph) -> list[SublevelSnapshot]:
-    """One snapshot per distinct vertex value, ascending, by fresh traversal."""
-    values = sg.values
-    adj: dict[int, list[int]] = {v: [] for v in values}
-    for u, v in sg.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-
-    def components(keep: set[int]) -> list[set[int]]:
-        seen: set[int] = set()
-        comps = []
-        for s in sorted(keep):
-            if s in seen:
-                continue
-            comp = set()
-            stack = [s]
-            seen.add(s)
-            while stack:
-                x = stack.pop()
-                comp.add(x)
-                for w in adj[x]:
-                    if w in keep and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            comps.append(comp)
-        return comps
-
-    def minima(comp: set[int]) -> frozenset[int]:
-        return frozenset(
-            v for v in comp
-            if all(values[v] <= values[w] for w in adj[v] if w in comp)
-        )
-
-    out = []
-    for a in sorted(set(values.values())):
-        closed = {v for v in values if values[v] <= a}
-        below = {v for v in values if values[v] < a}
-        gamma_closed = frozenset(minima(c) for c in components(closed))
-        gamma_open = frozenset(minima(c) for c in components(below))
-        out.append(SublevelSnapshot(a, gamma_closed, gamma_closed - gamma_open))
-    return out
-
-
-def merge_tree_oracle(sg: ScalarGraph) -> MergeTree:
-    """Definition-based merge tree: recompute sublevel components per level.
-
-    A merge-tree node is created for every element of every snapshot's
-    ``delta`` and attached to the identified components of the sublevel set
-    strictly below that it properly contains.  The last snapshot holds one
-    component per connected component of the graph, so it also decides
-    connectivity.  Quadratic or worse; intended only as a test oracle.
-    """
-    if sg.n_vertices == 0:
-        raise ValueError("empty scalar graph")
-    values = sg.values
-    for u, v in sg.edges:
-        if values[u] == values[v]:
-            raise ValueError(f"adjacent equal values at edge ({u}, {v})")
-    snapshots = sublevel_snapshots(sg)
-    if len(snapshots[-1].identified) != 1:
-        raise ValueError("scalar graph is disconnected")
-
-    node_value: dict[frozenset[int], float] = {}
-    node_parent: dict[frozenset[int], frozenset[int]] = {}
-    gamma_below: frozenset[frozenset[int]] = frozenset()
-
-    for snap in snapshots:
-        for entering in snap.delta:
-            node_value[entering] = snap.level
-            node_parent[entering] = entering
-            for prior in gamma_below:
-                if prior < entering:  # proper subset
-                    node_parent[prior] = entering
-        # nothing lives strictly between two consecutive vertex values, so
-        # the open sublevel set at the next level equals this closed one
-        gamma_below = snap.identified
-
-    ids = {
-        mu: i
-        for i, mu in enumerate(sorted(node_value, key=lambda m: (node_value[m], sorted(m))))
-    }
-    return MergeTree(
-        {ids[mu]: node_value[mu] for mu in ids},
-        {ids[mu]: ids[node_parent[mu]] for mu in ids},
-    )
+    if mode == "median":
+        return statistics.median([v + 0.0 for v in values])
+    if mode == "mean":
+        if max(map(abs, values)) <= sys.float_info.max / len(values):
+            return float(np.mean(values))
+        e = math.frexp(len(values))[1]
+        return math.ldexp(float(np.mean(np.ldexp(values, -e))), e)
+    raise ValueError(f"unknown {what} {mode!r}, expected 'median' or 'mean'")
 
 
 def shift_median_zero(mt: MergeTree, mode: str = "median") -> MergeTree:
-    """Shift all node values by one constant so their median (or mean) is 0.
-
-    The statistic is taken over merge-tree node values; an even count of
-    nodes uses the midpoint of the two central values.
-    """
+    """Shift all node values by one constant so their median (or mean) is 0."""
     if mt.n_nodes == 0:
         raise ValueError("empty merge tree")
-    if mode == "median":
-        # bit-identical to np.median, whose sum starts at 0.0 and so turns a
-        # -0.0 middle into 0.0; adding 0.0 to each value does the same
-        stat = statistics.median([v + 0.0 for v in mt.values.values()])
-    elif mode == "mean":
-        stat = float(np.mean(np.array(list(mt.values.values()), dtype=float)))
-    else:
-        raise ValueError(f"unknown mode {mode!r}, expected 'median' or 'mean'")
-    return mt.shifted(-stat)
+    return mt.shifted(-median_or_mean(list(mt.values.values()), mode))
 
 
 def tree_to_dict(mt: MergeTree) -> dict:

@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from .abd import average_branching_distance, merge_tree_at
-from .branching import branching_distance, brute_force_distance, candidate_costs
+from .branching import branching_distance
 from .fixtures import tree_counterexample, indistinguishable_pair, graph_counterexample
-from .graph_io import is_isomorphic
-from .merge_tree import compute_merge_tree, merge_tree_oracle, trees_equal
+from .merge_tree import compute_merge_tree, trees_equal
+from .oracles import brute_force_distance, candidate_costs, is_isomorphic, merge_tree_oracle
 from .synth import blob, convex_polygon, random_connected_scalar_graph, random_merge_tree
 
 __all__ = ["CheckResult", "Report", "run_all", "frame_stability"]

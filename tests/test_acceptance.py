@@ -12,10 +12,10 @@ import pytest
 
 from abdkit.abd import average_branching_distance, merge_tree_at
 from abdkit.analysis import cluster_purity, cut_clusters, distance_matrix, single_linkage
-from abdkit.branching import branching_distance, brute_force_distance, candidate_costs
+from abdkit.branching import branching_distance
 from abdkit.fixtures import tree_counterexample, indistinguishable_pair, graph_counterexample
-from abdkit.graph_io import is_isomorphic
-from abdkit.merge_tree import compute_merge_tree, merge_tree_oracle, trees_equal
+from abdkit.merge_tree import compute_merge_tree, trees_equal
+from abdkit.oracles import brute_force_distance, candidate_costs, is_isomorphic, merge_tree_oracle
 from abdkit.synth import (
     convex_polygon,
     random_connected_scalar_graph,

@@ -135,7 +135,7 @@ def test_matrix_compares_each_distinct_tree_pair_once(rng, monkeypatch, n_frames
 
     monkeypatch.setattr(analysis, "branching_distance", counted)
     distance_matrix(graphs, n_frames=n_frames)
-    keys = [[merge_tree_at(g, w).canonical_key() for w in frame_angles(n_frames).angles]
+    keys = [[merge_tree_at(g, w).canonical_key() for w in frame_angles(n_frames)]
             for g in graphs]
     n = len(graphs)
     distinct = {(keys[i][f], keys[j][f])

@@ -10,20 +10,16 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from abdkit.abd import frame_angles, merge_tree_at
-from abdkit.branching import (
-    MAX_LEAVES,
-    Branch,
+from abdkit.branching import MAX_LEAVES, Branch, branching_distance, matching_cost, removal_cost
+from abdkit.fixtures import tree_counterexample
+from abdkit.merge_tree import MergeTree
+from abdkit.oracles import (
     RootedTreeRep,
-    branching_distance,
     brute_force_distance,
     candidate_costs,
     is_eps_similar,
-    matching_cost,
-    removal_cost,
     representations,
 )
-from abdkit.fixtures import tree_counterexample
-from abdkit.merge_tree import MergeTree
 from abdkit.synth import comb, random_merge_tree
 
 from conftest import tree
@@ -176,7 +172,7 @@ COMB_MIX = [(6, k) for k in range(12)] + [(7, k) for k in (0, 1, 2, 3, 4, 5, 11,
 
 
 def _comb_trees():
-    angle = frame_angles(1).angles[0]
+    angle = frame_angles(1)[0]
     for teeth, k in COMB_MIX:
         rng = np.random.default_rng([teeth, k])
         for _ in range(2):

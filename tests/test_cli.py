@@ -94,6 +94,13 @@ def test_dist_tolerance_mode(tmp_path, capsys):
     assert "tolerance mode" in captured.err
 
 
+def test_dist_names_its_engine(tmp_path, capsys):
+    x = str(shutil.copy(fixture_path("tree_triple_x.json"), tmp_path / "x.json"))
+    for extra, mode in (([], "exact"), (["--tol", "1e-6"], "tolerance")):
+        assert main(["dist", x, x, *extra]) == 0
+        assert capsys.readouterr().err == f"engine: min-max recursion ({mode} mode)\n"
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
 def test_dist_rejects_tol_not_positive_and_finite(tmp_path, capsys, tol):
     x = shutil.copy(fixture_path("tree_triple_x.json"), tmp_path / "x.json")
@@ -307,6 +314,34 @@ def test_graph_at_coordinate_limit_runs(tmp_path, capsys):
     for extra in ([], ["--tol", "1e300"]):
         assert main(["abd", g, h, "--frames", "3", *extra]) == 0
         assert 0.0 < float(capsys.readouterr().out) < m
+
+
+def _comb_near_limit(tmp_path, name, s):
+    # 12 teeth hanging off a level spine at 0.99 x the limit, all scaled by s
+    y = 0.99 * MAX_COORDINATE_SUM * s
+    spine = {i: (i * s, y) for i in range(12)}
+    tips = {12 + i: (i * s, y * (1 - 1e-3 * (i + 1))) for i in range(12)}
+    edges = [(i, i + 1) for i in range(11)] + [(i, 12 + i) for i in range(12)]
+    p = tmp_path / name
+    write_graph(EmbeddedGraph(spine | tips, edges), p)
+    return str(p)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tree_normalize_mean_at_coordinate_limit(tmp_path, capsys):
+    # the 13 node values overflow a plain sum; scaling them by a power of two
+    # first is exact, so the tree is the scaled-down comb's, scaled up
+    trees = []
+    for s in (1.0, 2.0**-20):
+        assert main(["tree", _comb_near_limit(tmp_path, f"comb_{s}.json", s),
+                     "--normalize", "mean"]) == 0
+        trees.append(json.loads(capsys.readouterr().out))
+    big, small = trees
+    assert len(big["nodes"]) == 13
+    assert all(math.isfinite(n["value"]) for n in big["nodes"])
+    for n in small["nodes"]:
+        n["value"] = math.ldexp(n["value"], 20)
+    assert big == small
 
 
 def test_bad_graph_file_errors(tmp_path, capsys):

@@ -9,11 +9,11 @@ from abdkit.graph_io import (
     EmbeddedGraph,
     GraphFormatError,
     connected_components,
-    is_isomorphic,
     largest_component,
     load_graph,
     write_graph,
 )
+from abdkit.oracles import is_isomorphic
 
 from conftest import random_embedded_graph
 

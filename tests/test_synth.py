@@ -1,7 +1,7 @@
 import pytest
 
 from abdkit.graph_io import connected_components
-from abdkit.merge_tree import sublevel_snapshots
+from abdkit.oracles import sublevel_snapshots
 from abdkit.synth import (
     SHAPE_CLASSES,
     blob,
