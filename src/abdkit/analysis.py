@@ -9,6 +9,7 @@ reports how many were clamped.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -115,6 +116,14 @@ def _worker_frame_distance(item: tuple[int, int, int]) -> float:
     return _frame_distance(*_worker_args, item)
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on; every pool worker starts at once."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def distance_matrix(
     graphs: list[EmbeddedGraph],
     n_frames: int = 10,
@@ -131,8 +140,8 @@ def distance_matrix(
     ids) share one comparison: each distinct ordered pair of trees is one
     work item, computed once on the first (pair, frame) that produces it.
     ``jobs`` > 1 runs the items in a process pool of at most
-    ``min(jobs, items)`` workers, each sent every tree once and then item
-    indices in about four chunks per worker.
+    ``min(jobs, items, available CPUs)`` workers, each sent every tree once
+    and then item indices in about four chunks per worker.
     Per-frame values are sorted before aggregation, so the result does not
     depend on scheduling.  Items run in the order pairs, then frames, first
     met, so a refusal names the first failing pair and frame.
@@ -157,7 +166,7 @@ def distance_matrix(
         for i, j in pairs
     ]
     args, work = (trees, labels, tol), list(items.values())
-    workers = min(jobs, len(work))
+    workers = min(jobs, len(work), _available_cpus())
     if workers > 1:
         with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=args) as pool:
             chunk = -(-len(work) // (4 * workers))  # about four chunks per worker
@@ -243,7 +252,8 @@ def classical_mds(dm: DistanceMatrix, k: int = 2) -> Embedding2D:
 
     Negative eigenvalues (the matrix is non-metric, so they do occur) are
     clamped at zero and counted.  Each output axis is sign-fixed so its
-    first nonzero coordinate is positive.
+    first coordinate above 1e-12 of its largest magnitude is positive, so
+    scaling the matrix by a power of two scales the embedding exactly.
     """
     n = dm.n
     if k < 1:
@@ -260,7 +270,8 @@ def classical_mds(dm: DistanceMatrix, k: int = 2) -> Embedding2D:
     clamped = np.clip(evals, 0.0, None)
     coords = evecs[:, :k] * np.sqrt(clamped[:k])
     for col in range(coords.shape[1]):
-        nz = np.nonzero(np.abs(coords[:, col]) > 1e-12)[0]
+        mag = np.abs(coords[:, col])
+        nz = np.nonzero(mag > 1e-12 * mag.max())[0]
         if nz.size and coords[nz[0], col] < 0:
             coords[:, col] = -coords[:, col]
     return Embedding2D(list(dm.labels), coords, evals, n_clamped)

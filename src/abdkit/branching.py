@@ -21,14 +21,24 @@ the float operations of the candidate costs occur (a node value of one tree
 minus one of the other, half a branch length), so the exact value is one of
 them; tolerance mode bisects against ``d_B <= mid``.  Trees are limited to
 20 leaves.
+
+Cutoff rule: every weight is asked for below a cutoff, the best value its
+caller has so far, and a weight at or above the caller's cutoff never
+decides a value, so none is computed past it.  A slot pair's weight is
+memoised exactly when it falls below the cutoff and as a lower bound
+otherwise.  A *heavy* slot, one costing more to remove than its branch
+pair's matching cost, that can be neither removed nor matched below the
+cutoff ends its pair's value at once.  The covers of the two sides are
+independent and each monotone in t, so the least t is the larger of the
+two sides' least t.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import product
 from math import inf
+from operator import itemgetter
 
 from .merge_tree import MergeTree
 
@@ -132,67 +142,103 @@ def _covers(partners: dict) -> bool:
     return all(augment(a, set()) for a in partners)
 
 
+def _least_cover(t: float, rows: dict, removal: dict, cutoff: float) -> float:
+    """Least t' >= ``t`` at which every slot of ``rows`` not removable within
+    t' has its own partner within t', or inf if none below ``cutoff`` does.
+
+    ``rows[a]`` lists a's ``(weight, partner)`` pairs, weights ascending;
+    only ``t``, the weights and the removal costs can be the answer.
+    """
+    def covers(t: float) -> bool:
+        return _covers({a: [b for w, b in row if w <= t]
+                        for a, row in rows.items() if removal[a] > t})
+
+    if covers(t):
+        return t
+    ts = sorted({u for a, row in rows.items() for u in (removal[a], *(w for w, _ in row))
+                 if t < u < cutoff})
+    i = bisect_left(ts, True, key=covers)  # covering only grows with t
+    return ts[i] if i < len(ts) else inf
+
+
 def _distance(x: MergeTree, y: MergeTree) -> float:
     """d_B in one pass of the min-max recursion (see the module docstring).
 
-    ``slot(cx, cy)`` is the weight of a slot pair; its leaf pairs go in
-    ascending matching cost until the cost reaches the best value so far,
-    and ``value`` returns inf once it cannot beat that ``cutoff`` either.
+    ``slot(cx, cy, bound)`` is the weight of a slot pair if below ``bound``
+    and ``bound`` otherwise; its leaf pairs go in ascending matching cost
+    until the cost reaches the best value so far, and ``value`` returns inf
+    once it cannot beat that ``cutoff`` either.
     """
     (vx, upx, belowx, slotsx, rx), (vy, upy, belowy, slotsy, ry) = _table(x), _table(y)
     if len(vx) == len(vy) == 2:  # two trivial trees
         return abs(vx[None] - vy[None])
-    memo: dict = {}
+    exact: dict = {}  # slot pair -> weight
+    floor: dict = {}  # slot pair -> a bound its weight is known to reach
 
-    def slot(cx, cy) -> float:
+    def slot(cx, cy, bound: float) -> float:
         px, py = upx[cx], upy[cy]
         saddles = abs(vx[px] - vy[py])
-        best = inf
-        for cost, mx, my in sorted((max(abs(vx[mx] - vy[my]), saddles), mx, my)
-                                   for mx in belowx[cx] for my in belowy[cy]):
+        best = bound
+        for cost, mx, my in sorted([(cost, mx, my) for mx in belowx[cx] for my in belowy[cy]
+                                    if (cost := max(abs(vx[mx] - vy[my]), saddles)) < bound]):
             if cost >= best:
                 break
             best = min(best, value(cost, slotsx[mx, px], slotsy[my, py], best))
-        memo[cx, cy] = best
+        if best < bound:
+            exact[cx, cy] = best
+        else:
+            floor[cx, cy] = bound
         return best
+
+    def weight(a, b, cutoff: float) -> float:
+        """The weight of slot pair (a, b) if below cutoff, else at least cutoff."""
+        if (a, b) in exact:
+            return exact[a, b]
+        if abs(vx[upx[a]] - vy[upy[b]]) >= cutoff or floor.get((a, b), -inf) >= cutoff:
+            return inf  # a weight is at least its saddle gap, or known to reach cutoff
+        return slot(a, b, cutoff)
 
     def value(cost: float, sx: tuple, sy: tuple, cutoff: float) -> float:
         hx = [a for a in sx if rx[a] > cost]  # slots too costly to remove at cost
         hy = [b for b in sy if ry[b] > cost]
         if not hx and not hy:
             return cost
-        # pairs with a heavy side; a saddle gap of cutoff or more rules one out
-        weight = {(a, b): memo[a, b] if (a, b) in memo else slot(a, b)
-                  for a, b in {*product(hx, sy), *product(sx, hy)}
-                  if abs(vx[upx[a]] - vy[upy[b]]) < cutoff}
+        # a heavy slot that can be neither removed nor matched below cutoff
+        if any(rx[a] >= cutoff and all(abs(vx[upx[a]] - vy[upy[b]]) >= cutoff for b in sy)
+               for a in hx):
+            return inf
+        if any(ry[b] >= cutoff and all(abs(vx[upx[a]] - vy[upy[b]]) >= cutoff for a in sx)
+               for b in hy):
+            return inf
+        # each heavy slot needs its removal or a partner within the value; score
+        # the costliest to remove first, each on its (weight, partner) row of
+        # weights below cutoff, until a score reaches the cutoff
+        low, rows_x, rows_y = cost, {}, {}
+        heavy = sorted([*((rx[a], a, None) for a in hx), *((ry[b], None, b) for b in hy)],
+                       key=itemgetter(0), reverse=True)
+        for removal, a, b in heavy:
+            if b is None:
+                rows_x[a] = r = sorted([(w, c) for c in sy if (w := weight(a, c, cutoff)) < cutoff])
+            else:
+                rows_y[b] = r = sorted([(w, c) for c in sx if (w := weight(c, b, cutoff)) < cutoff])
+            low = max(low, min(removal, r[0][0]) if r else removal)
+            if low >= cutoff:
+                return inf
+        # the sides are covered apart, each monotone in t: the least t is the larger
+        t = _least_cover(low, rows_x, rx, cutoff)
+        return _least_cover(t, rows_y, ry, cutoff) if t < cutoff else inf
 
-        def feasible(t: float) -> bool:  # each side's heavy slots covered apart suffices
-            return (_covers({a: [b for b in sy if weight.get((a, b), inf) <= t]
-                             for a in hx if rx[a] > t})
-                    and _covers({b: [a for a in sx if weight.get((a, b), inf) <= t]
-                                 for b in hy if ry[b] > t}))
-
-        # every heavy slot needs a partner or its removal within t
-        low = max([cost, *(min([rx[a], *(weight.get((a, b), inf) for b in sy)]) for a in hx),
-                   *(min([ry[b], *(weight.get((a, b), inf) for a in sx)]) for b in hy)])
-        if low >= cutoff or feasible(low):
-            return low if low < cutoff else inf
-        ts = sorted({t for t in [*weight.values(), *(rx[a] for a in hx), *(ry[b] for b in hy)]
-                     if low < t < cutoff})
-        i = bisect_left(ts, True, key=feasible)  # feasibility only grows with t
-        return ts[i] if i < len(ts) else inf
-
-    return slot(x.root, y.root)
+    return slot(x.root, y.root, inf)
 
 
 def branching_distance(x: MergeTree, y: MergeTree, tol: float | None = None) -> float:
     """Smallest eps for which the trees are eps-similar.
 
     With ``tol`` None (exact mode) the optimum itself, one of
-    :func:`candidate_costs`.  A ``tol`` selects tolerance mode: bisect
-    [0, span of both trees' values] down to width ``tol`` against
-    ``optimum <= mid`` and return a feasible value within ``tol`` of the
-    optimum.
+    :func:`abdkit.oracles.candidate_costs`.  A ``tol`` selects tolerance
+    mode: bisect [0, span of both trees' values] down to width ``tol``
+    against ``optimum <= mid`` and return a feasible value within ``tol``
+    of the optimum.
     """
     if tol is not None and not 0.0 < tol < inf:  # NaN fails too
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")

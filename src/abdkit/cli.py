@@ -202,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("matrix", parents=[graph_opts, tol_opt, abd_opts],
                        help="pairwise ABD matrix as CSV")
     p.add_argument("graphs", nargs="+")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for pair tasks")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel workers for pair tasks, capped at the available CPUs")
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("cluster", help="single-linkage dendrogram of a matrix CSV")

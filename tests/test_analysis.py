@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -197,8 +198,15 @@ class RecordingPool:
         return map(fn, items)
 
 
+def pin_cpus(monkeypatch, n):
+    """Make every CPU query of the process report ``n`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
 @pytest.mark.parametrize("jobs, workers", [(2, [2]), (64, [3])])
 def test_matrix_pool_size_capped_by_items(monkeypatch, jobs, workers):
+    pin_cpus(monkeypatch, 64)
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "started", [])
     monkeypatch.setattr(RecordingPool, "chunks", [])
@@ -225,11 +233,27 @@ def test_matrix_pool_sends_about_four_chunks_per_worker(monkeypatch, jobs):
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "started", [])
     monkeypatch.setattr(RecordingPool, "chunks", [])
+    pin_cpus(monkeypatch, 64)
     out = distance_matrix(graphs, n_frames=3, jobs=jobs)
     assert items > 4 * jobs
     assert RecordingPool.started == [jobs]
     assert RecordingPool.chunks == [math.ceil(items / (4 * jobs))]
     assert np.array_equal(out.d, serial.d)
+
+
+@pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu_count"])
+def test_matrix_pool_size_capped_by_cpus(monkeypatch, affinity):
+    # every pool worker starts at once, so a huge --jobs must not fork huge numbers
+    pin_cpus(monkeypatch, 4)
+    if not affinity:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "started", [])
+    monkeypatch.setattr(RecordingPool, "chunks", [])
+    graphs = shape_dataset(seed=0)[0][::2]  # 9 graphs: more distinct tree pairs than CPUs
+    out = distance_matrix(graphs, n_frames=2, jobs=10**6)
+    assert RecordingPool.started == [4]
+    assert np.array_equal(out.d, distance_matrix(graphs, n_frames=2, jobs=1).d)
 
 
 def test_matrix_builds_each_graph_index_once(rng, monkeypatch):
@@ -492,9 +516,20 @@ def test_mds_column_centered_and_sign_fixed(rng):
     emb = classical_mds(dm([f"p{i}" for i in range(n)], d), k=2)
     assert np.allclose(emb.coords.mean(axis=0), 0.0, atol=1e-9)
     for col in range(2):
-        nz = np.nonzero(np.abs(emb.coords[:, col]) > 1e-12)[0]
+        mag = np.abs(emb.coords[:, col])
+        nz = np.nonzero(mag > 1e-12 * mag.max())[0]
         if nz.size:
             assert emb.coords[nz[0], col] > 0
+
+
+def test_mds_sign_fixing_follows_the_scale():
+    # scaling by 2**k is exact, so the embedding scales by 2**k, signs included
+    graphs, labels = shape_dataset(seed=0)
+    d = distance_matrix(graphs, n_frames=10, labels=[f"{s}{i}" for i, s in enumerate(labels)])
+    base = classical_mds(d, k=2).coords
+    for k in (-40, -20, 20):
+        scaled = classical_mds(dm(d.labels, np.ldexp(d.d, k)), k=2).coords
+        np.testing.assert_allclose(scaled, np.ldexp(base, k), rtol=1e-12, atol=0)
 
 
 def test_mds_k_too_large():

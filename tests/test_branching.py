@@ -11,13 +11,14 @@ from scipy.optimize import linear_sum_assignment
 
 from abdkit.abd import frame_angles, merge_tree_at
 from abdkit.branching import MAX_LEAVES, Branch, branching_distance, matching_cost, removal_cost
-from abdkit.fixtures import tree_counterexample
+from abdkit.fixtures import graph_counterexample, tree_counterexample
 from abdkit.merge_tree import MergeTree
 from abdkit.oracles import (
     RootedTreeRep,
     brute_force_distance,
     candidate_costs,
     is_eps_similar,
+    minmax_distance,
     representations,
 )
 from abdkit.synth import comb, random_merge_tree
@@ -570,13 +571,86 @@ def test_oracle_equivalence_sample(rng):
         assert branching_distance(x, y) == brute_force_distance(x, y)
 
 
+def _leaf_values(rng, n, integer_values):
+    if integer_values:
+        return [float(v) for v in rng.integers(-20, 21, n)]
+    return [round(float(v), 3) for v in rng.uniform(-10.0, 10.0, n)]
+
+
+def random_caterpillar(rng, n_leaves, integer_values=False):
+    """Leaves 0..n-1 joined one at a time up a spine: the most nested shape."""
+    vals = _leaf_values(rng, n_leaves, integer_values)
+    values, parent = {0: vals[0]}, {}
+    top, spine = vals[0], 0
+    for i in range(1, n_leaves):
+        if integer_values:
+            step = float(rng.integers(1, 4))
+        else:
+            step = round(float(rng.uniform(0.1, 1.0)), 3)
+        top = max(top, vals[i]) + step
+        values[i], values[n_leaves + i] = vals[i], top
+        parent[spine] = parent[i] = n_leaves + i
+        spine = n_leaves + i
+    parent[spine] = spine
+    return MergeTree(values, parent)
+
+
+def random_star(rng, n_leaves, integer_values=False):
+    """Leaves 0..n-1 (n >= 2) all joined at one root above them."""
+    vals = _leaf_values(rng, n_leaves, integer_values)
+    root = max(vals) + 1.0
+    return MergeTree({i: v for i, v in enumerate(vals)} | {n_leaves: root},
+                     {i: n_leaves for i in range(n_leaves + 1)})
+
+
+def _sized_merge_tree(rng, lo, hi, integer_values=False):
+    """A random merge tree with between lo and hi leaves."""
+    while True:
+        mt = random_merge_tree(rng, max_leaves=hi, integer_values=integer_values)
+        if mt.n_leaves >= lo:
+            return mt
+
+
 def _metamorphic_pairs(rng):
-    """Random pairs of up to 7 leaves, a third integer-valued, then the comb pairs."""
+    """Random pairs of up to 7 leaves, a third integer-valued, then the comb
+    pairs, then random pairs of 10-16 leaves and caterpillar pairs of 12-16
+    leaves, where the engine's cutoffs prune the most."""
     for i in range(150):
         yield (random_merge_tree(rng, max_leaves=7, integer_values=i % 3 == 2),
                random_merge_tree(rng, max_leaves=7, integer_values=i % 3 == 2))
     trees = list(_comb_trees())
     yield from zip(trees[::2], trees[1::2])
+    for i in range(30):
+        yield (_sized_merge_tree(rng, 10, 16, integer_values=i % 3 == 2),
+               _sized_merge_tree(rng, 10, 16, integer_values=i % 3 == 2))
+    for n in (12, 14, 16):
+        yield random_caterpillar(rng, n), random_caterpillar(rng, n, integer_values=n == 14)
+
+
+def test_engine_matches_minmax_reference(rng):
+    # the engine prunes every weight at its caller's cutoff; the reference
+    # computes each in full, so the two must agree to the bit
+    def pairs():
+        for i in range(45):
+            yield (random_merge_tree(rng, max_leaves=20, integer_values=i % 3 == 2),
+                   random_merge_tree(rng, max_leaves=20, integer_values=i % 3 == 2))
+        for n in (12, 16, 20):
+            yield random_caterpillar(rng, n), random_caterpillar(rng, n - 2)
+            yield (random_caterpillar(rng, n, integer_values=True),
+                   random_caterpillar(rng, n, integer_values=True))
+        for n in (5, 12, 20):
+            yield random_star(rng, n), random_star(rng, n - 1, integer_values=True)
+            yield random_star(rng, n), random_caterpillar(rng, n)
+        trees = list(_comb_trees())
+        yield from zip(trees[::2], trees[1::2])
+        triple = tree_counterexample()
+        graphs = [merge_tree_at(g, frame_angles(1)[0]) for g in graph_counterexample()]
+        for t in (triple, graphs):
+            yield from ((a, b) for a in t for b in t)
+
+    for x, y in pairs():
+        assert branching_distance(x, y) == minmax_distance(x, y)
+        assert branching_distance(y, x) == minmax_distance(y, x)
 
 
 def _relabelled(mt, rng):
