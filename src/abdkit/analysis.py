@@ -45,12 +45,21 @@ __all__ = [
 ]
 
 
+def _check_labels(labels: list[str]) -> None:
+    """Reject a label that a matrix CSV header cannot hold."""
+    for label in labels:
+        if "," in label or "".join(label.splitlines()) != label:  # splitlines drops line breaks
+            raise ValueError(f"label {label!r} holds a comma or a line break, "
+                             "which a matrix CSV cannot hold")
+
+
 @dataclass
 class DistanceMatrix:
     labels: list[str]
     d: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_labels(self.labels)
         self.d = np.asarray(self.d, dtype=float)
         n = len(self.labels)
         if self.d.shape != (n, n):
@@ -152,6 +161,7 @@ def distance_matrix(
         labels = [f"g{i}" for i in range(len(graphs))]
     if len(labels) != len(graphs):
         raise ValueError("labels/graphs length mismatch")
+    _check_labels(labels)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     angles = frame_angles(n_frames)

@@ -26,11 +26,12 @@ Cutoff rule: every weight is asked for below a cutoff, the best value its
 caller has so far, and a weight at or above the caller's cutoff never
 decides a value, so none is computed past it.  A slot pair's weight is
 memoised exactly when it falls below the cutoff and as a lower bound
-otherwise.  A *heavy* slot, one costing more to remove than its branch
-pair's matching cost, that can be neither removed nor matched below the
-cutoff ends its pair's value at once.  The covers of the two sides are
-independent and each monotone in t, so the least t is the larger of the
-two sides' least t.
+otherwise.  A value scores its *heavy* slots (costlier to remove than the
+branch pair's matching cost) costliest first, each by the lesser of its
+removal cost and best partner weight, and returns inf at the first score
+to reach the cutoff; a slot neither removable nor matchable below it ends
+the value unaided, as the saddle-gap test empties its row.  The sides' covers
+are independent and monotone in t: the least t is the larger of theirs.
 """
 
 from __future__ import annotations
@@ -164,55 +165,44 @@ def _least_cover(t: float, rows: dict, removal: dict, cutoff: float) -> float:
 def _distance(x: MergeTree, y: MergeTree) -> float:
     """d_B in one pass of the min-max recursion (see the module docstring).
 
-    ``slot(cx, cy, bound)`` is the weight of a slot pair if below ``bound``
-    and ``bound`` otherwise; its leaf pairs go in ascending matching cost
-    until the cost reaches the best value so far, and ``value`` returns inf
-    once it cannot beat that ``cutoff`` either.
+    ``weight(a, b, cutoff)`` is the weight of slot pair ``(a, b)`` if below
+    ``cutoff``, else at least ``cutoff``; its leaf pairs go in ascending
+    matching cost until the cost reaches the best value so far, and
+    ``value`` returns inf once it cannot beat that ``cutoff`` either.
     """
     (vx, upx, belowx, slotsx, rx), (vy, upy, belowy, slotsy, ry) = _table(x), _table(y)
-    if len(vx) == len(vy) == 2:  # two trivial trees
-        return abs(vx[None] - vy[None])
     exact: dict = {}  # slot pair -> weight
     floor: dict = {}  # slot pair -> a bound its weight is known to reach
 
-    def slot(cx, cy, bound: float) -> float:
-        px, py = upx[cx], upy[cy]
+    def weight(a, b, cutoff: float) -> float:
+        if (a, b) in exact:
+            return exact[a, b]
+        px, py = upx[a], upy[b]
         saddles = abs(vx[px] - vy[py])
-        best = bound
-        for cost, mx, my in sorted([(cost, mx, my) for mx in belowx[cx] for my in belowy[cy]
-                                    if (cost := max(abs(vx[mx] - vy[my]), saddles)) < bound]):
+        if saddles >= cutoff or floor.get((a, b), -inf) >= cutoff:
+            return inf  # a weight is at least its saddle gap, or known to reach cutoff
+        # plain loops: a comprehension would make cells of these locals on every call
+        best, leaf_pairs = cutoff, []
+        for mx in belowx[a]:
+            for my in belowy[b]:
+                if (cost := max(abs(vx[mx] - vy[my]), saddles)) < cutoff:
+                    leaf_pairs.append((cost, mx, my))
+        for cost, mx, my in sorted(leaf_pairs):
             if cost >= best:
                 break
             best = min(best, value(cost, slotsx[mx, px], slotsy[my, py], best))
-        if best < bound:
-            exact[cx, cy] = best
+        if best < cutoff:
+            exact[a, b] = best
         else:
-            floor[cx, cy] = bound
+            floor[a, b] = cutoff
         return best
-
-    def weight(a, b, cutoff: float) -> float:
-        """The weight of slot pair (a, b) if below cutoff, else at least cutoff."""
-        if (a, b) in exact:
-            return exact[a, b]
-        if abs(vx[upx[a]] - vy[upy[b]]) >= cutoff or floor.get((a, b), -inf) >= cutoff:
-            return inf  # a weight is at least its saddle gap, or known to reach cutoff
-        return slot(a, b, cutoff)
 
     def value(cost: float, sx: tuple, sy: tuple, cutoff: float) -> float:
         hx = [a for a in sx if rx[a] > cost]  # slots too costly to remove at cost
         hy = [b for b in sy if ry[b] > cost]
         if not hx and not hy:
             return cost
-        # a heavy slot that can be neither removed nor matched below cutoff
-        if any(rx[a] >= cutoff and all(abs(vx[upx[a]] - vy[upy[b]]) >= cutoff for b in sy)
-               for a in hx):
-            return inf
-        if any(ry[b] >= cutoff and all(abs(vx[upx[a]] - vy[upy[b]]) >= cutoff for a in sx)
-               for b in hy):
-            return inf
-        # each heavy slot needs its removal or a partner within the value; score
-        # the costliest to remove first, each on its (weight, partner) row of
-        # weights below cutoff, until a score reaches the cutoff
+        # score each heavy slot on its (weight, partner) row of weights below cutoff
         low, rows_x, rows_y = cost, {}, {}
         heavy = sorted([*((rx[a], a, None) for a in hx), *((ry[b], None, b) for b in hy)],
                        key=itemgetter(0), reverse=True)
@@ -228,7 +218,7 @@ def _distance(x: MergeTree, y: MergeTree) -> float:
         t = _least_cover(low, rows_x, rx, cutoff)
         return _least_cover(t, rows_y, ry, cutoff) if t < cutoff else inf
 
-    return slot(x.root, y.root, inf)
+    return weight(x.root, y.root, inf)
 
 
 def branching_distance(x: MergeTree, y: MergeTree, tol: float | None = None) -> float:

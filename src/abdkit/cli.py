@@ -82,10 +82,7 @@ def cmd_matrix(args) -> int:
     dm = analysis.distance_matrix(
         graphs, n_frames=args.frames, avg=args.avg, tol=args.tol, labels=labels, jobs=args.jobs
     )
-    if args.out:
-        analysis.export(dm, args.out, "csv")
-    else:
-        sys.stdout.write(analysis.matrix_to_csv(dm))
+    _write_out(analysis.matrix_to_csv(dm), args.out)
     return 0
 
 
@@ -96,10 +93,7 @@ def cmd_cluster(args) -> int:
         assignment = analysis.cut_clusters(dend, args.cut)
         for label, c in zip(dend.labels, assignment):
             print(f"{label},{c}")
-    if args.out:
-        analysis.export(dend, args.out, "newick")
-    else:
-        sys.stdout.write(analysis.dendrogram_to_newick(dend) + "\n")
+    _write_out(analysis.dendrogram_to_newick(dend) + "\n", args.out)
     if args.svg:
         analysis.export(dend, args.svg, "svg")
     return 0
@@ -112,10 +106,7 @@ def cmd_mds(args) -> int:
         f"clamped eigenvalues: {emb.n_clamped} of {len(emb.eigenvalues)}",
         file=sys.stderr,
     )
-    if args.out:
-        analysis.export(emb, args.out, "csv")
-    else:
-        sys.stdout.write(analysis.embedding_to_csv(emb))
+    _write_out(analysis.embedding_to_csv(emb), args.out)
     if args.svg:
         analysis.export(emb, args.svg, "svg")
     return 0

@@ -280,11 +280,15 @@ MAX_TREE_VALUE = sys.float_info.max / 2
 def tree_from_dict(doc: dict) -> MergeTree:
     """Build and validate a tree.
 
-    A missing key, a wrong type, or a value that is NaN or beyond
-    ``MAX_TREE_VALUE`` is a ValueError.
+    A missing key, a wrong type, a node id listed twice, or a value that is
+    NaN or beyond ``MAX_TREE_VALUE`` is a ValueError.
     """
     try:
-        values = {int(n["id"]): float(n["value"]) for n in doc["nodes"]}
+        values: dict[int, float] = {}
+        for n in doc["nodes"]:
+            if (node := int(n["id"])) in values:
+                raise ValueError(f"duplicate node id {node}")
+            values[node] = float(n["value"])
         parent = {int(k): int(v) for k, v in doc["parent"].items()}
         for n, v in values.items():
             if not abs(v) <= MAX_TREE_VALUE:  # NaN fails too

@@ -119,7 +119,10 @@ def test_dist_rejects_tol_not_positive_and_finite(tmp_path, capsys, tol):
     ('{"nodes": [{"id": 0, "value": 1.0}], "parent": [0]}', "no attribute 'items'"),
     ('{"nodes": [{"id": 0, "value": -Infinity}], "parent": {"0": 0}}', "node 0 has value -inf"),
     ('{"nodes": [{"id": 0, "value": 1e308}], "parent": {"0": 0}}', "node 0 has value 1e+308"),
-], ids=["no-nodes", "graph-file", "list", "text-value", "parent-list", "infinite", "too-large"])
+    ('{"nodes": [{"id": 0, "value": 9.0}, {"id": 1, "value": 1.0}, {"id": 2, "value": 5.0},'
+     ' {"id": 2, "value": 7.0}], "parent": {"0": 0, "1": 0, "2": 0}}', "duplicate node id 2"),
+], ids=["no-nodes", "graph-file", "list", "text-value", "parent-list", "infinite", "too-large",
+        "duplicate-id"])
 def test_dist_malformed_tree_file_errors(tmp_path, capsys, content, problem):
     p = tmp_path / "t.json"
     p.write_text(content)
@@ -220,6 +223,19 @@ def test_mds_dims_below_one_rejected(tmp_path, capsys, dims):
     assert main(["mds", str(mpath), "--dims", dims, "--out", str(out), "--svg", str(svg)]) == 1
     assert capsys.readouterr().err == f"error: k={dims} must be at least 1\n"
     assert not out.exists() and not svg.exists()
+
+
+@pytest.mark.parametrize("stem", ["a,b", "a\nb"])
+def test_matrix_rejects_label_a_csv_cannot_hold(tmp_path, capsys, stem):
+    bad = shutil.copy(fixture_path("graph_triple_g.json"), tmp_path / f"{stem}.json")
+    ok = shutil.copy(fixture_path("graph_triple_h.json"), tmp_path / "c.json")
+    out = tmp_path / "m.csv"
+    assert main(["matrix", str(bad), str(ok), "--frames", "1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: label {stem!r} holds a comma or a line break, "
+                            "which a matrix CSV cannot hold\n")
+    assert not out.exists()
 
 
 def test_matrix_jobs_zero_rejected(capsys):
