@@ -32,6 +32,11 @@ removal cost and best partner weight, and returns inf at the first score
 to reach the cutoff; a slot neither removable nor matchable below it ends
 the value unaided, as the saddle-gap test empties its row.  The sides' covers
 are independent and monotone in t: the least t is the larger of theirs.
+The largest score ``low`` bounds every first weight of a slot not removable
+within it, so a side whose such slots have pairwise distinct first partners
+already holds a matching and covers at ``low``; only a side where two of
+them share a first partner searches for its least t by matchings.  A leaf
+pair with no slot on either side is worth its matching cost, no value asked.
 """
 
 from __future__ import annotations
@@ -162,6 +167,20 @@ def _least_cover(t: float, rows: dict, removal: dict, cutoff: float) -> float:
     return ts[i] if i < len(ts) else inf
 
 
+def _cover(t: float, rows: dict, removal: dict, cutoff: float) -> float:
+    """:func:`_least_cover`, for a ``t`` at least the first weight of every
+    slot not removable within it: if those slots' first partners are
+    pairwise distinct they are a matching, and ``t`` is the answer unsearched.
+    """
+    firsts = []
+    for a, row in rows.items():
+        if removal[a] > t:
+            firsts.append(row[0][1])
+    if len(set(firsts)) == len(firsts):
+        return t
+    return _least_cover(t, rows, removal, cutoff)
+
+
 def _distance(x: MergeTree, y: MergeTree) -> float:
     """d_B in one pass of the min-max recursion (see the module docstring).
 
@@ -190,7 +209,9 @@ def _distance(x: MergeTree, y: MergeTree) -> float:
         for cost, mx, my in sorted(leaf_pairs):
             if cost >= best:
                 break
-            best = min(best, value(cost, slotsx[mx, px], slotsy[my, py], best))
+            sx, sy = slotsx[mx, px], slotsy[my, py]
+            # a leaf pair with no slots on either side is worth its cost
+            best = cost if not sx and not sy else min(best, value(cost, sx, sy, best))
         if best < cutoff:
             exact[a, b] = best
         else:
@@ -198,25 +219,39 @@ def _distance(x: MergeTree, y: MergeTree) -> float:
         return best
 
     def value(cost: float, sx: tuple, sy: tuple, cutoff: float) -> float:
-        hx = [a for a in sx if rx[a] > cost]  # slots too costly to remove at cost
-        hy = [b for b in sy if ry[b] > cost]
-        if not hx and not hy:
+        # plain loops, as in weight: no cells
+        heavy = []  # slots too costly to remove at cost
+        for a in sx:
+            if rx[a] > cost:
+                heavy.append((rx[a], a, None))
+        for b in sy:
+            if ry[b] > cost:
+                heavy.append((ry[b], None, b))
+        if not heavy:
             return cost
         # score each heavy slot on its (weight, partner) row of weights below cutoff
         low, rows_x, rows_y = cost, {}, {}
-        heavy = sorted([*((rx[a], a, None) for a in hx), *((ry[b], None, b) for b in hy)],
-                       key=itemgetter(0), reverse=True)
+        heavy.sort(key=itemgetter(0), reverse=True)
         for removal, a, b in heavy:
+            r = []
             if b is None:
-                rows_x[a] = r = sorted([(w, c) for c in sy if (w := weight(a, c, cutoff)) < cutoff])
+                for c in sy:
+                    if (w := weight(a, c, cutoff)) < cutoff:
+                        r.append((w, c))
+                r.sort()
+                rows_x[a] = r
             else:
-                rows_y[b] = r = sorted([(w, c) for c in sx if (w := weight(c, b, cutoff)) < cutoff])
+                for c in sx:
+                    if (w := weight(c, b, cutoff)) < cutoff:
+                        r.append((w, c))
+                r.sort()
+                rows_y[b] = r
             low = max(low, min(removal, r[0][0]) if r else removal)
             if low >= cutoff:
                 return inf
         # the sides are covered apart, each monotone in t: the least t is the larger
-        t = _least_cover(low, rows_x, rx, cutoff)
-        return _least_cover(t, rows_y, ry, cutoff) if t < cutoff else inf
+        t = _cover(low, rows_x, rx, cutoff)
+        return _cover(t, rows_y, ry, cutoff) if t < cutoff else inf
 
     return weight(x.root, y.root, inf)
 

@@ -11,7 +11,7 @@ coordinates.  Two on-disk formats are supported:
 * edge list: a ``# id x y`` coordinate header block followed by one
   ``u v`` pair per line.
 
-Loading validates the graph (unique ids, finite coordinates within
+Loading validates the graph (unique integer ids, finite coordinates within
 ``MAX_COORDINATE_SUM``, no dangling endpoints, no self-loops) and collapses
 parallel edges, which never affect sublevel-set connectivity.
 """
@@ -21,8 +21,9 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 __all__ = [
@@ -128,7 +129,9 @@ def load_graph(path: str | Path, format: str = "json") -> EmbeddedGraph:
     """Load and validate an embedded graph from ``path``.
 
     Parallel edges are collapsed; vertex order is preserved as given.
-    Raises :class:`GraphFormatError` on parse failures, a non-finite
+    Raises :class:`GraphFormatError`, its message prefixed with ``path``,
+    on parse failures, a vertex id or edge endpoint that is not an integer
+    (in JSON, any value but an integer), a duplicate vertex id, a non-finite
     coordinate (``NaN``/``Infinity`` in JSON, ``nan``/``inf`` in an edge
     list), a vertex with ``|x| + |y|`` above ``MAX_COORDINATE_SUM``,
     dangling edge endpoints, self-loops, or an empty vertex set.
@@ -136,7 +139,10 @@ def load_graph(path: str | Path, format: str = "json") -> EmbeddedGraph:
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
     text = Path(path).read_text()
-    g = _parse_json(text) if format == "json" else _parse_edgelist(text)
+    try:
+        g = _parse_json(text) if format == "json" else _parse_edgelist(text)
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from None
     for v, (x, y) in g.vertices.items():
         if not (math.isfinite(x) and math.isfinite(y)):
             raise GraphFormatError(f"{path}: vertex {v} has a non-finite coordinate ({x}, {y})")
@@ -146,16 +152,31 @@ def load_graph(path: str | Path, format: str = "json") -> EmbeddedGraph:
     return g
 
 
+def _reject_non_integer(values, what: str) -> None:
+    """Name the first of ``values`` that is not a JSON integer (an int, not a bool or float)."""
+    for v in values:
+        if type(v) is not int:
+            raise GraphFormatError(f"{what} {v!r} is not an integer")
+
+
 def _parse_json(text: str) -> EmbeddedGraph:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
     try:
-        vertices = {int(v["id"]): (float(v["x"]), float(v["y"])) for v in doc["vertices"]}
-        if len(vertices) != len(doc["vertices"]):
-            raise GraphFormatError("duplicate vertex id")
-        edges = [(int(u), int(v)) for u, v in doc["edges"]]
+        # int() would truncate 0.5 and read true as 1; a type scan is cheaper
+        # than one int() a value, and the slow scan runs only to name a culprit
+        ids = [v["id"] for v in doc["vertices"]]
+        if set(map(type, ids)) - {int}:
+            _reject_non_integer(ids, "vertex id")
+        vertices = {v["id"]: (float(v["x"]), float(v["y"])) for v in doc["vertices"]}
+        if len(vertices) != len(ids):
+            dup = next(v for v, n in Counter(ids).items() if n > 1)
+            raise GraphFormatError(f"duplicate vertex id {dup}")
+        edges = [(u, v) for u, v in doc["edges"]]
+        if ({type(u) for u, _ in edges} | {type(v) for _, v in edges}) - {int}:
+            _reject_non_integer(chain.from_iterable(edges), "edge endpoint")
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, GraphFormatError):
             raise

@@ -280,16 +280,24 @@ MAX_TREE_VALUE = sys.float_info.max / 2
 def tree_from_dict(doc: dict) -> MergeTree:
     """Build and validate a tree.
 
-    A missing key, a wrong type, a node id listed twice, or a value that is
-    NaN or beyond ``MAX_TREE_VALUE`` is a ValueError.
+    A missing key, a wrong type, a node id or parent that is not an integer
+    (an int, not a bool or float), a node id listed twice, or a value that
+    is NaN or beyond ``MAX_TREE_VALUE`` is a ValueError.  Parent keys are
+    strings of integers, as JSON object keys are strings.
     """
     try:
         values: dict[int, float] = {}
         for n in doc["nodes"]:
-            if (node := int(n["id"])) in values:
+            if type(node := n["id"]) is not int:
+                raise ValueError(f"node id {node!r} is not an integer")
+            if node in values:
                 raise ValueError(f"duplicate node id {node}")
             values[node] = float(n["value"])
-        parent = {int(k): int(v) for k, v in doc["parent"].items()}
+        parent: dict[int, int] = {}
+        for k, p in doc["parent"].items():
+            if type(p) is not int:
+                raise ValueError(f"parent {p!r} of node {k} is not an integer")
+            parent[int(k)] = p
         for n, v in values.items():
             if not abs(v) <= MAX_TREE_VALUE:  # NaN fails too
                 raise ValueError(f"node {n} has value {v!r}, beyond |value| <= {MAX_TREE_VALUE!r}")

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from abdkit.abd import frame_angles, merge_tree_at
+from abdkit import branching
+from abdkit.abd import frame_angles, frame_trees, merge_tree_at
 from abdkit.branching import MAX_LEAVES, Branch, branching_distance, matching_cost, removal_cost
 from abdkit.fixtures import graph_counterexample, tree_counterexample
 from abdkit.merge_tree import MergeTree
@@ -21,7 +22,7 @@ from abdkit.oracles import (
     minmax_distance,
     representations,
 )
-from abdkit.synth import comb, random_merge_tree
+from abdkit.synth import comb, random_merge_tree, shape_dataset
 
 from conftest import tree
 
@@ -627,28 +628,106 @@ def _metamorphic_pairs(rng):
         yield random_caterpillar(rng, n), random_caterpillar(rng, n, integer_values=n == 14)
 
 
+def _minmax_reference_pairs(rng):
+    """Random pairs of up to 20 leaves, caterpillars, stars, combs and the
+    fixture triples."""
+    for i in range(45):
+        yield (random_merge_tree(rng, max_leaves=20, integer_values=i % 3 == 2),
+               random_merge_tree(rng, max_leaves=20, integer_values=i % 3 == 2))
+    for n in (12, 16, 20):
+        yield random_caterpillar(rng, n), random_caterpillar(rng, n - 2)
+        yield (random_caterpillar(rng, n, integer_values=True),
+               random_caterpillar(rng, n, integer_values=True))
+    for n in (5, 12, 20):
+        yield random_star(rng, n), random_star(rng, n - 1, integer_values=True)
+        yield random_star(rng, n), random_caterpillar(rng, n)
+    trees = list(_comb_trees())
+    yield from zip(trees[::2], trees[1::2])
+    triple = tree_counterexample()
+    graphs = [merge_tree_at(g, frame_angles(1)[0]) for g in graph_counterexample()]
+    for t in (triple, graphs):
+        yield from ((a, b) for a in t for b in t)
+
+
 def test_engine_matches_minmax_reference(rng):
     # the engine prunes every weight at its caller's cutoff; the reference
     # computes each in full, so the two must agree to the bit
-    def pairs():
-        for i in range(45):
-            yield (random_merge_tree(rng, max_leaves=20, integer_values=i % 3 == 2),
-                   random_merge_tree(rng, max_leaves=20, integer_values=i % 3 == 2))
-        for n in (12, 16, 20):
-            yield random_caterpillar(rng, n), random_caterpillar(rng, n - 2)
-            yield (random_caterpillar(rng, n, integer_values=True),
-                   random_caterpillar(rng, n, integer_values=True))
-        for n in (5, 12, 20):
-            yield random_star(rng, n), random_star(rng, n - 1, integer_values=True)
-            yield random_star(rng, n), random_caterpillar(rng, n)
-        trees = list(_comb_trees())
-        yield from zip(trees[::2], trees[1::2])
-        triple = tree_counterexample()
-        graphs = [merge_tree_at(g, frame_angles(1)[0]) for g in graph_counterexample()]
-        for t in (triple, graphs):
-            yield from ((a, b) for a in t for b in t)
+    for x, y in _minmax_reference_pairs(rng):
+        assert branching_distance(x, y) == minmax_distance(x, y)
+        assert branching_distance(y, x) == minmax_distance(y, x)
 
-    for x, y in pairs():
+
+def _count_covers(monkeypatch):
+    """Count the engine's covers, and the matching searches among them."""
+    counts = {"covers": 0, "searches": 0}
+    cover, search = branching._cover, branching._least_cover
+
+    def counted_cover(*args):
+        counts["covers"] += 1
+        return cover(*args)
+
+    def counted_search(*args):
+        counts["searches"] += 1
+        return search(*args)
+
+    monkeypatch.setattr(branching, "_cover", counted_cover)
+    monkeypatch.setattr(branching, "_least_cover", counted_search)
+    return counts
+
+
+def test_engine_runs_both_cover_paths(rng, monkeypatch):
+    # a side whose pressing slots have distinct first partners is covered
+    # without a search; a shared first partner searches by matchings
+    counts = _count_covers(monkeypatch)
+    for x, y in _minmax_reference_pairs(rng):
+        branching_distance(x, y)
+        branching_distance(y, x)
+    assert counts["searches"] > 0
+    assert counts["covers"] - counts["searches"] > 0
+
+
+def _star(*values):
+    """Leaves 0..n-2 at ``values[:-1]`` under one root at ``values[-1]``."""
+    root = len(values) - 1
+    return tree(dict(enumerate(values)), {i: root for i in range(root + 1)})
+
+
+# In every pair, two slots of one side weigh least against the same slot of
+# the other, so the first partners are no matching: the search must run.
+SHARED_FIRST_PARTNER_PAIRS = [
+    # roots match leaf 0 to leaf 0; x's slots 1 and 2 both weigh least against
+    # y's slot 1, so x's 2 goes to y's 5 and d_B = 3
+    (_star(0, 1, 2, 10), _star(0, 1, 5, 10)),
+    (_star(0, 1, 2, 3, 10), _star(0, 1, 6, 7, 10)),
+    # tied slots: x's two leaves at 2 share y's leaf at 2
+    (_star(0, 2, 2, 10), _star(0, 2, 4, 10)),
+    # nested: the slots hang at two saddles of the root branch
+    (tree({0: 0, 1: 1, 2: 2, 3: 6, 4: 8}, {0: 3, 1: 3, 3: 4, 2: 4, 4: 4}),
+     tree({0: 0, 1: 1, 2: 5, 3: 6, 4: 8}, {0: 3, 1: 3, 3: 4, 2: 4, 4: 4})),
+]
+
+
+@pytest.mark.parametrize("x, y", SHARED_FIRST_PARTNER_PAIRS,
+                         ids=["star3", "star4", "tied-star3", "nested"])
+def test_shared_first_partner_matches_minmax_reference(x, y, monkeypatch):
+    counts = _count_covers(monkeypatch)
+    for a, b in ((x, y), (y, x)):
+        searches = counts["searches"]
+        assert branching_distance(a, b) == minmax_distance(a, b)
+        assert counts["searches"] > searches
+
+
+def test_engine_matches_minmax_reference_on_shape_dataset():
+    # the paper's clustering run: every distinct (tree, tree) item of the
+    # 18-graph matrix at 10 frames, in both argument orders
+    graphs, _ = shape_dataset(seed=0)
+    rows = [frame_trees(g, frame_angles(10)) for g in graphs]
+    items = {}
+    for rx, ry in combinations(rows, 2):
+        for x, y in zip(rx, ry):
+            items.setdefault((x.canonical_key(), y.canonical_key()), (x, y))
+    assert len(items) > 1000
+    for x, y in items.values():
         assert branching_distance(x, y) == minmax_distance(x, y)
         assert branching_distance(y, x) == minmax_distance(y, x)
 

@@ -121,8 +121,17 @@ def test_dist_rejects_tol_not_positive_and_finite(tmp_path, capsys, tol):
     ('{"nodes": [{"id": 0, "value": 1e308}], "parent": {"0": 0}}', "node 0 has value 1e+308"),
     ('{"nodes": [{"id": 0, "value": 9.0}, {"id": 1, "value": 1.0}, {"id": 2, "value": 5.0},'
      ' {"id": 2, "value": 7.0}], "parent": {"0": 0, "1": 0, "2": 0}}', "duplicate node id 2"),
+    # int() would truncate these to nodes 0 and 2, and dist would print 0.0
+    ('{"nodes": [{"id": 0.5, "value": 1.0}, {"id": 2, "value": 3.0}],'
+     ' "parent": {"0": 2.7, "2": 2}}', "node id 0.5 is not an integer"),
+    ('{"nodes": [{"id": 0, "value": 1.0}, {"id": 1, "value": 2.0}, {"id": 2, "value": 3.0}],'
+     ' "parent": {"0": 2.7, "1": 2, "2": 2}}', "parent 2.7 of node 0 is not an integer"),
+    ('{"nodes": [{"id": true, "value": 1.0}], "parent": {"1": 1}}',
+     "node id True is not an integer"),
+    ('{"nodes": [{"id": 0, "value": 1.0}], "parent": {"0": "0"}}',
+     "parent '0' of node 0 is not an integer"),
 ], ids=["no-nodes", "graph-file", "list", "text-value", "parent-list", "infinite", "too-large",
-        "duplicate-id"])
+        "duplicate-id", "fractional-id", "fractional-parent", "bool-id", "string-parent"])
 def test_dist_malformed_tree_file_errors(tmp_path, capsys, content, problem):
     p = tmp_path / "t.json"
     p.write_text(content)
@@ -236,6 +245,26 @@ def test_matrix_rejects_label_a_csv_cannot_hold(tmp_path, capsys, stem):
     assert captured.err == (f"error: label {stem!r} holds a comma or a line break, "
                             "which a matrix CSV cannot hold\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("content, problem", [
+    ("{not json", "invalid JSON: "),
+    ('{"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 0, "x": 1, "y": 0}], "edges": []}',
+     "duplicate vertex id 0"),
+    ('{"vertices": [{"id": 0, "x": 0, "y": 0}], "edges": [[0, 5]]}',
+     "edge (0, 5) references a missing vertex"),
+    ('{"vertices": [{"id": 0.2, "x": 0, "y": 0}, {"id": 0.7, "x": 1, "y": 0}],'
+     ' "edges": [[0.2, 0.7]]}', "vertex id 0.2 is not an integer"),
+], ids=["invalid-json", "duplicate-id", "dangling", "fractional-id"])
+def test_matrix_graph_error_names_the_file(tmp_path, capsys, content, problem):
+    # among several good files, the error says which one is bad
+    ok = str(shutil.copy(fixture_path("graph_triple_g.json"), tmp_path / "ok.json"))
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    assert main(["matrix", ok, str(bad), ok, "--frames", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: {problem}")
 
 
 def test_matrix_jobs_zero_rejected(capsys):

@@ -39,7 +39,7 @@ def test_self_loop_rejected(tmp_path):
     doc = {"vertices": [{"id": 0, "x": 0, "y": 0}], "edges": [[0, 0]]}
     p = tmp_path / "loop.json"
     p.write_text(json.dumps(doc))
-    with pytest.raises(GraphFormatError, match="self-loop"):
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(f'{p}: self-loop at vertex 0')}$"):
         load_graph(p)
 
 
@@ -61,7 +61,43 @@ def test_dangling_endpoint_rejected():
 def test_parse_failure(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
-    with pytest.raises(GraphFormatError, match="invalid JSON"):
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(f'{p}: invalid JSON: ')}"):
+        load_graph(p)
+
+
+@pytest.mark.parametrize("fmt, text, message", [
+    ("json", '{"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0},'
+             ' {"id": 1, "x": 2, "y": 0}], "edges": [[0, 1]]}', "duplicate vertex id 1"),
+    ("edgelist", "# 0 0 0\n# 1 1 0\n# 1 2 0\n0 1\n", "duplicate vertex id 1"),
+    ("json", '{"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}],'
+             ' "edges": [[0, 5]]}', "edge (0, 5) references a missing vertex"),
+    ("edgelist", "# 0 0 0\n# 1 1 0\n0 1\n0 1 2\n", "cannot parse line 4: '0 1 2'"),
+], ids=["json-duplicate", "edgelist-duplicate", "json-dangling", "edgelist-line"])
+def test_load_error_names_file(tmp_path, fmt, text, message):
+    p = tmp_path / "g.txt"
+    p.write_text(text)
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(f'{p}: {message}')}$"):
+        load_graph(p, fmt)
+
+
+@pytest.mark.parametrize("vertex_ids, edge, message", [
+    # int() would truncate both ids to 0 and call them duplicates
+    ((0.2, 0.7), [0.2, 0.7], "vertex id 0.2 is not an integer"),
+    ((0, 1.0), [0, 1], "vertex id 1.0 is not an integer"),
+    ((0, True), [0, 1], "vertex id True is not an integer"),
+    ((0, "1"), [0, 1], "vertex id '1' is not an integer"),
+    ((0, None), [0, 1], "vertex id None is not an integer"),
+    ((0, 1), [0, 0.7], "edge endpoint 0.7 is not an integer"),
+    ((0, 1), [False, 1], "edge endpoint False is not an integer"),
+    ((0, 1), ["0", 1], "edge endpoint '0' is not an integer"),
+], ids=["fractions", "float", "bool", "string", "null", "edge-fraction", "edge-bool",
+        "edge-string"])
+def test_json_ids_must_be_integers(tmp_path, vertex_ids, edge, message):
+    doc = {"vertices": [{"id": v, "x": float(k), "y": 0.0} for k, v in enumerate(vertex_ids)],
+           "edges": [edge]}
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(f'{p}: {message}')}$"):
         load_graph(p)
 
 
