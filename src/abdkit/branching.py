@@ -32,16 +32,16 @@ removal cost and best partner weight, and returns inf at the first score
 to reach the cutoff; a slot neither removable nor matchable below it ends
 the value unaided, as the saddle-gap test empties its row.  The sides' covers
 are independent and monotone in t: the least t is the larger of theirs.
-The largest score ``low`` bounds every first weight of a slot not removable
-within it, so a side whose such slots have pairwise distinct first partners
-already holds a matching and covers at ``low``; only a side where two of
-them share a first partner searches for its least t by matchings.  A leaf
-pair with no slot on either side is worth its matching cost, no value asked.
+Each side grows one bottleneck matching from the largest score ``low``
+upward: a slot whose first partner is free takes it at once, and a slot
+that finds no augmenting path raises t straight to the least removal cost,
+or weight on a partner the search did not see, among the slots it
+reached.  A leaf pair with no slot on either side is worth its matching
+cost, no value asked.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from math import inf
 from operator import itemgetter
@@ -132,53 +132,43 @@ def _table(mt: MergeTree) -> tuple[dict, dict, dict, dict, dict]:
     return mt.branch_table
 
 
-def _covers(partners: dict) -> bool:
-    """Does some matching cover every key of ``partners``?  Augmenting paths."""
-    owner: dict = {}
-
-    def augment(a, seen: set) -> bool:
-        for b in partners[a]:
-            if b not in seen:
-                seen.add(b)
-                if b not in owner or augment(owner[b], seen):
-                    owner[b] = a
-                    return True
-        return False
-
-    return all(augment(a, set()) for a in partners)
+def _augment(a, u: float, rows: dict, owner: dict, seen: set) -> bool:
+    """Match slot ``a`` within ``u`` along an augmenting path over ``owner``
+    (partner -> slot), marking every partner tried in ``seen``."""
+    for w, b in rows[a]:
+        if w > u:
+            return False
+        if b not in seen:
+            seen.add(b)
+            if b not in owner or _augment(owner[b], u, rows, owner, seen):
+                owner[b] = a
+                return True
+    return False
 
 
 def _least_cover(t: float, rows: dict, removal: dict, cutoff: float) -> float:
     """Least t' >= ``t`` at which every slot of ``rows`` not removable within
     t' has its own partner within t', or inf if none below ``cutoff`` does.
 
-    ``rows[a]`` lists a's ``(weight, partner)`` pairs, weights ascending;
-    only ``t``, the weights and the removal costs can be the answer.
+    ``rows[a]`` lists a's ``(weight, partner)`` pairs, weights ascending.  One
+    matching grows slot by slot.  When a slot finds no augmenting path, the
+    slots the search reached hold fewer partners within t than themselves
+    (those seen), and keep doing so until t reaches one's removal cost or
+    weight on a partner not seen: t jumps to the least of these, and the
+    slots then removable leave the matching.
     """
-    def covers(t: float) -> bool:
-        return _covers({a: [b for w, b in row if w <= t]
-                        for a, row in rows.items() if removal[a] > t})
-
-    if covers(t):
-        return t
-    ts = sorted({u for a, row in rows.items() for u in (removal[a], *(w for w, _ in row))
-                 if t < u < cutoff})
-    i = bisect_left(ts, True, key=covers)  # covering only grows with t
-    return ts[i] if i < len(ts) else inf
-
-
-def _cover(t: float, rows: dict, removal: dict, cutoff: float) -> float:
-    """:func:`_least_cover`, for a ``t`` at least the first weight of every
-    slot not removable within it: if those slots' first partners are
-    pairwise distinct they are a matching, and ``t`` is the answer unsearched.
-    """
-    firsts = []
-    for a, row in rows.items():
-        if removal[a] > t:
-            firsts.append(row[0][1])
-    if len(set(firsts)) == len(firsts):
-        return t
-    return _least_cover(t, rows, removal, cutoff)
+    owner: dict = {}  # partner -> slot
+    for a in rows:
+        while removal[a] > t:
+            seen: set = set()
+            if _augment(a, t, rows, owner, seen):
+                break
+            t = min(min(removal[c], next((w for w, b in rows[c] if b not in seen), inf))
+                    for c in (a, *(owner[b] for b in seen)))
+            if t >= cutoff:
+                return inf
+            owner = {b: c for b, c in owner.items() if removal[c] > t}
+    return t
 
 
 def _distance(x: MergeTree, y: MergeTree) -> float:
@@ -250,8 +240,8 @@ def _distance(x: MergeTree, y: MergeTree) -> float:
             if low >= cutoff:
                 return inf
         # the sides are covered apart, each monotone in t: the least t is the larger
-        t = _cover(low, rows_x, rx, cutoff)
-        return _cover(t, rows_y, ry, cutoff) if t < cutoff else inf
+        t = _least_cover(low, rows_x, rx, cutoff)
+        return _least_cover(t, rows_y, ry, cutoff) if t < cutoff else inf
 
     return weight(x.root, y.root, inf)
 

@@ -11,19 +11,19 @@ coordinates.  Two on-disk formats are supported:
 * edge list: a ``# id x y`` coordinate header block followed by one
   ``u v`` pair per line.
 
-Loading validates the graph (unique integer ids, finite coordinates within
-``MAX_COORDINATE_SUM``, no dangling endpoints, no self-loops) and collapses
-parallel edges, which never affect sublevel-set connectivity.
+Loading validates the graph (unique integer ids, finite numeric coordinates
+within ``MAX_COORDINATE_SUM``, no dangling endpoints, no self-loops) and
+collapses parallel edges, which never affect sublevel-set connectivity.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 
 __all__ = [
@@ -56,7 +56,9 @@ class EmbeddedGraph:
     filtration stores the graph's index arrays in ``arrays`` (vertex ids in
     vertex order, x and y columns, edge endpoints as row indices, then the
     extent; not compared, not in ``repr``), and every later direction reuses
-    them, so a graph is not edited after its first filtration.
+    them, so a graph is not edited after its first filtration.  A vertex id
+    or edge endpoint that is not an int (a float or a bool, say) is a
+    :class:`GraphFormatError`.
     """
 
     vertices: dict[int, tuple[float, float]] = field(default_factory=dict)
@@ -64,6 +66,8 @@ class EmbeddedGraph:
     arrays: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not set(map(type, self.vertices)) <= {int}:
+            _reject_non_integer(self.vertices, "vertex id")
         self.edges = _normalize_edges(self.vertices, self.edges)
 
     @property
@@ -111,8 +115,9 @@ def _normalize_edges(
         raise GraphFormatError("graph has an empty vertex set")
     seen: set[tuple[int, int]] = set()
     out: list[tuple[int, int]] = []
-    for e in edges:
-        u, v = int(e[0]), int(e[1])
+    for u, v in edges:
+        if type(u) is not int or type(v) is not int:
+            _reject_non_integer((u, v), "edge endpoint")
         if u == v:
             raise GraphFormatError(f"self-loop at vertex {u}")
         if u not in vertices or v not in vertices:
@@ -131,10 +136,13 @@ def load_graph(path: str | Path, format: str = "json") -> EmbeddedGraph:
     Parallel edges are collapsed; vertex order is preserved as given.
     Raises :class:`GraphFormatError`, its message prefixed with ``path``,
     on parse failures, a vertex id or edge endpoint that is not an integer
-    (in JSON, any value but an integer), a duplicate vertex id, a non-finite
-    coordinate (``NaN``/``Infinity`` in JSON, ``nan``/``inf`` in an edge
-    list), a vertex with ``|x| + |y|`` above ``MAX_COORDINATE_SUM``,
-    dangling edge endpoints, self-loops, or an empty vertex set.
+    (in JSON, any value but an integer; in an edge list, anything but a sign
+    and ASCII digits), a coordinate that is not a number (in JSON, a string,
+    bool or null; in an edge list, text with ``_`` or non-ASCII characters),
+    a duplicate vertex id, a non-finite coordinate (``NaN``/``Infinity`` in
+    JSON, ``nan``/``inf`` in an edge list), a vertex with ``|x| + |y|``
+    above ``MAX_COORDINATE_SUM``, dangling edge endpoints, self-loops, or an
+    empty vertex set.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
@@ -159,29 +167,57 @@ def _reject_non_integer(values, what: str) -> None:
             raise GraphFormatError(f"{what} {v!r} is not an integer")
 
 
+def _reject_non_number(ids, xs, ys) -> None:
+    """Name the first coordinate that is not a JSON number (an int or float, not a bool)."""
+    for v, x, y in zip(ids, xs, ys):
+        for axis, c in (("x", x), ("y", y)):
+            if type(c) not in (int, float):
+                raise GraphFormatError(f"vertex {v!r} has {axis} {c!r}, not a number")
+
+
 def _parse_json(text: str) -> EmbeddedGraph:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
     try:
-        # int() would truncate 0.5 and read true as 1; a type scan is cheaper
-        # than one int() a value, and the slow scan runs only to name a culprit
-        ids = [v["id"] for v in doc["vertices"]]
-        if set(map(type, ids)) - {int}:
-            _reject_non_integer(ids, "vertex id")
-        vertices = {v["id"]: (float(v["x"]), float(v["y"])) for v in doc["vertices"]}
+        # float() would read "0.5" and true as numbers; one scan of the types
+        # is cheaper than a test per value, and the slow scan only names a culprit
+        ids, xs, ys = [], [], []
+        for v in doc["vertices"]:
+            ids.append(v["id"])
+            xs.append(v["x"])
+            ys.append(v["y"])
+        if not {*map(type, xs), *map(type, ys)} <= {int, float}:
+            _reject_non_number(ids, xs, ys)
+        vertices = dict(zip(ids, zip(map(float, xs), map(float, ys))))
         if len(vertices) != len(ids):
+            _reject_non_integer(ids, "vertex id")  # 0 and 0.0 are one key
             dup = next(v for v, n in Counter(ids).items() if n > 1)
             raise GraphFormatError(f"duplicate vertex id {dup}")
         edges = [(u, v) for u, v in doc["edges"]]
-        if ({type(u) for u, _ in edges} | {type(v) for _, v in edges}) - {int}:
-            _reject_non_integer(chain.from_iterable(edges), "edge endpoint")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, GraphFormatError):
             raise
         raise GraphFormatError(f"malformed graph JSON: {exc}") from exc
     return EmbeddedGraph(vertices, edges)
+
+
+_EDGELIST_ID = re.compile(r"[+-]?[0-9]+")
+
+
+def _edgelist_id(token: str) -> int:
+    """An optional sign and ASCII digits; int() alone would read ``1_0`` as 10."""
+    if not _EDGELIST_ID.fullmatch(token):
+        raise ValueError(f"not an id: {token!r}")
+    return int(token)
+
+
+def _edgelist_coordinate(token: str) -> float:
+    """float() of ASCII text with no ``_``; float() alone would read ``1_0.5`` as 10.5."""
+    if "_" in token or not token.isascii():
+        raise ValueError(f"not a coordinate: {token!r}")
+    return float(token)
 
 
 def _parse_edgelist(text: str) -> EmbeddedGraph:
@@ -194,13 +230,13 @@ def _parse_edgelist(text: str) -> EmbeddedGraph:
         try:
             if line.startswith("#"):
                 ident, x, y = line[1:].split()
-                vid = int(ident)
+                vid = _edgelist_id(ident)
                 if vid in vertices:
                     raise GraphFormatError(f"duplicate vertex id {vid}")
-                vertices[vid] = (float(x), float(y))
+                vertices[vid] = (_edgelist_coordinate(x), _edgelist_coordinate(y))
             else:
                 u, v = line.split()
-                edges.append((int(u), int(v)))
+                edges.append((_edgelist_id(u), _edgelist_id(v)))
         except (ValueError, GraphFormatError) as exc:
             if isinstance(exc, GraphFormatError):
                 raise

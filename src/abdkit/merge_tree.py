@@ -281,8 +281,9 @@ def tree_from_dict(doc: dict) -> MergeTree:
     """Build and validate a tree.
 
     A missing key, a wrong type, a node id or parent that is not an integer
-    (an int, not a bool or float), a node id listed twice, or a value that
-    is NaN or beyond ``MAX_TREE_VALUE`` is a ValueError.  Parent keys are
+    (an int, not a bool or float), a node id listed twice, a value that is
+    not a number (an int or float, not a bool or string), or one that is
+    NaN or beyond ``MAX_TREE_VALUE`` is a ValueError.  Parent keys are
     strings of integers, as JSON object keys are strings.
     """
     try:
@@ -292,7 +293,9 @@ def tree_from_dict(doc: dict) -> MergeTree:
                 raise ValueError(f"node id {node!r} is not an integer")
             if node in values:
                 raise ValueError(f"duplicate node id {node}")
-            values[node] = float(n["value"])
+            if type(v := n["value"]) not in (int, float):
+                raise ValueError(f"could not convert the value {v!r} of node {node} to a number")
+            values[node] = float(v)
         parent: dict[int, int] = {}
         for k, p in doc["parent"].items():
             if type(p) is not int:

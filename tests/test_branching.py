@@ -1,5 +1,5 @@
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -657,33 +657,51 @@ def test_engine_matches_minmax_reference(rng):
         assert branching_distance(y, x) == minmax_distance(y, x)
 
 
-def _count_covers(monkeypatch):
-    """Count the engine's covers, and the matching searches among them."""
-    counts = {"covers": 0, "searches": 0}
-    cover, search = branching._cover, branching._least_cover
+def _reference_least_cover(t, rows, removal, cutoff):
+    """The least cover by bisection: a fresh matching at each candidate t."""
+    def covers(t):
+        partners = {a: [b for w, b in row if w <= t] for a, row in rows.items() if removal[a] > t}
+        owner = {}
 
-    def counted_cover(*args):
-        counts["covers"] += 1
-        return cover(*args)
+        def augment(a, seen):
+            for b in partners[a]:
+                if b not in seen:
+                    seen.add(b)
+                    if b not in owner or augment(owner[b], seen):
+                        owner[b] = a
+                        return True
+            return False
 
-    def counted_search(*args):
-        counts["searches"] += 1
-        return search(*args)
+        return all(augment(a, set()) for a in partners)
 
-    monkeypatch.setattr(branching, "_cover", counted_cover)
-    monkeypatch.setattr(branching, "_least_cover", counted_search)
-    return counts
+    if covers(t):
+        return t
+    ts = sorted({u for a, row in rows.items() for u in (removal[a], *(w for w, _ in row))
+                 if t < u < cutoff})
+    i = bisect_left(ts, True, key=covers)  # covering only grows with t
+    return ts[i] if i < len(ts) else math.inf
 
 
-def test_engine_runs_both_cover_paths(rng, monkeypatch):
-    # a side whose pressing slots have distinct first partners is covered
-    # without a search; a shared first partner searches by matchings
-    counts = _count_covers(monkeypatch)
-    for x, y in _minmax_reference_pairs(rng):
-        branching_distance(x, y)
-        branching_distance(y, x)
-    assert counts["searches"] > 0
-    assert counts["covers"] - counts["searches"] > 0
+@st.composite
+def cover_problems(draw):
+    """Rows of 1-8 slots over 1-8 partners with small integer weights, so
+    weights tie; ``t`` sometimes one of them, ``cutoff`` sometimes inf."""
+    n_slots, n_partners = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    weights = st.integers(0, 6).map(float)
+    rows = {a: sorted((w, b) for b, w in draw(
+                st.dictionaries(st.integers(0, n_partners - 1), weights)).items())
+            for a in range(n_slots)}
+    removal = {a: draw(weights) for a in rows}
+    row_weights = sorted({w for row in rows.values() for w, _ in row})
+    t = draw(st.sampled_from(row_weights) if row_weights and draw(st.booleans()) else weights)
+    cutoff = draw(st.just(math.inf) | st.integers(0, 7).map(float))
+    return t, rows, removal, cutoff
+
+
+@given(problem=cover_problems())
+@settings(max_examples=500, deadline=None)
+def test_least_cover_matches_bisection(problem):
+    assert branching._least_cover(*problem) == _reference_least_cover(*problem)
 
 
 def _star(*values):
@@ -693,7 +711,8 @@ def _star(*values):
 
 
 # In every pair, two slots of one side weigh least against the same slot of
-# the other, so the first partners are no matching: the search must run.
+# the other, so the first partners are no matching: the search must go past
+# a first partner, into its owner, or fail and raise t.
 SHARED_FIRST_PARTNER_PAIRS = [
     # roots match leaf 0 to leaf 0; x's slots 1 and 2 both weigh least against
     # y's slot 1, so x's 2 goes to y's 5 and d_B = 3
@@ -710,11 +729,22 @@ SHARED_FIRST_PARTNER_PAIRS = [
 @pytest.mark.parametrize("x, y", SHARED_FIRST_PARTNER_PAIRS,
                          ids=["star3", "star4", "tied-star3", "nested"])
 def test_shared_first_partner_matches_minmax_reference(x, y, monkeypatch):
-    counts = _count_covers(monkeypatch)
+    augment, depth, contested = branching._augment, [0], [0]
+
+    def counted_augment(*args):
+        # a call made inside another recursed into an owner
+        contested[0] += depth[0] > 0
+        depth[0] += 1
+        matched = augment(*args)
+        depth[0] -= 1
+        contested[0] += not matched
+        return matched
+
+    monkeypatch.setattr(branching, "_augment", counted_augment)
     for a, b in ((x, y), (y, x)):
-        searches = counts["searches"]
+        before = contested[0]
         assert branching_distance(a, b) == minmax_distance(a, b)
-        assert counts["searches"] > searches
+        assert contested[0] > before
 
 
 def test_engine_matches_minmax_reference_on_shape_dataset():

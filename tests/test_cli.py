@@ -130,8 +130,14 @@ def test_dist_rejects_tol_not_positive_and_finite(tmp_path, capsys, tol):
      "node id True is not an integer"),
     ('{"nodes": [{"id": 0, "value": 1.0}], "parent": {"0": "0"}}',
      "parent '0' of node 0 is not an integer"),
+    # float() would read these as 1.5 and 1.0, and dist would print 0.0
+    ('{"nodes": [{"id": 0, "value": "1.5"}], "parent": {"0": 0}}',
+     "could not convert the value '1.5' of node 0 to a number"),
+    ('{"nodes": [{"id": 0, "value": 2.0}, {"id": 1, "value": true}], "parent": {"0": 0, "1": 0}}',
+     "could not convert the value True of node 1 to a number"),
 ], ids=["no-nodes", "graph-file", "list", "text-value", "parent-list", "infinite", "too-large",
-        "duplicate-id", "fractional-id", "fractional-parent", "bool-id", "string-parent"])
+        "duplicate-id", "fractional-id", "fractional-parent", "bool-id", "string-parent",
+        "numeric-string-value", "bool-value"])
 def test_dist_malformed_tree_file_errors(tmp_path, capsys, content, problem):
     p = tmp_path / "t.json"
     p.write_text(content)

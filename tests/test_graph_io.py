@@ -72,7 +72,10 @@ def test_parse_failure(tmp_path):
     ("json", '{"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}],'
              ' "edges": [[0, 5]]}', "edge (0, 5) references a missing vertex"),
     ("edgelist", "# 0 0 0\n# 1 1 0\n0 1\n0 1 2\n", "cannot parse line 4: '0 1 2'"),
-], ids=["json-duplicate", "edgelist-duplicate", "json-dangling", "edgelist-line"])
+    # float() of a 401-digit JSON integer overflows
+    ("json", '{"vertices": [{"id": 0, "x": 1' + "0" * 400 + ', "y": 0}], "edges": []}',
+     "malformed graph JSON: int too large to convert to float"),
+], ids=["json-duplicate", "edgelist-duplicate", "json-dangling", "edgelist-line", "json-huge-int"])
 def test_load_error_names_file(tmp_path, fmt, text, message):
     p = tmp_path / "g.txt"
     p.write_text(text)
@@ -99,6 +102,55 @@ def test_json_ids_must_be_integers(tmp_path, vertex_ids, edge, message):
     p.write_text(json.dumps(doc))
     with pytest.raises(GraphFormatError, match=f"^{re.escape(f'{p}: {message}')}$"):
         load_graph(p)
+
+
+@pytest.mark.parametrize("vertex, message", [
+    # float() would place these at (0.5, 0.0) and (1.0, 1.0)
+    ({"id": 1, "x": "0.5", "y": 0}, "vertex 1 has x '0.5', not a number"),
+    ({"id": 1, "x": 1, "y": True}, "vertex 1 has y True, not a number"),
+    ({"id": 1, "x": None, "y": 0}, "vertex 1 has x None, not a number"),
+], ids=["numeric-string", "bool", "null"])
+def test_json_coordinates_must_be_numbers(tmp_path, vertex, message):
+    doc = {"vertices": [{"id": 0, "x": 0, "y": 0.0}, vertex], "edges": [[0, 1]]}
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(f'{p}: {message}')}$"):
+        load_graph(p)
+
+
+@pytest.mark.parametrize("vertices, edges, message", [
+    # int() would truncate 1.7 to 1 and read False, True as 0, 1
+    ({0: (0.0, 0.0), 1: (1.0, 0.0)}, [(0, 1.7)], "edge endpoint 1.7 is not an integer"),
+    ({0: (0.0, 0.0), 1: (1.0, 0.0)}, [(False, True)], "edge endpoint False is not an integer"),
+    ({0: (0.0, 0.0), 1.5: (1.0, 0.0)}, [], "vertex id 1.5 is not an integer"),
+], ids=["fractional-endpoint", "bool-endpoints", "fractional-id"])
+def test_in_memory_ids_must_be_integers(vertices, edges, message):
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+        EmbeddedGraph(vertices, edges)
+
+
+@pytest.mark.parametrize("text, line", [
+    # int() and float() take Python literal forms: 1_0 would be vertex 10
+    ("# 0 0 0\n# 1_0 1 0\n0 10\n", "# 1_0 1 0"),
+    ("# 0 0 0\n# 10 1 0\n0 1_0\n", "0 1_0"),
+    ("# 0 0 0\n# 1 1_0.5 0\n0 1\n", "# 1 1_0.5 0"),
+    ("# 0 0 0\n# \u0661 1 0\n0 1\n", "# \u0661 1 0"),
+    ("# 0 0 0\n# 1 \u0661.5 0\n0 1\n", "# 1 \u0661.5 0"),
+], ids=["underscore-id", "underscore-endpoint", "underscore-coordinate", "arabic-indic-id",
+        "arabic-indic-coordinate"])
+def test_edgelist_tokens_are_plain(tmp_path, text, line):
+    p = tmp_path / "g.txt"
+    p.write_text(text, encoding="utf-8")
+    message = f"{p}: cannot parse line {text.splitlines().index(line) + 1}: {line!r}"
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+        load_graph(p, "edgelist")
+
+
+def test_edgelist_signed_ids_and_exponents_load(tmp_path):
+    # the strict tokens still take a sign, and a coordinate an exponent
+    p = tmp_path / "g.txt"
+    p.write_text("# -3 1e-1 -2.5E2\n# +4 1 0\n-3 +4\n")
+    assert load_graph(p, "edgelist") == EmbeddedGraph({-3: (0.1, -250.0), 4: (1.0, 0.0)}, [(-3, 4)])
 
 
 @pytest.mark.parametrize("fmt, text", [
