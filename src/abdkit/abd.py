@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .branching import branching_distance
-from .filtration import collapse_equal_adjacent, direction_filter, graph_arrays
+from .filtration import collapse_equal_adjacent, direction_filter
 from .graph_io import EmbeddedGraph, largest_component
 from .merge_tree import (
     DisconnectedGraphError,
@@ -51,7 +51,7 @@ def merge_tree_at(g: EmbeddedGraph, omega: float, normalize: str = "median") -> 
     (no shift).
     """
     sg = direction_filter(g, omega)
-    sg = collapse_equal_adjacent(sg, COLLAPSE_RTOL * graph_arrays(g)[-1])
+    sg = collapse_equal_adjacent(sg, COLLAPSE_RTOL * g.arrays[-1])
     mt = compute_merge_tree(sg)
     return mt if normalize == "none" else shift_median_zero(mt, normalize)
 

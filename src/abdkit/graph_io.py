@@ -11,9 +11,15 @@ coordinates.  Two on-disk formats are supported:
 * edge list: a ``# id x y`` coordinate header block followed by one
   ``u v`` pair per line.
 
-Loading validates the graph (unique integer ids, finite numeric coordinates
-within ``MAX_COORDINATE_SUM``, no dangling endpoints, no self-loops) and
-collapses parallel edges, which never affect sublevel-set connectivity.
+A graph is stored only as index arrays: the vertex ids, the x and y
+columns, each edge's endpoints as row indices, and the extent.  Both
+loaders and the in-memory constructor build them in one validating indexer
+(unique integer ids, no dangling endpoints, no self-loops), which collapses
+parallel edges, since they never affect sublevel-set connectivity.  Loading
+also requires finite coordinates within ``MAX_COORDINATE_SUM``.  The JSON
+loader goes from the decoded document to the arrays with whole-column
+checks; a failed check scans the items only to name the first culprit.
+The id -> (x, y) dict and the edge list are views, built on request.
 """
 
 from __future__ import annotations
@@ -22,9 +28,13 @@ import json
 import math
 import re
 import sys
-from collections import Counter, deque
-from dataclasses import dataclass, field
+from collections import deque
+from collections.abc import Iterable
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 __all__ = [
     "EmbeddedGraph",
@@ -47,36 +57,50 @@ class GraphFormatError(ValueError):
     """Raised when a graph file or in-memory graph fails validation."""
 
 
-@dataclass
 class EmbeddedGraph:
     """Vertices with 2-D coordinates plus undirected, deduplicated edges.
 
-    ``vertices`` maps id -> (x, y) and preserves insertion order.  Edges are
-    stored as a list of ``(u, v)`` pairs with ``u < v``.  The first
-    filtration stores the graph's index arrays in ``arrays`` (vertex ids in
-    vertex order, x and y columns, edge endpoints as row indices, then the
-    extent; not compared, not in ``repr``), and every later direction reuses
-    them, so a graph is not edited after its first filtration.  A vertex id
-    or edge endpoint that is not an int (a float or a bool, say) is a
-    :class:`GraphFormatError`.
+    The graph is its index arrays, ``arrays = (ids, xs, ys, eu, ev,
+    extent)``: the vertex ids in vertex order, their x and y columns, each
+    edge's endpoints as row indices (the smaller id in ``eu``), and the
+    larger of the x span and the y span.  They are built and checked once,
+    when the graph is made, and every filtration reads them.
+    ``EmbeddedGraph(vertices, edges)`` takes an id -> (x, y) dict, whose
+    order is the vertex order and whose coordinates are stored as floats,
+    and ``(u, v)`` pairs; a vertex id or edge endpoint that is not an int
+    (a float or a bool, say) is a :class:`GraphFormatError`.
+    :attr:`vertices` and :attr:`edges` are views: the dict and the list of
+    ``(u, v)`` pairs with ``u < v``, built anew on every access.
     """
 
-    vertices: dict[int, tuple[float, float]] = field(default_factory=dict)
-    edges: list[tuple[int, int]] = field(default_factory=list)
-    arrays: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    def __init__(self, vertices: dict[int, tuple[float, float]],
+                 edges: Iterable[tuple[int, int]]) -> None:
+        xy = list(chain.from_iterable(vertices.values()))
+        self.arrays = _index(list(vertices), xy[0::2], xy[1::2], list(edges))
 
-    def __post_init__(self) -> None:
-        if not set(map(type, self.vertices)) <= {int}:
-            _reject_non_integer(self.vertices, "vertex id")
-        self.edges = _normalize_edges(self.vertices, self.edges)
+    @classmethod
+    def _from_arrays(cls, arrays: tuple) -> "EmbeddedGraph":
+        g = cls.__new__(cls)
+        g.arrays = arrays
+        return g
+
+    @property
+    def vertices(self) -> dict[int, tuple[float, float]]:
+        ids, xs, ys = self.arrays[:3]
+        return dict(zip(ids.tolist(), zip(xs.tolist(), ys.tolist())))
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        ids, eu, ev = self.arrays[0], self.arrays[3], self.arrays[4]
+        return list(zip(ids[eu].tolist(), ids[ev].tolist()))
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self.arrays[0])
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.arrays[3])
 
     def neighbors(self) -> dict[int, list[int]]:
         """Adjacency lists keyed by vertex id (neighbor order follows edges)."""
@@ -89,45 +113,126 @@ class EmbeddedGraph:
     def translated(self, dx: float, dy: float) -> "EmbeddedGraph":
         """Rigid translation by (dx, dy)."""
         moved = {v: (x + dx, y + dy) for v, (x, y) in self.vertices.items()}
-        return EmbeddedGraph(moved, list(self.edges))
+        return EmbeddedGraph(moved, self.edges)
 
     def rotated(self, theta: float) -> "EmbeddedGraph":
         """Rigid rotation about the origin by ``theta`` radians."""
         c, s = math.cos(theta), math.sin(theta)
         moved = {v: (c * x - s * y, s * x + c * y) for v, (x, y) in self.vertices.items()}
-        return EmbeddedGraph(moved, list(self.edges))
+        return EmbeddedGraph(moved, self.edges)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EmbeddedGraph):
             return NotImplemented
-        return (
-            dict(self.vertices) == dict(other.vertices)
-            and set(self.edges) == set(other.edges)
-        )
+        return self.vertices == other.vertices and set(self.edges) == set(other.edges)
+
+    def __repr__(self) -> str:
+        return f"EmbeddedGraph({self.vertices!r}, {self.edges!r})"
 
 
-def _normalize_edges(
-    vertices: dict[int, tuple[float, float]],
-    edges,
-) -> list[tuple[int, int]]:
-    """Validate endpoints, reject loops, deduplicate parallel edges."""
-    if not vertices:
+def _index(ids: list, xs: list, ys: list, edges: list) -> tuple:
+    """Check a graph and build its arrays (ids, xs, ys, eu, ev, extent).
+
+    ``ids`` are the vertex ids in row order, ``xs`` and ``ys`` their
+    coordinates and ``edges`` the ``(u, v)`` pairs.  Every check is one pass
+    over a whole column; only a failed one scans the items, to name the
+    first culprit.  Duplicate ids and missing endpoints are found in the
+    sorted ids; each edge is oriented from its smaller id and its first copy
+    kept.
+    """
+    if not set(map(type, ids)) <= {int}:
+        _reject_non_integer(ids, "vertex id")
+    if not ids:
         raise GraphFormatError("graph has an empty vertex set")
-    seen: set[tuple[int, int]] = set()
-    out: list[tuple[int, int]] = []
-    for u, v in edges:
+    idx = _int_array(ids)
+    order = np.argsort(idx)
+    sids = idx[order]
+    if np.count_nonzero(sids[1:] == sids[:-1]):
+        _reject_duplicate(ids)
+    xs = np.fromiter(map(float, xs), float, len(ids))
+    ys = np.fromiter(map(float, ys), float, len(ids))
+    try:
+        pairs = set(map(len, edges)) <= {2}
+    except TypeError:  # an edge without a length
+        pairs = False
+    ends = list(chain.from_iterable(edges)) if pairs else []
+    if not pairs or not set(map(type, ends)) <= {int}:
+        _reject_bad_edge(ids, edges)
+    e = _int_array(ends) if ends else idx[:0]
+    if e.dtype != idx.dtype:  # one side beyond int64
+        sids, e = sids.astype(object), e.astype(object)
+    rank = np.searchsorted(sids, e)
+    ru, rv = rank[0::2], rank[1::2]
+    if np.count_nonzero(sids.take(rank, mode="clip") != e) or np.count_nonzero(ru == rv):
+        _reject_bad_edge(ids, edges)
+    lo, hi = np.minimum(ru, rv), np.maximum(ru, rv)  # ranks order as the ids do
+    key = lo * len(ids) + hi
+    sorted_key = np.sort(key)
+    if np.count_nonzero(sorted_key[1:] == sorted_key[:-1]):  # parallel edges: keep each first copy
+        first = np.sort(np.unique(key, return_index=True)[1])
+        lo, hi = lo[first], hi[first]
+    # Python floats: a span beyond the float range is inf, with no numpy overflow warning
+    extent = max(float(xs.max()) - float(xs.min()), float(ys.max()) - float(ys.min()))
+    return idx, xs, ys, order[lo], order[hi], extent
+
+
+def _int_array(values: list) -> np.ndarray:
+    """int64 if every value fits, else object: np.array would pick uint64 or float64."""
+    try:
+        return np.fromiter(values, np.int64, len(values))
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _reject_non_integer(values, what: str) -> None:
+    """Name the first of ``values`` that is not a JSON integer (an int, not a bool or float)."""
+    for v in values:
+        if type(v) is not int:
+            raise GraphFormatError(f"{what} {v!r} is not an integer")
+
+
+def _reject_duplicate(ids) -> None:
+    """Name the first id that repeats an earlier one."""
+    seen: set[int] = set()
+    for v in ids:
+        if v in seen:
+            raise GraphFormatError(f"duplicate vertex id {v}")
+        seen.add(v)
+
+
+def _reject_bad_edge(ids: list, edges: list) -> None:
+    """Name the first edge that is no pair of integers, is a self-loop or misses a vertex."""
+    known = set(ids)
+    for u, v in edges:  # unpacking raises for an edge that is not a pair
         if type(u) is not int or type(v) is not int:
             _reject_non_integer((u, v), "edge endpoint")
         if u == v:
             raise GraphFormatError(f"self-loop at vertex {u}")
-        if u not in vertices or v not in vertices:
+        if u not in known or v not in known:
             raise GraphFormatError(f"edge ({u}, {v}) references a missing vertex")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(key)
-    return out
+
+
+def _reject_non_number(ids, xs, ys) -> None:
+    """Name the first coordinate that is not a JSON number (an int or float, not a bool)."""
+    for v, x, y in zip(ids, xs, ys):
+        for axis, c in (("x", x), ("y", y)):
+            if type(c) not in (int, float):
+                raise GraphFormatError(f"vertex {v!r} has {axis} {c!r}, not a number")
+
+
+def _check_coordinates(g: EmbeddedGraph) -> None:
+    """Reject a non-finite coordinate or a vertex beyond ``MAX_COORDINATE_SUM``."""
+    xs, ys = g.arrays[1:3]
+    # enough for every vertex; summed as Python floats, so no numpy overflow
+    # warning, and NaN or inf fails it and the scan below names the vertex
+    if float(np.abs(xs).max()) + float(np.abs(ys).max()) <= MAX_COORDINATE_SUM:
+        return
+    for v, (x, y) in g.vertices.items():
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise GraphFormatError(f"vertex {v} has a non-finite coordinate ({x}, {y})")
+        if abs(x) + abs(y) > MAX_COORDINATE_SUM:
+            raise GraphFormatError(f"vertex {v} at ({x}, {y}) exceeds the coordinate "
+                                   f"limit |x| + |y| <= {MAX_COORDINATE_SUM!r}")
 
 
 def load_graph(path: str | Path, format: str = "json") -> EmbeddedGraph:
@@ -149,30 +254,13 @@ def load_graph(path: str | Path, format: str = "json") -> EmbeddedGraph:
     text = Path(path).read_text()
     try:
         g = _parse_json(text) if format == "json" else _parse_edgelist(text)
+        _check_coordinates(g)
     except GraphFormatError as exc:
         raise GraphFormatError(f"{path}: {exc}") from None
-    for v, (x, y) in g.vertices.items():
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise GraphFormatError(f"{path}: vertex {v} has a non-finite coordinate ({x}, {y})")
-        if abs(x) + abs(y) > MAX_COORDINATE_SUM:
-            raise GraphFormatError(f"{path}: vertex {v} at ({x}, {y}) exceeds the coordinate "
-                                   f"limit |x| + |y| <= {MAX_COORDINATE_SUM!r}")
     return g
 
 
-def _reject_non_integer(values, what: str) -> None:
-    """Name the first of ``values`` that is not a JSON integer (an int, not a bool or float)."""
-    for v in values:
-        if type(v) is not int:
-            raise GraphFormatError(f"{what} {v!r} is not an integer")
-
-
-def _reject_non_number(ids, xs, ys) -> None:
-    """Name the first coordinate that is not a JSON number (an int or float, not a bool)."""
-    for v, x, y in zip(ids, xs, ys):
-        for axis, c in (("x", x), ("y", y)):
-            if type(c) not in (int, float):
-                raise GraphFormatError(f"vertex {v!r} has {axis} {c!r}, not a number")
+_ID, _X, _Y = itemgetter("id"), itemgetter("x"), itemgetter("y")
 
 
 def _parse_json(text: str) -> EmbeddedGraph:
@@ -181,34 +269,32 @@ def _parse_json(text: str) -> EmbeddedGraph:
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
     try:
+        vs = doc["vertices"]
+        try:
+            ids, xs, ys = list(map(_ID, vs)), list(map(_X, vs)), list(map(_Y, vs))
+        except (KeyError, TypeError):
+            for v in vs:  # names the first vertex that lacks a key
+                _ID(v), _X(v), _Y(v)
+            raise
         # float() would read "0.5" and true as numbers; one scan of the types
         # is cheaper than a test per value, and the slow scan only names a culprit
-        ids, xs, ys = [], [], []
-        for v in doc["vertices"]:
-            ids.append(v["id"])
-            xs.append(v["x"])
-            ys.append(v["y"])
         if not {*map(type, xs), *map(type, ys)} <= {int, float}:
             _reject_non_number(ids, xs, ys)
-        vertices = dict(zip(ids, zip(map(float, xs), map(float, ys))))
-        if len(vertices) != len(ids):
-            _reject_non_integer(ids, "vertex id")  # 0 and 0.0 are one key
-            dup = next(v for v, n in Counter(ids).items() if n > 1)
-            raise GraphFormatError(f"duplicate vertex id {dup}")
-        edges = [(u, v) for u, v in doc["edges"]]
+        return EmbeddedGraph._from_arrays(_index(ids, xs, ys, doc["edges"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, GraphFormatError):
             raise
         raise GraphFormatError(f"malformed graph JSON: {exc}") from exc
-    return EmbeddedGraph(vertices, edges)
 
 
-_EDGELIST_ID = re.compile(r"[+-]?[0-9]+")
+# An integer as text: an optional sign and ASCII digits.  int() alone would
+# also read "1_0" as 10, " 3" as 3 and Arabic-Indic digits.
+INTEGER_TEXT = re.compile(r"[+-]?[0-9]+")
 
 
 def _edgelist_id(token: str) -> int:
-    """An optional sign and ASCII digits; int() alone would read ``1_0`` as 10."""
-    if not _EDGELIST_ID.fullmatch(token):
+    """The id ``token`` names, if it is ``INTEGER_TEXT``."""
+    if not INTEGER_TEXT.fullmatch(token):
         raise ValueError(f"not an id: {token!r}")
     return int(token)
 
@@ -221,7 +307,9 @@ def _edgelist_coordinate(token: str) -> float:
 
 
 def _parse_edgelist(text: str) -> EmbeddedGraph:
-    vertices: dict[int, tuple[float, float]] = {}
+    ids: list[int] = []
+    xs: list[float] = []
+    ys: list[float] = []
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -230,33 +318,43 @@ def _parse_edgelist(text: str) -> EmbeddedGraph:
         try:
             if line.startswith("#"):
                 ident, x, y = line[1:].split()
-                vid = _edgelist_id(ident)
-                if vid in vertices:
-                    raise GraphFormatError(f"duplicate vertex id {vid}")
-                vertices[vid] = (_edgelist_coordinate(x), _edgelist_coordinate(y))
+                ids.append(_edgelist_id(ident))
+                xs.append(_edgelist_coordinate(x))
+                ys.append(_edgelist_coordinate(y))
             else:
                 u, v = line.split()
                 edges.append((_edgelist_id(u), _edgelist_id(v)))
-        except (ValueError, GraphFormatError) as exc:
-            if isinstance(exc, GraphFormatError):
-                raise
+        except ValueError as exc:
+            _reject_duplicate(ids)  # a repeated id on an earlier line is the first fault
             raise GraphFormatError(f"cannot parse line {lineno}: {raw!r}") from exc
-    return EmbeddedGraph(vertices, edges)
+    return EmbeddedGraph._from_arrays(_index(ids, xs, ys, edges))
+
+
+# How json.dumps(doc, indent=1) lays out one vertex and one edge.
+_JSON_VERTEX = '  {{\n   "id": {},\n   "x": {},\n   "y": {}\n  }}'.format
+_JSON_EDGE = "  [\n   {},\n   {}\n  ]".format
 
 
 def write_graph(g: EmbeddedGraph, path: str | Path, format: str = "json") -> None:
-    """Serialize ``g`` so that ``load_graph`` round-trips it."""
+    """Serialize ``g`` from its arrays so that ``load_graph`` round-trips it.
+
+    JSON is written as ``json.dumps(doc, indent=1)`` writes it, byte for byte.
+    """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
+    ids, xs, ys, eu, ev, _ = g.arrays
+    columns = ids.tolist(), xs.tolist(), ys.tolist(), ids[eu].tolist(), ids[ev].tolist()
     if format == "json":
-        doc = {
-            "vertices": [{"id": v, "x": x, "y": y} for v, (x, y) in g.vertices.items()],
-            "edges": [[u, v] for u, v in g.edges],
-        }
-        text = json.dumps(doc, indent=1)
+        # with an indent json.dumps encodes in Python, about 10 ms for an
+        # 800-vertex blob; the C encoder writes each column's numbers in one call
+        i, x, y, u, v = (json.dumps(c)[1:-1].split(", ") if c else [] for c in columns)
+        edges = ",\n".join(map(_JSON_EDGE, u, v))
+        text = ('{\n "vertices": [\n' + ",\n".join(map(_JSON_VERTEX, i, x, y)) + "\n ],\n"
+                ' "edges": ' + ("[\n" + edges + "\n ]" if edges else "[]") + "\n}")
     else:
-        lines = [f"# {v} {x!r} {y!r}" for v, (x, y) in g.vertices.items()]
-        lines += [f"{u} {v}" for u, v in g.edges]
+        i, x, y, u, v = columns
+        lines = [f"# {a} {b!r} {c!r}" for a, b, c in zip(i, x, y)]
+        lines += [f"{a} {b}" for a, b in zip(u, v)]
         text = "\n".join(lines)
     Path(path).write_text(text + "\n")
 

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .filtration import ScalarGraph
+from .graph_io import INTEGER_TEXT
 
 __all__ = [
     "MergeTree",
@@ -284,7 +285,9 @@ def tree_from_dict(doc: dict) -> MergeTree:
     (an int, not a bool or float), a node id listed twice, a value that is
     not a number (an int or float, not a bool or string), or one that is
     NaN or beyond ``MAX_TREE_VALUE`` is a ValueError.  Parent keys are
-    strings of integers, as JSON object keys are strings.
+    strings, as JSON object keys are, of an optional sign and ASCII digits
+    (the edge-list id rule); any other key, such as ``"1_0"`` or ``" 3"``,
+    is a ValueError naming it.
     """
     try:
         values: dict[int, float] = {}
@@ -298,6 +301,8 @@ def tree_from_dict(doc: dict) -> MergeTree:
             values[node] = float(v)
         parent: dict[int, int] = {}
         for k, p in doc["parent"].items():
+            if not (type(k) is str and INTEGER_TEXT.fullmatch(k)):
+                raise ValueError(f"parent key {k!r} is not an integer")
             if type(p) is not int:
                 raise ValueError(f"parent {p!r} of node {k} is not an integer")
             parent[int(k)] = p

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import orthogonal_procrustes
 from scipy.sparse.csgraph import minimum_spanning_tree
 
-from abdkit import analysis, branching, filtration, graph_io
+from abdkit import analysis, branching, graph_io
 from abdkit.abd import average_branching_distance, frame_angles, merge_tree_at, per_frame_distances
 from abdkit.analysis import (
     Dendrogram,
@@ -256,19 +256,25 @@ def test_matrix_pool_size_capped_by_cpus(monkeypatch, affinity):
     assert np.array_equal(out.d, distance_matrix(graphs, n_frames=2, jobs=1).d)
 
 
-def test_matrix_builds_each_graph_index_once(rng, monkeypatch):
-    graphs = [star(rng), comb(rng), star(rng), convex_polygon(rng, 6)]
-    builds = []
-    real = filtration.graph_arrays
+def test_load_to_distance_builds_no_graph_view(rng, tmp_path, monkeypatch):
+    # the arrays are the graph: loading, filtering and comparing connected
+    # graphs never builds the id -> (x, y) dict or the edge list
+    graphs = [star(rng), comb(rng), convex_polygon(rng, 6), star(rng)]
+    for fmt in ("json", "edgelist"):
+        for i, g in enumerate(graphs):
+            graph_io.write_graph(g, tmp_path / f"g{i}.{fmt}", fmt)
+    expected = distance_matrix(graphs, n_frames=4).d.tobytes()
+    abd = repr(average_branching_distance(graphs[0], graphs[1], n_frames=4))
 
-    def counted(g):
-        if g.arrays is None:
-            builds.append(id(g))
-        return real(g)
+    def refuse(self):
+        raise AssertionError("view of an embedded graph built")
 
-    monkeypatch.setattr(filtration, "graph_arrays", counted)
-    distance_matrix(graphs, n_frames=4)
-    assert sorted(builds) == sorted(id(g) for g in graphs)
+    for view in ("vertices", "edges"):
+        monkeypatch.setattr(EmbeddedGraph, view, property(refuse))
+    for fmt in ("json", "edgelist"):
+        loaded = [graph_io.load_graph(tmp_path / f"g{i}.{fmt}", fmt) for i in range(len(graphs))]
+        assert distance_matrix(loaded, n_frames=4).d.tobytes() == expected
+        assert repr(average_branching_distance(loaded[0], loaded[1], n_frames=4)) == abd
 
 
 def test_matrix_connected_graphs_build_no_adjacency(rng, monkeypatch):

@@ -135,9 +135,17 @@ def test_dist_rejects_tol_not_positive_and_finite(tmp_path, capsys, tol):
      "could not convert the value '1.5' of node 0 to a number"),
     ('{"nodes": [{"id": 0, "value": 2.0}, {"id": 1, "value": true}], "parent": {"0": 0, "1": 0}}',
      "could not convert the value True of node 1 to a number"),
+    # int() would read these keys as nodes 10 and 3, and dist would print 0.0
+    ('{"nodes": [{"id": 10, "value": 1.0}, {"id": 3, "value": 2.0}, {"id": 2, "value": 3.0}],'
+     ' "parent": {"1_0": 2, "3": 2, "2": 2}}', "parent key '1_0' is not an integer"),
+    ('{"nodes": [{"id": 10, "value": 1.0}, {"id": 3, "value": 2.0}, {"id": 2, "value": 3.0}],'
+     ' "parent": {"10": 2, "\\u0663": 2, "2": 2}}', "parent key '\u0663' is not an integer"),
+    ('{"nodes": [{"id": 10, "value": 1.0}, {"id": 3, "value": 2.0}, {"id": 2, "value": 3.0}],'
+     ' "parent": {"10": 2, " 3": 2, "2": 2}}', "parent key ' 3' is not an integer"),
 ], ids=["no-nodes", "graph-file", "list", "text-value", "parent-list", "infinite", "too-large",
         "duplicate-id", "fractional-id", "fractional-parent", "bool-id", "string-parent",
-        "numeric-string-value", "bool-value"])
+        "numeric-string-value", "bool-value", "underscore-parent-key", "arabic-indic-parent-key",
+        "space-parent-key"])
 def test_dist_malformed_tree_file_errors(tmp_path, capsys, content, problem):
     p = tmp_path / "t.json"
     p.write_text(content)

@@ -149,11 +149,17 @@ def test_projection_bitwise_equals_scalar_formula(coords, omega):
     assert repr(direction_filter(g, omega).values) == repr(expected)
 
 
+def test_ids_beyond_int64_stay_exact():
+    # np.array would store these ids as float64, where 2**63 + 1 and 2**63 are one value
+    b = 2**63
+    g = EmbeddedGraph({b + 1: (0.0, 0.0), b: (1.0, 1.0), -1: (2.0, 0.0)}, [(b + 1, b), (b, -1)])
+    assert direction_filter(g, math.pi / 2).values == {b + 1: 0.0, b: 1.0, -1: 0.0}
+
+
 def test_projection_reuses_graph_arrays(rng):
     g = random_embedded_graph(rng)
-    assert g.arrays is None
-    first = direction_filter(g, 0.3)
     arrays = g.arrays
+    first = direction_filter(g, 0.3)
     second = direction_filter(g, 2.0)
     assert g.arrays is arrays
     assert first.ids is second.ids is arrays[0]  # ids shared, values per angle

@@ -2,6 +2,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from abdkit.graph_io import (
@@ -75,7 +76,13 @@ def test_parse_failure(tmp_path):
     # float() of a 401-digit JSON integer overflows
     ("json", '{"vertices": [{"id": 0, "x": 1' + "0" * 400 + ', "y": 0}], "edges": []}',
      "malformed graph JSON: int too large to convert to float"),
-], ids=["json-duplicate", "edgelist-duplicate", "json-dangling", "edgelist-line", "json-huge-int"])
+    # two ids repeat: the one whose repeat comes first is named, in both formats
+    ("json", '{"vertices": [{"id": 5, "x": 0, "y": 0}, {"id": 3, "x": 1, "y": 0},'
+             ' {"id": 3, "x": 2, "y": 0}, {"id": 5, "x": 3, "y": 0}], "edges": []}',
+     "duplicate vertex id 3"),
+    ("edgelist", "# 5 0 0\n# 3 1 0\n# 3 2 0\n# 5 3 0\n", "duplicate vertex id 3"),
+], ids=["json-duplicate", "edgelist-duplicate", "json-dangling", "edgelist-line", "json-huge-int",
+        "json-two-duplicates", "edgelist-two-duplicates"])
 def test_load_error_names_file(tmp_path, fmt, text, message):
     p = tmp_path / "g.txt"
     p.write_text(text)
@@ -93,8 +100,9 @@ def test_load_error_names_file(tmp_path, fmt, text, message):
     ((0, 1), [0, 0.7], "edge endpoint 0.7 is not an integer"),
     ((0, 1), [False, 1], "edge endpoint False is not an integer"),
     ((0, 1), ["0", 1], "edge endpoint '0' is not an integer"),
+    ((0, [1]), [0, 1], "vertex id [1] is not an integer"),
 ], ids=["fractions", "float", "bool", "string", "null", "edge-fraction", "edge-bool",
-        "edge-string"])
+        "edge-string", "list"])
 def test_json_ids_must_be_integers(tmp_path, vertex_ids, edge, message):
     doc = {"vertices": [{"id": v, "x": float(k), "y": 0.0} for k, v in enumerate(vertex_ids)],
            "edges": [edge]}
@@ -151,6 +159,30 @@ def test_edgelist_signed_ids_and_exponents_load(tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("# -3 1e-1 -2.5E2\n# +4 1 0\n-3 +4\n")
     assert load_graph(p, "edgelist") == EmbeddedGraph({-3: (0.1, -250.0), 4: (1.0, 0.0)}, [(-3, 4)])
+
+
+@pytest.mark.parametrize("big", [2**40, 2**70], ids=["int64", "beyond-int64"])
+def test_formats_build_identical_arrays(tmp_path, big):
+    # parallel edges both ways, unsorted and negative ids, isolated vertices 9 and -8
+    vertices = {5: (0.5, -1.0), -3: (2.0, 1.0), big: (-1.5, 0.25), 0: (3.0, 3.0),
+                9: (-2.0, 0.0), -8: (1.0, -4.0)}
+    edges = [(5, -3), (-3, 5), (big, 5), (5, big), (0, -3), (-3, 5)]
+    pj, pe = tmp_path / "g.json", tmp_path / "g.txt"
+    doc = {"vertices": [{"id": v, "x": x, "y": y} for v, (x, y) in vertices.items()],
+           "edges": edges}
+    pj.write_text(json.dumps(doc))
+    pe.write_text("\n".join([f"# {v} {x!r} {y!r}" for v, (x, y) in vertices.items()]
+                            + [f"{u} {v}" for u, v in edges]))
+    ref = EmbeddedGraph(vertices, edges)
+    assert ref.arrays[0].dtype == (np.int64 if big < 2**63 else object)
+    assert ref.edges == [(-3, 5), (5, big), (-3, 0)]
+    for g in (load_graph(pj), load_graph(pe, "edgelist")):
+        for a, b in zip(ref.arrays[:5], g.arrays[:5]):
+            assert a.dtype == b.dtype and repr(a.tolist()) == repr(b.tolist())
+        assert repr(g.arrays[5]) == repr(ref.arrays[5])
+        assert list(g.vertices.items()) == list(ref.vertices.items())
+        assert g.edges == ref.edges
+        assert g == ref
 
 
 @pytest.mark.parametrize("fmt, text", [
@@ -238,6 +270,20 @@ def test_round_trip(tmp_path, rng, fmt):
         p = tmp_path / f"g{i}.{fmt}"
         write_graph(g, p, fmt)
         assert load_graph(p, fmt) == g
+
+
+def test_json_text_is_the_json_dumps_layout(tmp_path, rng):
+    # the JSON writer lays numbers out itself; json.dumps with indent=1 is the reference
+    special = EmbeddedGraph({2**70: (math.nan, -0.0), -3: (math.inf, 5e-324), 4: (-math.inf, 1e22),
+                             0: (1.7e308, 0.1)}, [(2**70, -3), (4, -3), (-3, 2**70)])
+    graphs = [special, EmbeddedGraph({7: (1.5, -2.5)}, [])]
+    graphs += [random_embedded_graph(rng) for _ in range(10)]
+    p = tmp_path / "g.json"
+    for g in graphs:
+        write_graph(g, p)
+        doc = {"vertices": [{"id": v, "x": x, "y": y} for v, (x, y) in g.vertices.items()],
+               "edges": [[u, v] for u, v in g.edges]}
+        assert p.read_text() == json.dumps(doc, indent=1) + "\n"
 
 
 def test_round_trip_single_vertex(tmp_path):
