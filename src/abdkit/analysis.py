@@ -13,7 +13,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -367,6 +366,15 @@ def _svg_header(width: float, height: float) -> str:
     )
 
 
+def _escape(text: str) -> str:
+    """``text`` as SVG character data: ``&``, ``<`` and ``>`` as entities.
+
+    What ``xml.sax.saxutils.escape`` does, whose import loads
+    ``urllib.request`` and ``ssl``, about 35 ms of every CLI start.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _dendrogram_svg(dend: Dendrogram) -> str:
     (order,) = _replay(dend, lambda i: [i], lambda a, b, _: a + b)
     xpos = {leaf: 40.0 + 30.0 * i for i, leaf in enumerate(order)}
@@ -392,7 +400,7 @@ def _dendrogram_svg(dend: Dendrogram) -> str:
         x = 40.0 + 30.0 * i
         parts.append(
             f'<text x="{x:.6g}" y="{20.0 + plot_h + 14.0:.6g}" font-size="9" '
-            f'text-anchor="middle">{escape(dend.labels[leaf])}</text>'
+            f'text-anchor="middle">{_escape(dend.labels[leaf])}</text>'
         )
     width = 80.0 + 30.0 * (len(order) - 1)
     return _svg_header(width, plot_h + 60.0) + "\n".join(parts) + "\n</svg>\n"
@@ -419,6 +427,6 @@ def _scatter_svg(emb: Embedding2D) -> str:
         py = size / 2.0 - (y / span) * (size / 2.0 - 30.0)
         parts.append(f'<circle cx="{px:.6g}" cy="{py:.6g}" r="3" fill="steelblue"/>')
         parts.append(
-            f'<text x="{px + 5.0:.6g}" y="{py - 5.0:.6g}" font-size="9">{escape(label)}</text>'
+            f'<text x="{px + 5.0:.6g}" y="{py - 5.0:.6g}" font-size="9">{_escape(label)}</text>'
         )
     return _svg_header(size, size) + "\n".join(parts) + "\n</svg>\n"

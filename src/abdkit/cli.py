@@ -123,16 +123,17 @@ def cmd_verify(args) -> int:
 def cmd_gen(args) -> int:
     import numpy as np
 
+    classes = args.classes.split(",")
+    for name in classes:  # every argument checked before any file is written
+        if name not in synth.SHAPE_CLASSES:
+            raise ValueError(f"unknown class {name!r}; choose from {synth.SHAPE_CLASSES}")
+    if args.per_class < 1:
+        raise ValueError(f"--per-class must be >= 1, got {args.per_class}")
     rng = np.random.default_rng(args.seed)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    classes = args.classes.split(",")
     rows = []
     for name in classes:
-        if name not in synth.SHAPE_CLASSES:
-            raise GraphFormatError(
-                f"unknown class {name!r}; choose from {synth.SHAPE_CLASSES}"
-            )
         for i in range(args.per_class):
             g = synth.make_shape(name, rng)
             fname = f"{name}_{i:02d}.{'json' if args.format == 'json' else 'txt'}"

@@ -12,9 +12,10 @@ per vertex, and each edge's endpoints as row indices.  An embedded graph is
 index arrays too (ids, coordinate columns, edge rows and its extent, built
 when it is loaded or made), so every direction computes one value column
 and shares the rest.  The collapse tests every edge for a tie in one
-vectorised comparison and contracts the rows; the merge-tree sweep reads
-the same arrays.  The id -> value dict and the edge list are views,
-derived on request for the oracles and the tests.
+vectorised comparison and contracts the rows with the union-find that
+finds components, ``graph_io.least_id_rows``; the sweep reads the arrays.
+The id -> value dict and the edge list are views, derived on request for
+the oracles and the tests.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import chain
 
 import numpy as np
 
-from .graph_io import EmbeddedGraph
+from .graph_io import EmbeddedGraph, least_id_rows
 
 __all__ = ["ScalarGraph", "direction_filter", "collapse_equal_adjacent"]
 
@@ -120,27 +121,9 @@ def _ties(sg: ScalarGraph, tol: float) -> np.ndarray:
 
 def _collapse_once(sg: ScalarGraph, tol: float) -> ScalarGraph:
     ids, eu, ev = sg.ids, sg.eu, sg.ev
-    n = len(ids)
-    id_of = ids.tolist()
-    parent = list(range(n))  # row -> row, over the tie edges only
-
-    def find(r: int) -> int:
-        while parent[r] != r:
-            parent[r] = parent[parent[r]]  # path halving
-            r = parent[r]
-        return r
-
     tie = _ties(sg, tol)
-    for u, v in zip(eu[tie].tolist(), ev[tie].tolist()):
-        ru, rv = find(u), find(v)
-        if ru != rv:  # the set's least id represents it
-            if id_of[ru] > id_of[rv]:
-                ru, rv = rv, ru
-            parent[rv] = ru
-    rep = np.array(parent, dtype=np.intp)
-    for _ in range((n - 1).bit_length()):  # pointer jumping: a path is shorter than n
-        rep = rep[rep]
-    keep = rep == np.arange(n)  # representatives, in their original row order
+    rep = least_id_rows(ids, eu[tie], ev[tie])
+    keep = rep == np.arange(len(ids))  # representatives, in their original row order
     new_row = (np.cumsum(keep) - 1)[rep]
     a, b = new_row[eu], new_row[ev]
     a, b = a[a != b], b[a != b]

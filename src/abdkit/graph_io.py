@@ -20,6 +20,8 @@ also requires finite coordinates within ``MAX_COORDINATE_SUM``.  The JSON
 loader goes from the decoded document to the arrays with whole-column
 checks; a failed check scans the items only to name the first culprit.
 The id -> (x, y) dict and the edge list are views, built on request.
+Components come from one union-find over the edge rows, ``least_id_rows``,
+which the tie contraction shares; the largest is sliced from the arrays.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import json
 import math
 import re
 import sys
-from collections import deque
 from collections.abc import Iterable
 from itertools import chain
 from operator import itemgetter
@@ -171,9 +172,12 @@ def _index(ids: list, xs: list, ys: list, edges: list) -> tuple:
     if np.count_nonzero(sorted_key[1:] == sorted_key[:-1]):  # parallel edges: keep each first copy
         first = np.sort(np.unique(key, return_index=True)[1])
         lo, hi = lo[first], hi[first]
-    # Python floats: a span beyond the float range is inf, with no numpy overflow warning
-    extent = max(float(xs.max()) - float(xs.min()), float(ys.max()) - float(ys.min()))
-    return idx, xs, ys, order[lo], order[hi], extent
+    return idx, xs, ys, order[lo], order[hi], _extent(xs, ys)
+
+
+def _extent(xs: np.ndarray, ys: np.ndarray) -> float:
+    # the larger span, in Python floats: beyond the float range it is inf, with no numpy warning
+    return max(float(xs.max()) - float(xs.min()), float(ys.max()) - float(ys.min()))
 
 
 def _int_array(values: list) -> np.ndarray:
@@ -359,26 +363,36 @@ def write_graph(g: EmbeddedGraph, path: str | Path, format: str = "json") -> Non
     Path(path).write_text(text + "\n")
 
 
+def least_id_rows(ids: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """Each row's representative: the row of the least id in its set, joined by ``(eu, ev)``."""
+    id_of = ids.tolist()
+    parent = list(range(len(ids)))
+
+    def find(r: int) -> int:
+        while parent[r] != r:
+            parent[r] = parent[parent[r]]  # path halving
+            r = parent[r]
+        return r
+
+    for u, v in zip(eu.tolist(), ev.tolist()):
+        ru, rv = find(u), find(v)
+        if ru != rv:  # the set's least id represents it
+            if id_of[ru] > id_of[rv]:
+                ru, rv = rv, ru
+            parent[rv] = ru
+    rep = np.array(parent, dtype=np.intp)
+    for _ in range((len(ids) - 1).bit_length()):  # pointer jumping: a path has < len(ids) rows
+        rep = rep[rep]
+    return rep
+
+
 def connected_components(g: EmbeddedGraph) -> list[list[int]]:
-    """Connected components as vertex-id lists, in order of discovery."""
-    adj = g.neighbors()
-    seen: set[int] = set()
-    comps: list[list[int]] = []
-    for start in g.vertices:
-        if start in seen:
-            continue
-        comp = []
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        comps.append(comp)
-    return comps
+    """Connected components as vertex-id lists, members and components in vertex order."""
+    ids, _, _, eu, ev, _ = g.arrays
+    comps: dict[int, list[int]] = {}
+    for r, v in zip(least_id_rows(ids, eu, ev).tolist(), ids.tolist()):
+        comps.setdefault(r, []).append(v)
+    return list(comps.values())
 
 
 def largest_component(g: EmbeddedGraph) -> EmbeddedGraph:
@@ -386,15 +400,18 @@ def largest_component(g: EmbeddedGraph) -> EmbeddedGraph:
 
     A connected graph is returned as it is (the result is then ``g``
     itself, not a copy).  Size ties are broken by the smallest minimum
-    vertex id, so the result is deterministic and independent of vertex
-    order.
+    vertex id, so the result is independent of vertex order.  It is sliced
+    from the arrays, keeping the vertex and edge order.
     """
-    comps = connected_components(g)
-    if len(comps) == 1:
+    ids, xs, ys, eu, ev, _ = g.arrays
+    rep = least_id_rows(ids, eu, ev)
+    size = np.bincount(rep, minlength=len(ids))
+    roots = np.flatnonzero(size)  # each set's least-id row
+    if len(roots) == 1:
         return g
-    best = max(comps, key=lambda c: (len(c), -min(c)))
-    keep = set(best)
-    vertices = {v: xy for v, xy in g.vertices.items() if v in keep}
-    edges = [(u, v) for u, v in g.edges if u in keep and v in keep]
-    return EmbeddedGraph(vertices, edges)
-
+    big = roots[size[roots] == size.max()]
+    keep = rep == big[np.argmin(ids[big])]
+    row = np.cumsum(keep) - 1
+    kept = _int_array(ids[keep].tolist())  # int64 if the kept ids fit, as _index builds them
+    xs, ys, edge = xs[keep], ys[keep], keep[eu]  # an edge lies in one set
+    return EmbeddedGraph._from_arrays((kept, xs, ys, row[eu[edge]], row[ev[edge]], _extent(xs, ys)))

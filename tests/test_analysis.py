@@ -256,25 +256,38 @@ def test_matrix_pool_size_capped_by_cpus(monkeypatch, affinity):
     assert np.array_equal(out.d, distance_matrix(graphs, n_frames=2, jobs=1).d)
 
 
+def _disjoint_union(g: EmbeddedGraph, h: EmbeddedGraph) -> EmbeddedGraph:
+    off = max(g.vertices) + 1 - min(h.vertices)
+    return EmbeddedGraph({**g.vertices, **{v + off: xy for v, xy in h.vertices.items()}},
+                         g.edges + [(u + off, v + off) for u, v in h.edges])
+
+
 def test_load_to_distance_builds_no_graph_view(rng, tmp_path, monkeypatch):
-    # the arrays are the graph: loading, filtering and comparing connected
-    # graphs never builds the id -> (x, y) dict or the edge list
-    graphs = [star(rng), comb(rng), convex_polygon(rng, 6), star(rng)]
+    # the arrays are the graph: loading, filtering and comparing graphs, and
+    # cutting a disconnected one to its largest component, never builds the
+    # id -> (x, y) dict, the edge list or the adjacency lists
+    graphs = [star(rng), comb(rng), convex_polygon(rng, 6), star(rng),
+              _disjoint_union(star(rng), convex_polygon(rng, 5).translated(3.0, 0.0)),
+              _disjoint_union(EmbeddedGraph({0: (9.0, 9.0)}, []), comb(rng))]
+    assert [len(graph_io.connected_components(g)) for g in graphs] == [1, 1, 1, 1, 2, 2]
     for fmt in ("json", "edgelist"):
         for i, g in enumerate(graphs):
             graph_io.write_graph(g, tmp_path / f"g{i}.{fmt}", fmt)
     expected = distance_matrix(graphs, n_frames=4).d.tobytes()
-    abd = repr(average_branching_distance(graphs[0], graphs[1], n_frames=4))
+    abd = [repr(average_branching_distance(graphs[i], graphs[j], n_frames=4))
+           for i, j in ((0, 1), (4, 5))]
 
     def refuse(self):
         raise AssertionError("view of an embedded graph built")
 
     for view in ("vertices", "edges"):
         monkeypatch.setattr(EmbeddedGraph, view, property(refuse))
+    monkeypatch.setattr(EmbeddedGraph, "neighbors", refuse)
     for fmt in ("json", "edgelist"):
         loaded = [graph_io.load_graph(tmp_path / f"g{i}.{fmt}", fmt) for i in range(len(graphs))]
         assert distance_matrix(loaded, n_frames=4).d.tobytes() == expected
-        assert repr(average_branching_distance(loaded[0], loaded[1], n_frames=4)) == abd
+        assert [repr(average_branching_distance(loaded[i], loaded[j], n_frames=4))
+                for i, j in ((0, 1), (4, 5))] == abd
 
 
 def test_matrix_connected_graphs_build_no_adjacency(rng, monkeypatch):
@@ -285,7 +298,7 @@ def test_matrix_connected_graphs_build_no_adjacency(rng, monkeypatch):
         raise AssertionError("adjacency built for a connected graph")
 
     monkeypatch.setattr(EmbeddedGraph, "neighbors", refuse)
-    monkeypatch.setattr(graph_io, "connected_components", refuse)
+    monkeypatch.setattr(graph_io, "least_id_rows", refuse)
     fresh = [EmbeddedGraph(dict(g.vertices), list(g.edges)) for g in graphs]
     assert np.array_equal(distance_matrix(fresh, n_frames=3).d, expected)
 

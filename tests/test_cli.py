@@ -316,6 +316,18 @@ def test_gen_bad_class(tmp_path, capsys):
     assert "unknown class" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, named", [
+    (["--classes", "star,spiral"], "unknown class 'spiral'"),
+    (["--per-class", "0"], "--per-class must be >= 1, got 0"),
+    (["--per-class", "-3"], "--per-class must be >= 1, got -3"),
+], ids=["late-bad-class", "zero-per-class", "negative-per-class"])
+def test_gen_bad_arguments_write_nothing(tmp_path, capsys, args, named):
+    out = tmp_path / "x"
+    assert main(["gen", *args, "--out", str(out)]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_passes(capsys):
     assert main(["verify", "--trials", "8"]) == 0
     out = capsys.readouterr().out

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from collections import deque
 
 import numpy as np
 import pytest
@@ -261,6 +262,83 @@ def test_largest_component_is_induced(rng):
         keep = set(lc.vertices)
         induced = {(u, v) for u, v in g.edges if u in keep and v in keep}
         assert set(lc.edges) == induced
+
+
+def _bfs_components(g: EmbeddedGraph) -> list[list[int]]:
+    """Reference: components by breadth-first search over the adjacency lists."""
+    adj = g.neighbors()
+    seen: set[int] = set()
+    comps = []
+    for start in g.vertices:
+        if start in seen:
+            continue
+        comp, queue = [], deque([start])
+        seen.add(start)
+        while queue:
+            u = queue.popleft()
+            comp.append(u)
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        comps.append(comp)
+    return comps
+
+
+def _reference_largest(g: EmbeddedGraph) -> EmbeddedGraph:
+    """Reference: the largest BFS component, rebuilt through the validating constructor."""
+    comps = _bfs_components(g)
+    if len(comps) == 1:
+        return g
+    keep = set(max(comps, key=lambda c: (len(c), -min(c))))
+    return EmbeddedGraph({v: xy for v, xy in g.vertices.items() if v in keep},
+                         [(u, v) for u, v in g.edges if u in keep and v in keep])
+
+
+def _random_components_graph(rng: np.random.Generator) -> EmbeddedGraph:
+    """Components of 1-4 vertices (so sizes tie), unsorted and negative ids,
+    shuffled vertex and edge order, and sometimes an id beyond int64."""
+    sizes = rng.integers(1, 5, size=int(rng.integers(1, 6))).tolist()
+    ids = rng.permutation(np.arange(-40, 40))[:sum(sizes)].tolist()
+    big = int(rng.integers(0, 3))  # 1: an isolated id beyond int64, 2: one replaces an id
+    if big == 2:
+        ids[int(rng.integers(len(ids)))] = 2**63 + int(rng.integers(5))
+    edges, start = [], 0
+    for k in sizes:
+        comp = ids[start:start + k]
+        start += k
+        edges += [(comp[i], comp[int(rng.integers(i))]) for i in range(1, k)]  # a spanning tree
+        for _ in range(k // 3):  # extra edges, parallel ones too
+            i, j = rng.choice(k, 2, replace=False).tolist()
+            edges.append((comp[i], comp[j]))
+    if big == 1:
+        ids.append(2**64 + int(rng.integers(5)))  # isolated and never the least id: dropped
+    order = rng.permutation(len(ids)).tolist()
+    scale = float(rng.choice([1e-3, 1.0, 1e6]))
+    vertices = {ids[i]: tuple((rng.normal(size=2) * scale).tolist()) for i in order}
+    edges = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in edges]
+    return EmbeddedGraph(vertices, [edges[i] for i in rng.permutation(len(edges))])
+
+
+def test_largest_component_matches_bfs_reference():
+    rng = np.random.default_rng(2024)
+    seen = {"connected": 0, "size-tie": 0, "dropped-big-id": 0, "isolated": 0}
+    for _ in range(400):
+        g = _random_components_graph(rng)
+        comps = _bfs_components(g)
+        ref, lc = _reference_largest(g), largest_component(g)
+        assert (lc is g) == (ref is g)
+        for a, b in zip(ref.arrays[:5], lc.arrays[:5]):
+            assert a.dtype == b.dtype and repr(a.tolist()) == repr(b.tolist())
+        assert repr(lc.arrays[5]) == repr(ref.arrays[5])
+        # the same partition, members listed in vertex order
+        assert connected_components(g) == [[v for v in g.vertices if v in set(c)] for c in comps]
+        sizes = sorted(map(len, comps))
+        seen["connected"] += len(comps) == 1
+        seen["size-tie"] += len(sizes) > 1 and sizes[-1] == sizes[-2]
+        seen["isolated"] += len(comps) > 1 and sizes[0] == 1
+        seen["dropped-big-id"] += (g.arrays[0].dtype == object and lc.arrays[0].dtype == np.int64)
+    assert min(seen.values()) >= 20, seen
 
 
 @pytest.mark.parametrize("fmt", ["json", "edgelist"])
