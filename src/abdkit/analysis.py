@@ -145,8 +145,9 @@ def distance_matrix(
     Trees come from :func:`abd.frame_trees`, so each graph is indexed once
     and reduced to its largest component only if its first sweep finds it
     disconnected.  Equal trees (same values and shape, whatever their node
-    ids) share one comparison: each distinct ordered pair of trees is one
-    work item, computed once on the first (pair, frame) that produces it.
+    ids) share one comparison: each distinct unordered pair of trees is one
+    work item, computed once on the first (pair, frame) that produces it in
+    either order, since d_B is symmetric to the bit.
     ``jobs`` > 1 runs the items in a process pool of at most
     ``min(jobs, items, available CPUs)`` workers, each sent every tree once
     and then item indices in about four chunks per worker.
@@ -169,9 +170,10 @@ def distance_matrix(
     tree_ids = [[ids.setdefault(t.canonical_key(), len(ids)) for t in row] for row in trees]
     n = len(graphs)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    items: dict[tuple[int, int], tuple[int, int, int]] = {}  # (id_x, id_y) -> first (i, j, f)
+    items: dict[tuple[int, int], tuple[int, int, int]] = {}  # (id, id >= it) -> first (i, j, f)
     pair_items = [
-        [items.setdefault((tree_ids[i][f], tree_ids[j][f]), (i, j, f)) for f in range(n_frames)]
+        [items.setdefault((a, b) if a <= b else (b, a), (i, j, f))
+         for f, (a, b) in enumerate(zip(tree_ids[i], tree_ids[j]))]
         for i, j in pairs
     ]
     args, work = (trees, labels, tol), list(items.values())

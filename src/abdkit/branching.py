@@ -9,8 +9,8 @@ matching of the root branches and more, the rest removed as whole fringe
 subtrees, with every matched and removal cost at most eps; d_B is the least
 such eps.  Choices in disjoint subtrees are independent, so
 :func:`branching_distance` builds no representation.  A branch is a state
-``(m, s)``, leaf ``m`` under ``s`` (``None`` above the root for the root
-branch); its *slots* are the off-path children of the nodes strictly
+``(m, s)``, leaf ``m`` under ``s`` (a virtual node above the root for the
+root branch); its *slots* are the off-path children of the nodes strictly
 between, and slot ``c`` holds a branch ``(m', parent of c)`` for any leaf
 ``m'`` below ``c``.  Removing a slot costs the least ``R`` over its leaves,
 ``R(m, s) = max(|m - s| / 2, removal costs of its slots)``; a branch pair
@@ -38,13 +38,20 @@ that finds no augmenting path raises t straight to the least removal cost,
 or weight on a partner the search did not see, among the slots it
 reached.  A leaf pair with no slot on either side is worth its matching
 cost, no value asked.
+
+Integer rows: :func:`_table` numbers each tree's n nodes once, in ascending
+value order, so a child's row is below its parent's, the root's is n - 1
+and row n is the virtual node above it.  Values, parents, leaves below and
+removal costs are lists read by row; the slots of branch ``(m, s)`` are
+keyed by the one int ``m * (n + 1) + s``, and the weight of slot pair
+``(a, b)`` by ``a * (ny + 1) + b``, so the recursion builds and hashes no
+tuple key and does no dict lookup by node id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from operator import itemgetter
 
 from .merge_tree import MergeTree
 
@@ -100,35 +107,44 @@ def _guard_leaves(n: int, limit: int, what: str) -> None:
         raise ValueError(f"merge tree has {n} leaves; {what} is limited to {limit}")
 
 
-def _table(mt: MergeTree) -> tuple[dict, dict, dict, dict, dict]:
+def _table(mt: MergeTree) -> tuple[list, list, list, list, dict, list]:
     """``mt.branch_table``, built on the first call; the distance's leaf guard.
 
-    Five maps, with ``None`` a virtual parent of the root valued like it:
-    node -> value, node -> parent (root -> None), node -> leaves below it,
-    branch ``(m, s)`` -> its slots, slot -> least removal cost.
+    Rows number the n nodes in ascending value order, so every child's row
+    is below its parent's and the root's is n - 1; row n is a virtual parent
+    of the root, valued like it.  Six fields: row -> node id, row -> value
+    (n + 1 of them), row -> parent row (the root's is n), row -> leaf rows
+    below it, ``m * (n + 1) + s`` -> the slot rows of branch ``(m, s)``, and
+    row -> least removal cost (every row but the root's).
     """
     if mt.branch_table is None:
-        ch = mt.children()
-        leaves = [n for n in mt.values if not ch[n]]
-        _guard_leaves(len(leaves), MAX_LEAVES, "branching_distance")
-        value = {**mt.values, None: mt.values[mt.root]}
-        up = {n: (p if p != n else None) for n, p in mt.parent.items()}
-        ascending = sorted(mt.values, key=value.get)  # every child before its parent
-        below: dict = {}
-        for n in ascending:
-            below[n] = [m for c in ch[n] for m in below[c]] or [n]
+        ids = sorted(mt.values, key=mt.values.get)  # every child before its parent
+        n, k = len(ids), len(ids) + 1  # k: the stride of a slot key
+        row = {node: i for i, node in enumerate(ids)}
+        val = [mt.values[node] for node in ids]
+        val.append(val[-1])
+        up = [row[mt.parent[node]] for node in ids]
+        up[-1] = n
+        ch: list[list[int]] = [[] for _ in range(k)]  # row n, the virtual parent, has none
+        for i in range(n - 1):
+            ch[up[i]].append(i)
+        _guard_leaves(sum(not c for c in ch[:n]), MAX_LEAVES, "branching_distance")
+        below: list[list[int]] = []
+        for i in range(n):
+            below.append([m for c in ch[i] for m in below[c]] or [i])
         slots: dict = {}
-        for m in leaves:
+        for m in below[-1]:
             v, hung = m, ()
-            while v is not None:
+            while v < n:
                 prev, v = v, up[v]
-                slots[m, v] = hung
-                hung += tuple(c for c in ch.get(v, ()) if c != prev)
-        removal: dict = {}
-        for c in ascending[:-1]:  # every node but the root
-            removal[c] = min(max([abs(value[m] - value[up[c]]) / 2.0,
-                                  *(removal[d] for d in slots[m, up[c]])]) for m in below[c])
-        mt.branch_table = value, up, below, slots, removal
+                slots[m * k + v] = hung
+                hung += tuple(c for c in ch[v] if c != prev)
+        removal: list[float] = []
+        for c in range(n - 1):
+            s = up[c]
+            removal.append(min(max([abs(val[m] - val[s]) / 2.0,
+                                    *(removal[d] for d in slots[m * k + s])]) for m in below[c]))
+        mt.branch_table = ids, val, up, below, slots, removal
     return mt.branch_table
 
 
@@ -146,7 +162,7 @@ def _augment(a, u: float, rows: dict, owner: dict, seen: set) -> bool:
     return False
 
 
-def _least_cover(t: float, rows: dict, removal: dict, cutoff: float) -> float:
+def _least_cover(t: float, rows: dict, removal: list, cutoff: float) -> float:
     """Least t' >= ``t`` at which every slot of ``rows`` not removable within
     t' has its own partner within t', or inf if none below ``cutoff`` does.
 
@@ -174,76 +190,89 @@ def _least_cover(t: float, rows: dict, removal: dict, cutoff: float) -> float:
 def _distance(x: MergeTree, y: MergeTree) -> float:
     """d_B in one pass of the min-max recursion (see the module docstring).
 
-    ``weight(a, b, cutoff)`` is the weight of slot pair ``(a, b)`` if below
-    ``cutoff``, else at least ``cutoff``; its leaf pairs go in ascending
-    matching cost until the cost reaches the best value so far, and
-    ``value`` returns inf once it cannot beat that ``cutoff`` either.
+    ``weight(a, b, key, cutoff)`` is the weight of slot pair ``(a, b)``,
+    memo key ``key = a * (ny + 1) + b``, if below ``cutoff``, else at least
+    ``cutoff``; its leaf pairs go in ascending matching cost until the cost
+    reaches the best value so far, and ``value`` returns inf once it cannot
+    beat that ``cutoff`` either.  Callers read ``exact`` first.
     """
-    (vx, upx, belowx, slotsx, rx), (vy, upy, belowy, slotsy, ry) = _table(x), _table(y)
-    exact: dict = {}  # slot pair -> weight
-    floor: dict = {}  # slot pair -> a bound its weight is known to reach
+    (_, vx, upx, belowx, slotsx, rx), (_, vy, upy, belowy, slotsy, ry) = _table(x), _table(y)
+    kx, ky = len(vx), len(vy)  # row count + 1: the stride of a slot or slot-pair key
+    exact: dict = {}  # slot-pair key -> weight
+    floor: dict = {}  # slot-pair key -> a bound its weight is known to reach
 
-    def weight(a, b, cutoff: float) -> float:
-        if (a, b) in exact:
-            return exact[a, b]
+    def weight(a: int, b: int, key: int, cutoff: float) -> float:
         px, py = upx[a], upy[b]
         saddles = abs(vx[px] - vy[py])
-        if saddles >= cutoff or floor.get((a, b), -inf) >= cutoff:
+        if saddles >= cutoff or floor.get(key, -inf) >= cutoff:
             return inf  # a weight is at least its saddle gap, or known to reach cutoff
         # plain loops: a comprehension would make cells of these locals on every call
         best, leaf_pairs = cutoff, []
         for mx in belowx[a]:
+            v = vx[mx]
             for my in belowy[b]:
-                if (cost := max(abs(vx[mx] - vy[my]), saddles)) < cutoff:
+                cost = abs(v - vy[my])
+                if cost < saddles:
+                    cost = saddles
+                if cost < cutoff:
                     leaf_pairs.append((cost, mx, my))
         for cost, mx, my in sorted(leaf_pairs):
             if cost >= best:
                 break
-            sx, sy = slotsx[mx, px], slotsy[my, py]
+            sx, sy = slotsx[mx * kx + px], slotsy[my * ky + py]
             # a leaf pair with no slots on either side is worth its cost
             best = cost if not sx and not sy else min(best, value(cost, sx, sy, best))
         if best < cutoff:
-            exact[a, b] = best
+            exact[key] = best
         else:
-            floor[a, b] = cutoff
+            floor[key] = cutoff
         return best
 
     def value(cost: float, sx: tuple, sy: tuple, cutoff: float) -> float:
         # plain loops, as in weight: no cells
-        heavy = []  # slots too costly to remove at cost
+        heavy = []  # (removal cost, x slot or -1, y slot or -1) of slots too costly at cost
         for a in sx:
             if rx[a] > cost:
-                heavy.append((rx[a], a, None))
+                heavy.append((rx[a], a, -1))
         for b in sy:
             if ry[b] > cost:
-                heavy.append((ry[b], None, b))
+                heavy.append((ry[b], -1, b))
         if not heavy:
             return cost
         # score each heavy slot on its (weight, partner) row of weights below cutoff
         low, rows_x, rows_y = cost, {}, {}
-        heavy.sort(key=itemgetter(0), reverse=True)
+        heavy.sort(reverse=True)
         for removal, a, b in heavy:
             r = []
-            if b is None:
+            if b < 0:
+                base = a * ky
                 for c in sy:
-                    if (w := weight(a, c, cutoff)) < cutoff:
+                    key = base + c
+                    w = exact[key] if key in exact else weight(a, c, key, cutoff)
+                    if w < cutoff:
                         r.append((w, c))
                 r.sort()
                 rows_x[a] = r
             else:
                 for c in sx:
-                    if (w := weight(c, b, cutoff)) < cutoff:
+                    key = c * ky + b
+                    w = exact[key] if key in exact else weight(c, b, key, cutoff)
+                    if w < cutoff:
                         r.append((w, c))
                 r.sort()
                 rows_y[b] = r
-            low = max(low, min(removal, r[0][0]) if r else removal)
-            if low >= cutoff:
-                return inf
+            if r and r[0][0] < removal:
+                removal = r[0][0]
+            if removal > low:
+                low = removal
+                if low >= cutoff:
+                    return inf
         # the sides are covered apart, each monotone in t: the least t is the larger
         t = _least_cover(low, rows_x, rx, cutoff)
         return _least_cover(t, rows_y, ry, cutoff) if t < cutoff else inf
 
-    return weight(x.root, y.root, inf)
+    root_x, root_y = kx - 2, ky - 2
+    return weight(root_x, root_y, root_x * ky + root_y, inf)
 
 
 def branching_distance(x: MergeTree, y: MergeTree, tol: float | None = None) -> float:

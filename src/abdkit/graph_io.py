@@ -294,6 +294,8 @@ def _parse_json(text: str) -> EmbeddedGraph:
 # An integer as text: an optional sign and ASCII digits.  int() alone would
 # also read "1_0" as 10, " 3" as 3 and Arabic-Indic digits.
 INTEGER_TEXT = re.compile(r"[+-]?[0-9]+")
+# INTEGER_TEXT tokens joined by single spaces, to check a whole column in one match
+_INTEGER_TOKENS = re.compile(r"[+-]?[0-9]+(?: [+-]?[0-9]+)*")
 
 
 def _edgelist_id(token: str) -> int:
@@ -311,6 +313,37 @@ def _edgelist_coordinate(token: str) -> float:
 
 
 def _parse_edgelist(text: str) -> EmbeddedGraph:
+    columns = _edgelist_columns(text) or _edgelist_lines(text)  # the slow read names the culprit
+    return EmbeddedGraph._from_arrays(_index(*columns))
+
+
+def _edgelist_columns(text: str) -> tuple[list, list, list, list] | None:
+    """(ids, xs, ys, edges) if each column passes its check at once, else None.
+
+    The id and endpoint tokens are checked as one ``_INTEGER_TOKENS`` text,
+    the coordinate tokens as one text for ``_`` and non-ASCII characters.
+    """
+    lines = [line for line in map(str.strip, text.splitlines()) if line]
+    vertices = [line[1:].split() for line in lines if line[0] == "#"]
+    pairs = [line.split() for line in lines if line[0] != "#"]
+    if not (set(map(len, vertices)) <= {3} and set(map(len, pairs)) <= {2}):
+        return None
+    ids, xs, ys = zip(*vertices) if vertices else ((), (), ())
+    ends = list(chain.from_iterable(pairs))
+    coordinates = " ".join(xs + ys)
+    if not (_INTEGER_TOKENS.fullmatch(" ".join([*ids, *ends]))
+            and coordinates.isascii() and "_" not in coordinates):
+        return None
+    try:
+        xs, ys = list(map(float, xs)), list(map(float, ys))
+    except ValueError:
+        return None
+    ends = list(map(int, ends))
+    return list(map(int, ids)), xs, ys, list(zip(ends[0::2], ends[1::2]))
+
+
+def _edgelist_lines(text: str) -> tuple[list, list, list, list]:
+    """Read an edge list line by line; the first line that fails is named."""
     ids: list[int] = []
     xs: list[float] = []
     ys: list[float] = []
@@ -331,7 +364,7 @@ def _parse_edgelist(text: str) -> EmbeddedGraph:
         except ValueError as exc:
             _reject_duplicate(ids)  # a repeated id on an earlier line is the first fault
             raise GraphFormatError(f"cannot parse line {lineno}: {raw!r}") from exc
-    return EmbeddedGraph._from_arrays(_index(ids, xs, ys, edges))
+    return ids, xs, ys, edges
 
 
 # How json.dumps(doc, indent=1) lays out one vertex and one edge.

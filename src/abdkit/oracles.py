@@ -16,7 +16,8 @@ No production module imports this one.
   recursion as first written, every slot-pair weight it needs computed in
   full whatever its caller's cutoff and the least t found by one joint
   bisection, so the engine's pruning can be checked to the bit on trees
-  of up to 20 leaves.
+  of up to 20 leaves.  It reads :func:`minmax_table`, the recursion's
+  table keyed by node id, which also checks the engine's integer-row table.
 * :func:`representations` builds the distinct rooted tree representations
   of a merge tree (exponential in its leaves); the enumeration oracles of
   the tests build on it.  :func:`candidate_costs` lists every value the
@@ -36,7 +37,6 @@ from .branching import (
     MAX_LEAVES,
     Branch,
     _guard_leaves,
-    _table,
     branching_distance,
     matching_cost,
     removal_cost,
@@ -55,6 +55,7 @@ __all__ = [
     "candidate_costs",
     "brute_force_distance",
     "MAX_LEAVES_BRUTE_FORCE",
+    "minmax_table",
     "minmax_distance",
     "is_isomorphic",
 ]
@@ -380,6 +381,36 @@ def _covers(partners: dict) -> bool:
     return all(augment(a, set()) for a in partners)
 
 
+def minmax_table(mt: MergeTree) -> tuple[dict, dict, dict, dict, dict]:
+    """The min-max recursion's table of ``mt``, keyed by node id, built afresh.
+
+    Five maps, with ``None`` a virtual parent of the root valued like it:
+    node -> value, node -> parent (root -> None), node -> leaves below it,
+    branch ``(m, s)`` -> its slots, slot -> least removal cost.
+    """
+    ch = mt.children()
+    leaves = [n for n in mt.values if not ch[n]]
+    _guard_leaves(len(leaves), MAX_LEAVES, "branching_distance")
+    value = {**mt.values, None: mt.values[mt.root]}
+    up = {n: (p if p != n else None) for n, p in mt.parent.items()}
+    ascending = sorted(mt.values, key=value.get)  # every child before its parent
+    below: dict = {}
+    for n in ascending:
+        below[n] = [m for c in ch[n] for m in below[c]] or [n]
+    slots: dict = {}
+    for m in leaves:
+        v, hung = m, ()
+        while v is not None:
+            prev, v = v, up[v]
+            slots[m, v] = hung
+            hung += tuple(c for c in ch.get(v, ()) if c != prev)
+    removal: dict = {}
+    for c in ascending[:-1]:  # every node but the root
+        removal[c] = min(max([abs(value[m] - value[up[c]]) / 2.0,
+                              *(removal[d] for d in slots[m, up[c]])]) for m in below[c])
+    return value, up, below, slots, removal
+
+
 def minmax_distance(x: MergeTree, y: MergeTree) -> float:
     """d_B by the min-max recursion of :mod:`abdkit.branching` as first written.
 
@@ -391,7 +422,7 @@ def minmax_distance(x: MergeTree, y: MergeTree) -> float:
     ascending matching cost until the cost reaches the best value so far,
     and ``value`` returns inf once it cannot beat that ``cutoff`` either.
     """
-    (vx, upx, belowx, slotsx, rx), (vy, upy, belowy, slotsy, ry) = _table(x), _table(y)
+    (vx, upx, belowx, slotsx, rx), (vy, upy, belowy, slotsy, ry) = minmax_table(x), minmax_table(y)
     if len(vx) == len(vy) == 2:  # two trivial trees
         return abs(vx[None] - vy[None])
     memo: dict = {}

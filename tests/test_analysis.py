@@ -22,6 +22,7 @@ from abdkit.analysis import (
     embedding_to_csv,
     export,
     load_distance_csv,
+    matrix_to_csv,
     single_linkage,
 )
 from abdkit.fixtures import graph_counterexample
@@ -131,7 +132,7 @@ def test_matrix_compares_each_distinct_tree_pair_once(rng, monkeypatch, n_frames
     real = analysis.branching_distance
 
     def counted(x, y, **kw):
-        calls.append((x.canonical_key(), y.canonical_key()))
+        calls.append(frozenset((x.canonical_key(), y.canonical_key())))
         return real(x, y, **kw)
 
     monkeypatch.setattr(analysis, "branching_distance", counted)
@@ -139,10 +140,44 @@ def test_matrix_compares_each_distinct_tree_pair_once(rng, monkeypatch, n_frames
     keys = [[merge_tree_at(g, w).canonical_key() for w in frame_angles(n_frames)]
             for g in graphs]
     n = len(graphs)
-    distinct = {(keys[i][f], keys[j][f])
+    distinct = {frozenset((keys[i][f], keys[j][f]))
                 for i in range(n) for j in range(i + 1, n) for f in range(n_frames)}
-    assert sorted(calls) == sorted(distinct)  # each distinct ordered pair once
+    assert len(calls) == len(set(calls))  # each distinct unordered pair once
+    assert set(calls) == distinct
     assert len(calls) < n * (n - 1) // 2 * n_frames
+
+
+@pytest.mark.parametrize("tol", [None, 1e-3], ids=["exact", "tolerance"])
+def test_matrix_computes_a_reversed_tree_pair_once(rng, monkeypatch, tol):
+    # (star, comb) at pair (0, 1) and (comb, star) at pair (1, 2) are one item
+    s, c = star(rng), comb(rng)
+    graphs = [s, c, s]
+    expected = np.zeros((3, 3))
+    for i in range(3):
+        for j in range(i + 1, 3):
+            expected[i, j] = expected[j, i] = average_branching_distance(
+                graphs[i], graphs[j], n_frames=1, tol=tol)
+    calls = []
+    real = analysis.branching_distance
+
+    def counted(x, y, **kw):
+        calls.append((x.canonical_key(), y.canonical_key()))
+        return real(x, y, **kw)
+
+    monkeypatch.setattr(analysis, "branching_distance", counted)
+    got = distance_matrix(graphs, n_frames=1, tol=tol, labels=["s", "c", "t"])
+    star_key, comb_key = (merge_tree_at(g, frame_angles(1)[0]).canonical_key() for g in (s, c))
+    assert star_key != comb_key
+    assert calls == [(star_key, comb_key), (star_key, star_key)]
+    assert matrix_to_csv(got) == matrix_to_csv(DistanceMatrix(["s", "c", "t"], expected))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_matrix_refusal_names_first_order_of_a_reversed_pair(rng, jobs):
+    # (zig, star) at pair (0, 1) fails first; (star, zig) at pair (1, 2) is the same item
+    graphs = [zigzag_path(30), star(rng), zigzag_path(30)]
+    with pytest.raises(ValueError, match="^zig vs s, frame 0: merge tree has 30 leaves"):
+        distance_matrix(graphs, n_frames=2, labels=["zig", "s", "zag"], jobs=jobs)
 
 
 def zigzag_path(minima: int) -> EmbeddedGraph:

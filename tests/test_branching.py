@@ -1,3 +1,4 @@
+import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -13,13 +14,14 @@ from abdkit import branching
 from abdkit.abd import frame_angles, frame_trees, merge_tree_at
 from abdkit.branching import MAX_LEAVES, Branch, branching_distance, matching_cost, removal_cost
 from abdkit.fixtures import graph_counterexample, tree_counterexample
-from abdkit.merge_tree import MergeTree
+from abdkit.merge_tree import MergeTree, load_tree
 from abdkit.oracles import (
     RootedTreeRep,
     brute_force_distance,
     candidate_costs,
     is_eps_similar,
     minmax_distance,
+    minmax_table,
     representations,
 )
 from abdkit.synth import comb, random_merge_tree, shape_dataset
@@ -760,6 +762,111 @@ def test_engine_matches_minmax_reference_on_shape_dataset():
     for x, y in items.values():
         assert branching_distance(x, y) == minmax_distance(x, y)
         assert branching_distance(y, x) == minmax_distance(y, x)
+
+
+def _tied_saddles(rng):
+    """Two or three random subtrees shifted so that their roots, siblings
+    under one new root, share one value; integer values tie leaves too."""
+    values, parent, top = {}, {}, 40.0
+    for k in range(int(rng.integers(2, 4))):
+        sub = random_merge_tree(rng, max_leaves=6, integer_values=True)
+        shift = top - sub.values[sub.root]
+        for n, v in sub.values.items():
+            values[100 * k + n] = v + shift
+            parent[100 * k + n] = 100 * k + sub.parent[n]
+        parent[100 * k + sub.root] = -1
+    values[-1], parent[-1] = top + 1.0, -1
+    return MergeTree(values, parent)
+
+
+def _table_trees(rng):
+    """Random trees of up to 20 leaves (a third with tied integer values),
+    stars, caterpillars, trees with tied sibling saddles, the trivial tree,
+    each also relabelled and listed in a shuffled node order."""
+    for i in range(90):
+        yield random_merge_tree(rng, max_leaves=20, integer_values=i % 3 == 2)
+    for n in (2, 5, 12, 20):
+        yield random_star(rng, n)
+        yield random_star(rng, n, integer_values=True)
+        yield random_caterpillar(rng, n)
+        yield random_caterpillar(rng, n, integer_values=True)
+    for _ in range(20):
+        yield _tied_saddles(rng)
+    yield MergeTree({7: 1.5}, {7: 7})
+
+
+def _engine_table_by_id(mt):
+    """The engine's integer-row table of ``mt``, keyed back by node id, with
+    ``None`` for the virtual row above the root and sets for orderless fields."""
+    ids, val, up, below, slots, removal = branching._table(mt)
+    n, node = len(ids), [*ids, None]
+    assert len(val) == n + 1 and val[n] == val[n - 1] and up[n - 1] == n
+    assert all(i < up[i] for i in range(n)) and max(val[:n]) == val[n - 1]  # children first
+    return ({node[i]: val[i].hex() for i in range(n + 1)},
+            {node[i]: node[up[i]] for i in range(n)},
+            {node[i]: {node[m] for m in below[i]} for i in range(n)},
+            {(node[key // (n + 1)], node[key % (n + 1)]): {node[c] for c in hung}
+             for key, hung in slots.items()},
+            {node[i]: removal[i].hex() for i in range(n - 1)})
+
+
+def test_engine_table_matches_minmax_table(rng):
+    # the engine's rows and the reference's node-id maps are built apart;
+    # mapped back to node ids they must hold the same values to the bit
+    trees = list(_table_trees(rng))
+    trees += [_relabelled(t, rng) for t in trees]
+    assert len(trees) >= 200
+    for mt in trees:
+        value, up, below, slots, removal = minmax_table(mt)
+        assert _engine_table_by_id(mt) == (
+            {n: v.hex() for n, v in value.items()},
+            up,
+            {n: set(leaves) for n, leaves in below.items()},
+            {branch: set(hung) for branch, hung in slots.items()},
+            {n: r.hex() for n, r in removal.items()},
+        )
+
+
+def _in_node_order(mt, order):
+    return MergeTree({n: mt.values[n] for n in order}, {n: mt.parent[n] for n in order})
+
+
+@pytest.mark.parametrize("tol", [None, 1e-3], ids=["exact", "tolerance"])
+def test_node_order_does_not_change_distance(rng, tol):
+    # a hand-written tree file may list its nodes in any order; the engine's
+    # rows come from a sort, so ascending, root-first and shuffled orders
+    # give the same bits in both argument orders
+    def orders(mt):
+        ascending = sorted(mt.values, key=mt.values.get)
+        shuffled = [ascending[k] for k in rng.permutation(len(ascending))]
+        return [_in_node_order(mt, o) for o in (ascending, ascending[::-1], shuffled)]
+
+    pairs = [(random_merge_tree(rng, max_leaves=12, integer_values=i % 2 == 1),
+              random_merge_tree(rng, max_leaves=12, integer_values=i % 2 == 1))
+             for i in range(30)]
+    pairs += [(_tied_saddles(rng), _tied_saddles(rng)) for _ in range(10)]
+    pairs += [(random_star(rng, 9, integer_values=True), random_caterpillar(rng, 9))]
+    for x, y in pairs:
+        (ax, *other_x), (ay, *other_y) = orders(x), orders(y)
+        assert ax.root == other_x[0].root and list(other_x[0].values)[0] == x.root
+        d = branching_distance(ax, ay, tol=tol).hex()
+        for ox, oy in product([ax, *other_x], [ay, *other_y]):
+            assert branching_distance(ox, oy, tol=tol).hex() == d
+            assert branching_distance(oy, ox, tol=tol).hex() == d
+
+
+def test_node_order_in_a_tree_file_does_not_change_distance(tmp_path, rng):
+    x, y = _tied_saddles(rng), random_caterpillar(rng, 8, integer_values=True)
+    d = branching_distance(x, y)
+    for name, order in (("root-first", sorted(x.values, key=x.values.get, reverse=True)),
+                        ("shuffled", [list(x.values)[k] for k in rng.permutation(x.n_nodes)])):
+        doc = {"nodes": [{"id": n, "value": x.values[n]} for n in order],
+               "parent": {str(n): x.parent[n] for n in order}}
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        loaded = load_tree(path)
+        assert list(loaded.values) == order
+        assert branching_distance(loaded, y) == branching_distance(y, loaded) == d
 
 
 def _relabelled(mt, rng):

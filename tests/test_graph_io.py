@@ -6,6 +6,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from abdkit import graph_io
 from abdkit.graph_io import (
     MAX_COORDINATE_SUM,
     EmbeddedGraph,
@@ -160,6 +161,37 @@ def test_edgelist_signed_ids_and_exponents_load(tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("# -3 1e-1 -2.5E2\n# +4 1 0\n-3 +4\n")
     assert load_graph(p, "edgelist") == EmbeddedGraph({-3: (0.1, -250.0), 4: (1.0, 0.0)}, [(-3, 4)])
+
+
+@pytest.mark.parametrize("text", [
+    "# -3 1e-1 -2.5E2\n# +4 1 0\n-3 +4\n",
+    "\n  #7\t0.5 -0\r\n0 7\n\n# 0 1 1\n7 0\n   \n# 9 2 2",  # edges before a vertex, tabs, CRLF
+    "# 0 0 0\n# 1 1 0\n# 2 0 1\n0 1\n1 2\n2 0\n1 0\n",
+    f"# {2**70} 0.1 0.2\n# -{2**70} 0.3 0.4\n{2**70} -{2**70}\n",
+    "# 0 0 0\n",
+], ids=["signs-exponents", "layout", "parallel", "beyond-int64", "no-edge"])
+def test_edgelist_column_check_reads_what_the_line_reader_reads(text):
+    assert graph_io._edgelist_columns(text) == graph_io._edgelist_lines(text)
+
+
+@pytest.mark.parametrize("text", [
+    "# 0 0 0\n# 1_0 1 0\n0 10\n",
+    "# 0 0 0\n# 10 1 0\n0 1_0\n",
+    "# 0 0 0\n# 1 1_0.5 0\n0 1\n",
+    "# 0 0 0\n# \u0661 1 0\n0 1\n",
+    "# 0 0 0\n# 1 0 \u0661.5\n0 1\n",
+    "# 0 0 0\n# 1 1 0\n0 1 2\n",
+    "# 0 0 0\n# 1 1\n0 1\n",
+    "# 0 0 0\n# 1 1 0\n0\n1 0\n",
+    "# 0 0 0\n# 1 x 0\n0 1\n",
+    "# 0 0 0\n# 1 1 0\n0 1.0\n",
+    "# 0 0 0\n#\n",
+    "",
+], ids=["underscore-id", "underscore-endpoint", "underscore-coordinate", "arabic-indic-id",
+        "arabic-indic-coordinate", "long-edge", "short-vertex", "short-edge", "word-coordinate",
+        "float-endpoint", "bare-hash", "empty"])
+def test_edgelist_column_check_leaves_bad_text_to_the_line_reader(text):
+    assert graph_io._edgelist_columns(text) is None
 
 
 @pytest.mark.parametrize("big", [2**40, 2**70], ids=["int64", "beyond-int64"])
