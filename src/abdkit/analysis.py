@@ -132,6 +132,29 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _pair_items(tree_ids: np.ndarray) -> tuple[list[tuple[int, int, int]], np.ndarray]:
+    """Work items of a matrix and, per pair and frame, the item it reads.
+
+    ``tree_ids`` is the (graphs, frames) array of tree ids.  Pairs ``i < j``
+    run in row-major order, then frames.  Each distinct unordered pair of
+    tree ids is one item, given as the first ``(i, j, f)`` that produces it
+    in either order; items are listed in the order first met.  The second
+    result maps each (pair, frame) to its item's position in that list.
+    """
+    n, n_frames = tree_ids.shape
+    iu, ju = np.triu_indices(n, 1)  # row-major
+    a, b = tree_ids[iu], tree_ids[ju]
+    top = int(tree_ids.max()) + 1  # at most graphs x frames, so top**2 fits in int64
+    keys = (np.minimum(a, b) * top + np.maximum(a, b)).ravel()  # (pair, frame) row-major
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # distinct keys by first occurrence
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    pair, frame = np.divmod(first[order], n_frames)
+    work = list(zip(iu[pair].tolist(), ju[pair].tolist(), frame.tolist()))
+    return work, rank[inverse].reshape(len(iu), n_frames)
+
+
 def distance_matrix(
     graphs: list[EmbeddedGraph],
     n_frames: int = 10,
@@ -145,15 +168,18 @@ def distance_matrix(
     Trees come from :func:`abd.frame_trees`, so each graph is indexed once
     and reduced to its largest component only if its first sweep finds it
     disconnected.  Equal trees (same values and shape, whatever their node
-    ids) share one comparison: each distinct unordered pair of trees is one
-    work item, computed once on the first (pair, frame) that produces it in
-    either order, since d_B is symmetric to the bit.
+    ids) get one id, shared by all frames.  One ``np.unique`` over the
+    (pair, frame) keys of unordered id pairs gives the work items: each
+    distinct unordered pair of trees is computed once, on the first (pair,
+    frame) that produces it in either order, since d_B is symmetric to the
+    bit.  Items run in the order first met, so a refusal names the first
+    failing pair and frame.
     ``jobs`` > 1 runs the items in a process pool of at most
     ``min(jobs, items, available CPUs)`` workers, each sent every tree once
     and then item indices in about four chunks per worker.
-    Per-frame values are sorted before aggregation, so the result does not
-    depend on scheduling.  Items run in the order pairs, then frames, first
-    met, so a refusal names the first failing pair and frame.
+    The item values are gathered into a (pairs, frames) array whose rows
+    are sorted, so the result does not depend on scheduling, and one
+    :func:`median_or_mean` call aggregates every row.
     """
     if len(graphs) < 2:
         raise ValueError("need at least 2 graphs")
@@ -167,26 +193,23 @@ def distance_matrix(
     angles = frame_angles(n_frames)
     trees = [frame_trees(g, angles) for g in graphs]
     ids: dict = {}  # canonical key -> small id, shared by all frames
-    tree_ids = [[ids.setdefault(t.canonical_key(), len(ids)) for t in row] for row in trees]
-    n = len(graphs)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    items: dict[tuple[int, int], tuple[int, int, int]] = {}  # (id, id >= it) -> first (i, j, f)
-    pair_items = [
-        [items.setdefault((a, b) if a <= b else (b, a), (i, j, f))
-         for f, (a, b) in enumerate(zip(tree_ids[i], tree_ids[j]))]
-        for i, j in pairs
-    ]
-    args, work = (trees, labels, tol), list(items.values())
+    tree_ids = np.array([[ids.setdefault(t.canonical_key(), len(ids)) for t in row]
+                         for row in trees])
+    work, item_of = _pair_items(tree_ids)
+    args = (trees, labels, tol)
     workers = min(jobs, len(work), _available_cpus())
     if workers > 1:
         with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=args) as pool:
             chunk = -(-len(work) // (4 * workers))  # about four chunks per worker
-            values = dict(zip(work, pool.map(_worker_frame_distance, work, chunksize=chunk)))
+            values = list(pool.map(_worker_frame_distance, work, chunksize=chunk))
     else:
-        values = {item: _frame_distance(*args, item) for item in work}
+        values = [_frame_distance(*args, item) for item in work]
+    per_pair = np.array(values)[item_of]
+    per_pair.sort(axis=1)
+    n = len(graphs)
+    iu, ju = np.triu_indices(n, 1)
     out = np.zeros((n, n))
-    for (i, j), row in zip(pairs, pair_items):
-        out[i, j] = out[j, i] = median_or_mean(sorted(values[item] for item in row), avg, "avg")
+    out[iu, ju] = out[ju, iu] = median_or_mean(per_pair, avg, "avg")
     return DistanceMatrix(labels, out)
 
 
@@ -195,26 +218,27 @@ def single_linkage(dm: DistanceMatrix) -> Dendrogram:
 
     Ties are broken by the lexicographically smallest (a, b) cluster-id
     pair, so dendrograms are reproducible across runs and platforms.  The
-    link matrix is indexed by cluster id; a merged cluster's row is the
-    elementwise minimum of its parts' rows (the Lance-Williams update for
-    single linkage), so each merge is one vectorised pass over O(n^2) memory.
+    link matrix is indexed by cluster id, with inf on its diagonal and in
+    the rows and columns of merged or not yet created clusters; a new
+    cluster's row is the elementwise minimum of its parts' rows (the
+    Lance-Williams update for single linkage).  Each merge is the first
+    row-major ``argmin`` of the whole matrix: it is symmetric, so that
+    entry is the lexicographically smallest (a, b) among the minima.
     """
     n = dm.n
     n_ids = max(2 * n - 1, 0)  # one row and column per cluster id
     link = np.full((n_ids, n_ids), np.inf)
     link[:n, :n] = dm.d
-    active = list(range(n))  # ascending: a new cluster id is always the largest
+    np.fill_diagonal(link, np.inf)
     sizes = [1] * n
     merges: list[tuple[int, int, float, int]] = []
     for c in range(n, 2 * n - 1):
-        ids = np.array(active)
-        rows, cols = np.triu_indices(len(ids), 1)  # row-major: first argmin = smallest (a, b)
-        best = int(np.argmin(link[ids[rows], ids[cols]]))
-        a, b = int(ids[rows[best]]), int(ids[cols[best]])
+        a, b = divmod(int(np.argmin(link)), n_ids)
+        height = float(link[a, b])
         link[c] = link[:, c] = np.minimum(link[a], link[b])
-        active = [x for x in active if x != a and x != b] + [c]
+        link[[a, b]] = link[:, [a, b]] = np.inf
         sizes.append(sizes[a] + sizes[b])
-        merges.append((a, b, float(link[a, b]), sizes[c]))
+        merges.append((a, b, height, sizes[c]))
     return Dendrogram(list(dm.labels), merges)
 
 
@@ -320,8 +344,7 @@ def export(artifact, path: str | Path, kind: str) -> None:
 
 def matrix_to_csv(dm: DistanceMatrix) -> str:
     lines = [",".join(dm.labels)]
-    for row in dm.d:
-        lines.append(",".join(repr(float(x)) for x in row))
+    lines += [",".join(map(repr, row)) for row in dm.d.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -336,7 +359,7 @@ def load_distance_csv(path: str | Path) -> DistanceMatrix:
     rows = []
     for lineno, line in enumerate(lines[1:], start=skipped + 2):
         try:
-            row = [float(x) for x in line.split(",")]
+            row = list(map(float, line.split(",")))
         except ValueError as exc:
             raise ValueError(f"{path}, line {lineno}: {exc}") from None
         if len(row) != len(labels):

@@ -213,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mds)
 
     p = sub.add_parser("verify", help="replay counterexamples and property suites")
-    p.add_argument("--trials", type=int, default=200, help="fuzz count for randomized suites")
+    p.add_argument("--trials", type=int, default=200,
+                   help="fuzz count for randomized suites, at least 4")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fixtures-dir", default=None,
                    help="load counterexample fixtures from this directory instead of the package")

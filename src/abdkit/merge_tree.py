@@ -239,7 +239,8 @@ def compute_merge_tree(sg: ScalarGraph) -> MergeTree:
                      {ident[v]: ident[resolve(parent[v])] for v in nodes})
 
 
-def median_or_mean(values: list[float], mode: str = "median", what: str = "mode") -> float:
+def median_or_mean(values: list[float] | np.ndarray, mode: str = "median",
+                   what: str = "mode") -> float | np.ndarray:
     """The median or the mean of ``values``; ``what`` names ``mode`` in the error.
 
     The median is bit-identical to ``np.median``, whose sum starts at 0.0 and
@@ -248,15 +249,40 @@ def median_or_mean(values: list[float], mode: str = "median", what: str = "mode"
     ``np.mean``, whose pairwise sum differs from a sequential one from 9
     values on; where that sum could overflow, the values are first scaled
     down by a power of two, which is exact.
+
+    A list gives one float, computed on Python floats.  A 2-D array gives
+    an array with one value per row, by the same rule, without a Python
+    call per row: the median sorts each row, the mean sums each row in its
+    given order, as ``np.mean`` of the row alone does.
     """
+    if mode not in ("median", "mean"):
+        raise ValueError(f"unknown {what} {mode!r}, expected 'median' or 'mean'")
+    if isinstance(values, np.ndarray) and values.ndim == 2:
+        return _rows_median_or_mean(values, mode)
     if mode == "median":
         return statistics.median([v + 0.0 for v in values])
-    if mode == "mean":
-        if max(map(abs, values)) <= sys.float_info.max / len(values):
-            return float(np.mean(values))
-        e = math.frexp(len(values))[1]
-        return math.ldexp(float(np.mean(np.ldexp(values, -e))), e)
-    raise ValueError(f"unknown {what} {mode!r}, expected 'median' or 'mean'")
+    if max(map(abs, values)) <= sys.float_info.max / len(values):
+        return float(np.mean(values))
+    e = math.frexp(len(values))[1]
+    return math.ldexp(float(np.mean(np.ldexp(values, -e))), e)
+
+
+def _rows_median_or_mean(values: np.ndarray, mode: str) -> np.ndarray:
+    """:func:`median_or_mean` of each row of a 2-D float array."""
+    k = values.shape[1]
+    if mode == "median":
+        s = np.sort(values + 0.0, axis=1)
+        if k % 2:
+            return s[:, k // 2]
+        with np.errstate(over="ignore"):  # statistics.median overflows to inf silently
+            return (s[:, k // 2 - 1] + s[:, k // 2]) / 2
+    big = ~(np.abs(values).max(axis=1) <= sys.float_info.max / k)
+    if not big.any():
+        return np.mean(values, axis=1)
+    e = math.frexp(k)[1]
+    out = np.mean(np.where(big[:, None], np.ldexp(values, -e), values), axis=1)
+    out[big] = np.ldexp(out[big], e)
+    return out
 
 
 def shift_median_zero(mt: MergeTree, mode: str = "median") -> MergeTree:

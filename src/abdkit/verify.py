@@ -249,9 +249,11 @@ def run_all(trials: int = 200, seed: int = 0, fixtures_dir: str | Path | None = 
     """All counterexample regressions and property suites.
 
     ``trials`` is the fuzz count for the randomized suites (the smaller
-    suites run proportionally fewer cases).
+    suites run proportionally fewer cases, the smallest a quarter of it);
+    below 4 it is refused before any suite runs.
     """
-    trials = max(trials, 4)
+    if trials < 4:
+        raise ValueError(f"trials must be >= 4, got {trials}")
     report = Report()
 
     def run(name: str, fn, *args, **kwargs) -> None:

@@ -1,4 +1,6 @@
 import math
+import statistics
+import sys
 
 import numpy as np
 import pytest
@@ -191,6 +193,58 @@ def test_median_aggregation_matches_numpy(rng):
         pool = [0.0, 0.0, *rng.uniform(0.0, 5.0, 3).tolist(), float(rng.integers(1, 4))]
         values = sorted(rng.choice(pool, int(rng.integers(1, 13))).tolist())
         assert repr(median_or_mean(values, "median")) == repr(float(np.median(values)))
+
+
+def reference_median_or_mean(values: list[float], mode: str) -> float:
+    """The list path on Python floats, the reference for the row path."""
+    if mode == "median":
+        return statistics.median([v + 0.0 for v in values])
+    if max(map(abs, values)) <= sys.float_info.max / len(values):
+        return float(np.mean(values))
+    e = math.frexp(len(values))[1]
+    return math.ldexp(float(np.mean(np.ldexp(values, -e))), e)
+
+
+def aggregation_rows(rng, k: int, n_rows: int) -> np.ndarray:
+    """Rows of ``k`` values: zeros of both signs, ties, spread values, rows
+    past ``float max / k`` and rows just inside it, in no order."""
+    rows = []
+    for r in range(n_rows):
+        kind = r % 4
+        if kind == 0:  # ties and signed zeros, as convex shapes and shared trees give
+            pool = [0.0, -0.0, -0.0, 1.0, 2.0, float(rng.integers(1, 4)), rng.uniform(0.0, 5.0)]
+            row = rng.choice(pool, k)
+        elif kind == 1:  # spread values of both signs; their sums round differently by order
+            row = rng.uniform(-1.0, 1.0, k) * 10.0 ** rng.integers(-3, 4, k)
+        elif kind == 2:  # past float max / k: the sum could overflow, so the row is scaled
+            row = rng.uniform(0.6, 1.0, k) * sys.float_info.max * rng.choice([-1.0, 1.0], k)
+        else:  # just inside float max / k
+            row = np.full(k, sys.float_info.max / k) * rng.uniform(0.5, 1.0, k)
+        rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("mode", ["median", "mean"])
+def test_row_aggregation_matches_one_list_aggregation(mode):
+    rng = np.random.default_rng(20)
+    scaled = 0
+    for k in range(1, 13):
+        for n_rows in (1, 7, 240):
+            rows = aggregation_rows(rng, k, n_rows)
+            got = median_or_mean(rows, mode, "avg")
+            assert got.shape == (n_rows,)
+            expected = [reference_median_or_mean(row, mode) for row in rows.tolist()]
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected]
+            scaled += sum(max(map(abs, row)) > sys.float_info.max / k for row in rows.tolist())
+        # a middle -0.0 row: the median turns it into 0.0, as np.median does
+        zeros = np.full((1, k), -0.0)
+        assert median_or_mean(zeros, mode)[0].hex() == reference_median_or_mean([-0.0] * k, mode).hex()
+    assert scaled > 100
+    rows = aggregation_rows(rng, 12, 2000)  # one large array: the mean sums each row alone
+    expected = [reference_median_or_mean(row, mode) for row in rows.tolist()]
+    assert [v.hex() for v in median_or_mean(rows, mode).tolist()] == [v.hex() for v in expected]
+    with pytest.raises(ValueError, match="unknown avg 'middle', expected 'median' or 'mean'"):
+        median_or_mean(rows, "middle", "avg")
 
 
 def test_frame_trees_disconnected_takes_largest_component_with_tie_rule():

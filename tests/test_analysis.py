@@ -9,7 +9,13 @@ from scipy.linalg import orthogonal_procrustes
 from scipy.sparse.csgraph import minimum_spanning_tree
 
 from abdkit import analysis, branching, graph_io
-from abdkit.abd import average_branching_distance, frame_angles, merge_tree_at, per_frame_distances
+from abdkit.abd import (
+    average_branching_distance,
+    frame_angles,
+    frame_trees,
+    merge_tree_at,
+    per_frame_distances,
+)
 from abdkit.analysis import (
     Dendrogram,
     _dendrogram_svg,
@@ -123,6 +129,68 @@ def test_matrix_equals_per_pair_abd(rng, n_frames, avg, tol):
     for jobs in (1, 2):
         got = distance_matrix(graphs, jobs=jobs, **kw).d
         assert [v.hex() for v in got.ravel()] == [v.hex() for v in expected.ravel()]
+
+
+def reference_pair_items(tree_ids: list[list[int]]):
+    """Work items and each (pair, frame)'s item, built with a dict as the
+    matrix did before its items came from one ``np.unique``."""
+    n = len(tree_ids)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    items: dict[tuple[int, int], tuple[int, int, int]] = {}
+    pair_items = [
+        [items.setdefault((a, b) if a <= b else (b, a), (i, j, f))
+         for f, (a, b) in enumerate(zip(tree_ids[i], tree_ids[j]))]
+        for i, j in pairs
+    ]
+    return list(items.values()), pair_items
+
+
+def random_graph_set(rng):
+    """Stars, combs and polygons, some repeated or translated, in random order."""
+    pool = [star(rng), comb(rng), convex_polygon(rng, 6), *graph_counterexample()]
+    graphs = [pool[k] for k in rng.integers(0, len(pool), int(rng.integers(2, 13)))]
+    graphs += [g.translated(1.5, -0.5) for g in graphs[: int(rng.integers(0, 3))]]
+    return [graphs[k] for k in rng.permutation(len(graphs))]
+
+
+@pytest.mark.parametrize("n_frames", [1, 2, 10])
+def test_matrix_work_list_matches_dict_reference(rng, monkeypatch, n_frames):
+    calls = []
+    real = analysis._frame_distance
+
+    def recorded(trees, labels, tol, item):
+        calls.append(item)
+        return real(trees, labels, tol, item)
+
+    monkeypatch.setattr(analysis, "_frame_distance", recorded)
+    angles = frame_angles(n_frames)
+    shared = reversed_ids = 0
+    for graphs in [duplicate_heavy_set(rng)] + [random_graph_set(rng) for _ in range(6)]:
+        ids: dict = {}
+        tree_ids = [[ids.setdefault(t.canonical_key(), len(ids)) for t in frame_trees(g, angles)]
+                    for g in graphs]
+        work, pair_items = reference_pair_items(tree_ids)
+        calls.clear()
+        distance_matrix(graphs, n_frames=n_frames)
+        assert calls == work  # same items, same order, same orientation
+        got_work, item_of = analysis._pair_items(np.array(tree_ids))
+        assert got_work == work
+        assert [[got_work[k] for k in row] for row in item_of.tolist()] == pair_items
+        shared += len(pair_items) * n_frames - len(work)
+        reversed_ids += sum(tree_ids[i][f] > tree_ids[j][f] for i, j, f in work)
+    assert shared > 0
+    assert reversed_ids > 0 or n_frames == 1  # one frame numbers trees in graph order
+
+
+def test_pair_items_match_dict_reference_on_random_ids():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n, n_frames = int(rng.integers(2, 41)), int(rng.integers(1, 11))
+        tree_ids = rng.integers(0, int(rng.integers(1, 3 * n)), (n, n_frames))
+        work, pair_items = reference_pair_items(tree_ids.tolist())
+        got_work, item_of = analysis._pair_items(tree_ids)
+        assert got_work == work
+        assert [[got_work[k] for k in row] for row in item_of.tolist()] == pair_items
 
 
 @pytest.mark.parametrize("n_frames", [1, 10])
@@ -433,6 +501,37 @@ def test_single_linkage_matches_reference(kind):
         m = np.triu(m, 1)
         d = dm([f"x{i}" for i in range(n)], m + m.T)
         assert single_linkage(d).merges == reference_single_linkage(d).merges
+
+
+def reference_argmin_linkage(dm: DistanceMatrix) -> Dendrogram:
+    """Single linkage as it ran before whole-matrix argmins: one gather of
+    the active clusters' upper triangle per merge."""
+    n = dm.n
+    n_ids = max(2 * n - 1, 0)
+    link = np.full((n_ids, n_ids), np.inf)
+    link[:n, :n] = dm.d
+    active = list(range(n))
+    sizes = [1] * n
+    merges = []
+    for c in range(n, 2 * n - 1):
+        ids = np.array(active)
+        rows, cols = np.triu_indices(len(ids), 1)
+        best = int(np.argmin(link[ids[rows], ids[cols]]))
+        a, b = int(ids[rows[best]]), int(ids[cols[best]])
+        link[c] = link[:, c] = np.minimum(link[a], link[b])
+        active = [x for x in active if x != a and x != b] + [c]
+        sizes.append(sizes[a] + sizes[b])
+        merges.append((a, b, float(link[a, b]), sizes[c]))
+    return Dendrogram(list(dm.labels), merges)
+
+
+def test_single_linkage_matches_triu_reference_at_scale():
+    rng = np.random.default_rng(40)
+    for t in range(40):
+        n = 150 if t < 4 else int(rng.integers(31, 151))
+        m = np.triu(rng.integers(0, 3, (n, n)).astype(float), 1)
+        d = dm([f"x{i}" for i in range(n)], m + m.T)
+        assert single_linkage(d).merges == reference_argmin_linkage(d).merges
 
 
 def test_dendrogram_outputs_golden_tie_heavy():

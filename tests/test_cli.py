@@ -336,6 +336,19 @@ def test_verify_passes(capsys):
     assert "verify: PASS" in out
 
 
+@pytest.mark.parametrize("trials", [-5, 0, 3])
+def test_verify_refuses_trials_below_four(capsys, trials):
+    # once clamped to 4 and reported as a pass; now refused before any suite runs
+    assert main(["verify", "--trials", str(trials)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: trials must be >= 4, got {trials}\n"
+    from abdkit import verify
+
+    with pytest.raises(ValueError, match=f"^trials must be >= 4, got {trials}$"):
+        verify.run_all(trials=trials)
+
+
 def test_verify_corrupted_fixture_fails(tmp_path, capsys):
     # a fixtures dir holding a broken triple must make verify exit nonzero
     for name in ("tree_triple_x", "tree_triple_y", "tree_triple_z", "graph_triple_g", "graph_triple_h", "graph_triple_j"):
