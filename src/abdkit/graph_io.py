@@ -16,9 +16,9 @@ columns, each edge's endpoints as row indices, and the extent.  Both
 loaders and the in-memory constructor build them in one validating indexer
 (unique integer ids, no dangling endpoints, no self-loops), which collapses
 parallel edges, since they never affect sublevel-set connectivity.  Loading
-also requires finite coordinates within ``MAX_COORDINATE_SUM``.  The JSON
-loader goes from the decoded document to the arrays with whole-column
-checks; a failed check scans the items only to name the first culprit.
+also requires finite coordinates within ``MAX_COORDINATE_SUM``.  Each format
+has one reader, which checks whole columns; a failed check names its first
+culprit from what it computed, without a second pass over the input.
 The id -> (x, y) dict and the edge list are views, built on request.
 Components come from one union-find over the edge rows, ``least_id_rows``,
 which the tie contraction shares; the largest is sliced from the arrays.
@@ -30,8 +30,8 @@ import json
 import math
 import re
 import sys
-from collections.abc import Iterable
-from itertools import chain
+from collections.abc import Iterable, Sized
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -68,16 +68,22 @@ class EmbeddedGraph:
     when the graph is made, and every filtration reads them.
     ``EmbeddedGraph(vertices, edges)`` takes an id -> (x, y) dict, whose
     order is the vertex order and whose coordinates are stored as floats,
-    and ``(u, v)`` pairs; a vertex id or edge endpoint that is not an int
-    (a float or a bool, say) is a :class:`GraphFormatError`.
+    and ``(u, v)`` pairs; a coordinate value or an edge that is not a pair
+    (a sequence of length 2), or a vertex id or edge endpoint that is not
+    an int (a float or a bool, say), is a :class:`GraphFormatError`.
     :attr:`vertices` and :attr:`edges` are views: the dict and the list of
     ``(u, v)`` pairs with ``u < v``, built anew on every access.
     """
 
     def __init__(self, vertices: dict[int, tuple[float, float]],
                  edges: Iterable[tuple[int, int]]) -> None:
-        xy = list(chain.from_iterable(vertices.values()))
-        self.arrays = _index(list(vertices), xy[0::2], xy[1::2], list(edges))
+        try:
+            xs, ys = [x for x, _ in vertices.values()], [y for _, y in vertices.values()]
+        except (TypeError, ValueError):  # a value that does not unpack to two
+            v, c = list(vertices.items())[_first_non_pair(vertices.values())]
+            raise GraphFormatError(
+                f"vertex {v!r} has coordinates {c!r}, not an (x, y) pair") from None
+        self.arrays = _index(list(vertices), xs, ys, list(edges))
 
     @classmethod
     def _from_arrays(cls, arrays: tuple) -> "EmbeddedGraph":
@@ -136,36 +142,43 @@ def _index(ids: list, xs: list, ys: list, edges: list) -> tuple:
 
     ``ids`` are the vertex ids in row order, ``xs`` and ``ys`` their
     coordinates and ``edges`` the ``(u, v)`` pairs.  Every check is one pass
-    over a whole column; only a failed one scans the items, to name the
-    first culprit.  Duplicate ids and missing endpoints are found in the
-    sorted ids; each edge is oriented from its smaller id and its first copy
-    kept.
+    over a whole column; a failed one takes its first culprit from what it
+    computed: the type or length list, the stable sort of the ids or the
+    endpoint ranks.  An edge that is no pair of integers is named unless an
+    earlier one is a self-loop or misses a vertex.  Each edge is oriented
+    from its smaller id and its first copy kept.
     """
     if not set(map(type, ids)) <= {int}:
-        _reject_non_integer(ids, "vertex id")
+        bad = [type(v) is int for v in ids].index(False)
+        raise GraphFormatError(f"vertex id {ids[bad]!r} is not an integer")
     if not ids:
         raise GraphFormatError("graph has an empty vertex set")
-    idx = _int_array(ids)
-    order = np.argsort(idx)
-    sids = idx[order]
-    if np.count_nonzero(sids[1:] == sids[:-1]):
-        _reject_duplicate(ids)
+    idx, order, sids = _sorted_ids(ids)
     xs = np.fromiter(map(float, xs), float, len(ids))
     ys = np.fromiter(map(float, ys), float, len(ids))
-    try:
-        pairs = set(map(len, edges)) <= {2}
-    except TypeError:  # an edge without a length
-        pairs = False
-    ends = list(chain.from_iterable(edges)) if pairs else []
-    if not pairs or not set(map(type, ends)) <= {int}:
-        _reject_bad_edge(ids, edges)
-    e = _int_array(ends) if ends else idx[:0]
+    cut = _first_non_pair(edges)
+    ends = list(chain.from_iterable(edges if cut == len(edges) else islice(edges, cut)))
+    stray = (len(ends) if set(map(type, ends)) <= {int}
+             else [type(v) is int for v in ends].index(False))
+    good = ends if stray == len(ends) else ends[:stray - stray % 2]  # the edges before the stray's
+    e = _int_array(good) if good else idx[:0]
     if e.dtype != idx.dtype:  # one side beyond int64
         sids, e = sids.astype(object), e.astype(object)
     rank = np.searchsorted(sids, e)
     ru, rv = rank[0::2], rank[1::2]
-    if np.count_nonzero(sids.take(rank, mode="clip") != e) or np.count_nonzero(ru == rv):
-        _reject_bad_edge(ids, edges)
+    missing = sids.take(rank, mode="clip") != e
+    if np.count_nonzero(missing) or np.count_nonzero(ru == rv):
+        # two missing ids can share a rank, so a loop is told by its ids
+        k = 2 * int(np.argmax(missing[0::2] | missing[1::2] | (ru == rv)))
+        u, v = good[k:k + 2]
+        raise GraphFormatError(f"self-loop at vertex {u}" if u == v
+                               else f"edge ({u}, {v}) references a missing vertex")
+    if stray < len(ends):
+        raise GraphFormatError(f"edge endpoint {ends[stray]!r} is not an integer")
+    if cut < len(edges):
+        edge = list(edges)[cut]
+        _, _ = edge  # a sequence of another length or a scalar: the unpacking error
+        raise GraphFormatError(f"edge {edge!r} is not a (u, v) pair")  # an iterator, say
     lo, hi = np.minimum(ru, rv), np.maximum(ru, rv)  # ranks order as the ids do
     key = lo * len(ids) + hi
     sorted_key = np.sort(key)
@@ -173,6 +186,28 @@ def _index(ids: list, xs: list, ys: list, edges: list) -> tuple:
         first = np.sort(np.unique(key, return_index=True)[1])
         lo, hi = lo[first], hi[first]
     return idx, xs, ys, order[lo], order[hi], _extent(xs, ys)
+
+
+def _sorted_ids(ids: list) -> tuple:
+    """The ids as an array, its stable argsort and the sorted ids; a repeated id is named."""
+    idx = _int_array(ids)
+    order = np.argsort(idx, kind="stable")
+    sids = idx[order]
+    repeat = sids[1:] == sids[:-1]
+    # stable: later copies sort after their first, so the least of them is the first repeat
+    if np.count_nonzero(repeat):
+        raise GraphFormatError(f"duplicate vertex id {ids[order[1:][repeat].min()]}")
+    return idx, order, sids
+
+
+def _first_non_pair(items) -> int:
+    """Index of the first item without a length of 2, else ``len(items)``."""
+    try:
+        if set(map(len, items)) <= {2}:
+            return len(items)
+    except TypeError:  # an item without a length
+        pass
+    return [isinstance(c, Sized) and len(c) == 2 for c in items].index(False)
 
 
 def _extent(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -188,55 +223,23 @@ def _int_array(values: list) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def _reject_non_integer(values, what: str) -> None:
-    """Name the first of ``values`` that is not a JSON integer (an int, not a bool or float)."""
-    for v in values:
-        if type(v) is not int:
-            raise GraphFormatError(f"{what} {v!r} is not an integer")
-
-
-def _reject_duplicate(ids) -> None:
-    """Name the first id that repeats an earlier one."""
-    seen: set[int] = set()
-    for v in ids:
-        if v in seen:
-            raise GraphFormatError(f"duplicate vertex id {v}")
-        seen.add(v)
-
-
-def _reject_bad_edge(ids: list, edges: list) -> None:
-    """Name the first edge that is no pair of integers, is a self-loop or misses a vertex."""
-    known = set(ids)
-    for u, v in edges:  # unpacking raises for an edge that is not a pair
-        if type(u) is not int or type(v) is not int:
-            _reject_non_integer((u, v), "edge endpoint")
-        if u == v:
-            raise GraphFormatError(f"self-loop at vertex {u}")
-        if u not in known or v not in known:
-            raise GraphFormatError(f"edge ({u}, {v}) references a missing vertex")
-
-
-def _reject_non_number(ids, xs, ys) -> None:
-    """Name the first coordinate that is not a JSON number (an int or float, not a bool)."""
-    for v, x, y in zip(ids, xs, ys):
-        for axis, c in (("x", x), ("y", y)):
-            if type(c) not in (int, float):
-                raise GraphFormatError(f"vertex {v!r} has {axis} {c!r}, not a number")
-
-
 def _check_coordinates(g: EmbeddedGraph) -> None:
     """Reject a non-finite coordinate or a vertex beyond ``MAX_COORDINATE_SUM``."""
-    xs, ys = g.arrays[1:3]
+    ids, xs, ys = g.arrays[:3]
     # enough for every vertex; summed as Python floats, so no numpy overflow
-    # warning, and NaN or inf fails it and the scan below names the vertex
+    # warning, and NaN or inf fails it
     if float(np.abs(xs).max()) + float(np.abs(ys).max()) <= MAX_COORDINATE_SUM:
         return
-    for v, (x, y) in g.vertices.items():
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise GraphFormatError(f"vertex {v} has a non-finite coordinate ({x}, {y})")
-        if abs(x) + abs(y) > MAX_COORDINATE_SUM:
-            raise GraphFormatError(f"vertex {v} at ({x}, {y}) exceeds the coordinate "
-                                   f"limit |x| + |y| <= {MAX_COORDINATE_SUM!r}")
+    # per vertex; halved, no sum overflows
+    fits = np.abs(xs) / 2 + np.abs(ys) / 2 <= MAX_COORDINATE_SUM / 2
+    if fits.all():
+        return
+    k = int(np.argmin(fits))
+    v, x, y = ids.tolist()[k], float(xs[k]), float(ys[k])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise GraphFormatError(f"vertex {v} has a non-finite coordinate ({x}, {y})")
+    raise GraphFormatError(f"vertex {v} at ({x}, {y}) exceeds the coordinate "
+                           f"limit |x| + |y| <= {MAX_COORDINATE_SUM!r}")
 
 
 def load_graph(path: str | Path, format: str = "json") -> EmbeddedGraph:
@@ -244,14 +247,15 @@ def load_graph(path: str | Path, format: str = "json") -> EmbeddedGraph:
 
     Parallel edges are collapsed; vertex order is preserved as given.
     Raises :class:`GraphFormatError`, its message prefixed with ``path``,
-    on parse failures, a vertex id or edge endpoint that is not an integer
-    (in JSON, any value but an integer; in an edge list, anything but a sign
-    and ASCII digits), a coordinate that is not a number (in JSON, a string,
-    bool or null; in an edge list, text with ``_`` or non-ASCII characters),
+    on parse failures, a vertex id or edge endpoint that is not an integer,
+    a coordinate that is not a number (in JSON, a string, bool or null),
     a duplicate vertex id, a non-finite coordinate (``NaN``/``Infinity`` in
     JSON, ``nan``/``inf`` in an edge list), a vertex with ``|x| + |y|``
     above ``MAX_COORDINATE_SUM``, dangling edge endpoints, self-loops, or an
-    empty vertex set.
+    empty vertex set.  An edge list names its first line that is neither
+    ``# id x y`` nor ``u v`` (an id is a sign and ASCII digits, a coordinate
+    ASCII text without ``_`` that float() reads), unless a vertex id repeats
+    on an earlier line.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
@@ -277,13 +281,15 @@ def _parse_json(text: str) -> EmbeddedGraph:
         try:
             ids, xs, ys = list(map(_ID, vs)), list(map(_X, vs)), list(map(_Y, vs))
         except (KeyError, TypeError):
-            for v in vs:  # names the first vertex that lacks a key
-                _ID(v), _X(v), _Y(v)
+            list(map(itemgetter("id", "x", "y"), vs))  # raises at the first vertex lacking a key
             raise
         # float() would read "0.5" and true as numbers; one scan of the types
-        # is cheaper than a test per value, and the slow scan only names a culprit
+        # is cheaper than a test per value
         if not {*map(type, xs), *map(type, ys)} <= {int, float}:
-            _reject_non_number(ids, xs, ys)
+            xy = list(chain.from_iterable(zip(xs, ys)))
+            k = [type(c) in (int, float) for c in xy].index(False)
+            v, axis = ids[k // 2], "xy"[k % 2]
+            raise GraphFormatError(f"vertex {v!r} has {axis} {xy[k]!r}, not a number")
         return EmbeddedGraph._from_arrays(_index(ids, xs, ys, doc["edges"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, GraphFormatError):
@@ -294,77 +300,42 @@ def _parse_json(text: str) -> EmbeddedGraph:
 # An integer as text: an optional sign and ASCII digits.  int() alone would
 # also read "1_0" as 10, " 3" as 3 and Arabic-Indic digits.
 INTEGER_TEXT = re.compile(r"[+-]?[0-9]+")
-# INTEGER_TEXT tokens joined by single spaces, to check a whole column in one match
-_INTEGER_TOKENS = re.compile(r"[+-]?[0-9]+(?: [+-]?[0-9]+)*")
-
-
-def _edgelist_id(token: str) -> int:
-    """The id ``token`` names, if it is ``INTEGER_TEXT``."""
-    if not INTEGER_TEXT.fullmatch(token):
-        raise ValueError(f"not an id: {token!r}")
-    return int(token)
-
-
-def _edgelist_coordinate(token: str) -> float:
-    """float() of ASCII text with no ``_``; float() alone would read ``1_0.5`` as 10.5."""
-    if "_" in token or not token.isascii():
-        raise ValueError(f"not a coordinate: {token!r}")
-    return float(token)
+# Stripped edge-list lines apart by "\n", each "# id x y" or "u v", as far as
+# they are well formed.  A coordinate is what float() reads in ASCII text
+# without "_" (the "a" flag keeps a dotless "\u0131nf" out).
+_EDGELIST_GRAMMAR = r"(?:(?:#{s}*{i}{s}+{c}{s}+{c}|{i}{s}+{i})(?:\n|\Z))*".format(
+    s=r"[^\S\n]", i=INTEGER_TEXT.pattern,
+    c=r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?ai:inf(?:inity)?|nan))")
 
 
 def _parse_edgelist(text: str) -> EmbeddedGraph:
-    columns = _edgelist_columns(text) or _edgelist_lines(text)  # the slow read names the culprit
-    return EmbeddedGraph._from_arrays(_index(*columns))
-
-
-def _edgelist_columns(text: str) -> tuple[list, list, list, list] | None:
-    """(ids, xs, ys, edges) if each column passes its check at once, else None.
-
-    The id and endpoint tokens are checked as one ``_INTEGER_TOKENS`` text,
-    the coordinate tokens as one text for ``_`` and non-ASCII characters.
-    """
-    lines = [line for line in map(str.strip, text.splitlines()) if line]
+    """Read an edge list in whole columns.  If one fails, the first line that
+    ``_EDGELIST_GRAMMAR`` stops at is named, unless an id repeats on an earlier line."""
+    raw = text.splitlines()
+    lines = [line for line in map(str.strip, raw) if line]
     vertices = [line[1:].split() for line in lines if line[0] == "#"]
     pairs = [line.split() for line in lines if line[0] != "#"]
-    if not (set(map(len, vertices)) <= {3} and set(map(len, pairs)) <= {2}):
-        return None
-    ids, xs, ys = zip(*vertices) if vertices else ((), (), ())
-    ends = list(chain.from_iterable(pairs))
-    coordinates = " ".join(xs + ys)
-    if not (_INTEGER_TOKENS.fullmatch(" ".join([*ids, *ends]))
-            and coordinates.isascii() and "_" not in coordinates):
-        return None
     try:
+        ids, xs, ys = zip(*vertices) if vertices else ((), (), ())
+        ends = list(chain.from_iterable(pairs))
+        # int() and float() read just the grammar's tokens in ASCII text without
+        # "_"; non-ASCII whitespace may part the tokens, so only they must be ASCII
+        if not (set(map(len, vertices)) <= {3} and set(map(len, pairs)) <= {2} and "_" not in text
+                and (text.isascii() or " ".join([*ids, *xs, *ys, *ends]).isascii())):
+            raise ValueError("a line that is neither '# id x y' nor 'u v'")
         xs, ys = list(map(float, xs)), list(map(float, ys))
+        ends, ids = list(map(int, ends)), list(map(int, ids))
     except ValueError:
-        return None
-    ends = list(map(int, ends))
-    return list(map(int, ids)), xs, ys, list(zip(ends[0::2], ends[1::2]))
-
-
-def _edgelist_lines(text: str) -> tuple[list, list, list, list]:
-    """Read an edge list line by line; the first line that fails is named."""
-    ids: list[int] = []
-    xs: list[float] = []
-    ys: list[float] = []
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            if line.startswith("#"):
-                ident, x, y = line[1:].split()
-                ids.append(_edgelist_id(ident))
-                xs.append(_edgelist_coordinate(x))
-                ys.append(_edgelist_coordinate(y))
-            else:
-                u, v = line.split()
-                edges.append((_edgelist_id(u), _edgelist_id(v)))
-        except ValueError as exc:
-            _reject_duplicate(ids)  # a repeated id on an earlier line is the first fault
-            raise GraphFormatError(f"cannot parse line {lineno}: {raw!r}") from exc
-    return ids, xs, ys, edges
+        joined = "\n".join(lines)
+        end = re.match(_EDGELIST_GRAMMAR, joined).end()
+        if end == len(joined):  # every line is well formed: int()'s digit limit
+            raise
+        k = joined.count("\n", 0, end)  # the first line the grammar stops at
+        earlier = vertices[:sum(line[0] == "#" for line in lines[:k])]
+        _sorted_ids([int(v[0]) for v in earlier])  # an id repeated on an earlier line comes first
+        lineno = [n for n, line in enumerate(raw, 1) if line.strip()][k]
+        raise GraphFormatError(f"cannot parse line {lineno}: {raw[lineno - 1]!r}") from None
+    return EmbeddedGraph._from_arrays(_index(ids, xs, ys, list(zip(ends[0::2], ends[1::2]))))
 
 
 # How json.dumps(doc, indent=1) lays out one vertex and one edge.

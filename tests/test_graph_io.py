@@ -6,7 +6,8 @@ from collections import deque
 import numpy as np
 import pytest
 
-from abdkit import graph_io
+from abdkit import synth
+from abdkit.abd import average_branching_distance
 from abdkit.graph_io import (
     MAX_COORDINATE_SUM,
     EmbeddedGraph,
@@ -163,35 +164,179 @@ def test_edgelist_signed_ids_and_exponents_load(tmp_path):
     assert load_graph(p, "edgelist") == EmbeddedGraph({-3: (0.1, -250.0), 4: (1.0, 0.0)}, [(-3, 4)])
 
 
-@pytest.mark.parametrize("text", [
-    "# -3 1e-1 -2.5E2\n# +4 1 0\n-3 +4\n",
-    "\n  #7\t0.5 -0\r\n0 7\n\n# 0 1 1\n7 0\n   \n# 9 2 2",  # edges before a vertex, tabs, CRLF
-    "# 0 0 0\n# 1 1 0\n# 2 0 1\n0 1\n1 2\n2 0\n1 0\n",
-    f"# {2**70} 0.1 0.2\n# -{2**70} 0.3 0.4\n{2**70} -{2**70}\n",
-    "# 0 0 0\n",
+@pytest.mark.parametrize("text, vertices, edges", [
+    ("# -3 1e-1 -2.5E2\n# +4 1 0\n-3 +4\n", {-3: (0.1, -250.0), 4: (1.0, 0.0)}, [(-3, 4)]),
+    # edges before a vertex, tabs, CRLF, "#7" without a space
+    ("\n  #7\t0.5 -0\r\n0 7\n\n# 0 1 1\n7 0\n   \n# 9 2 2",
+     {7: (0.5, -0.0), 0: (1.0, 1.0), 9: (2.0, 2.0)}, [(0, 7), (7, 0)]),
+    ("# 0 0 0\n# 1 1 0\n# 2 0 1\n0 1\n1 2\n2 0\n1 0\n",
+     {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.0, 1.0)}, [(0, 1), (1, 2), (2, 0), (1, 0)]),
+    (f"# {2**70} 0.1 0.2\n# -{2**70} 0.3 0.4\n{2**70} -{2**70}\n",
+     {2**70: (0.1, 0.2), -2**70: (0.3, 0.4)}, [(2**70, -2**70)]),
+    ("# 0 0 0\n", {0: (0.0, 0.0)}, []),
 ], ids=["signs-exponents", "layout", "parallel", "beyond-int64", "no-edge"])
-def test_edgelist_column_check_reads_what_the_line_reader_reads(text):
-    assert graph_io._edgelist_columns(text) == graph_io._edgelist_lines(text)
+def test_edgelist_reads_what_the_constructor_builds(tmp_path, text, vertices, edges):
+    p = tmp_path / "g.txt"
+    p.write_text(text, newline="")
+    ref, g = EmbeddedGraph(vertices, edges), load_graph(p, "edgelist")
+    for a, b in zip(ref.arrays[:5], g.arrays[:5]):
+        assert a.dtype == b.dtype and repr(a.tolist()) == repr(b.tolist())
+    assert repr(g.arrays[5]) == repr(ref.arrays[5])
 
 
-@pytest.mark.parametrize("text", [
-    "# 0 0 0\n# 1_0 1 0\n0 10\n",
-    "# 0 0 0\n# 10 1 0\n0 1_0\n",
-    "# 0 0 0\n# 1 1_0.5 0\n0 1\n",
-    "# 0 0 0\n# \u0661 1 0\n0 1\n",
-    "# 0 0 0\n# 1 0 \u0661.5\n0 1\n",
-    "# 0 0 0\n# 1 1 0\n0 1 2\n",
-    "# 0 0 0\n# 1 1\n0 1\n",
-    "# 0 0 0\n# 1 1 0\n0\n1 0\n",
-    "# 0 0 0\n# 1 x 0\n0 1\n",
-    "# 0 0 0\n# 1 1 0\n0 1.0\n",
-    "# 0 0 0\n#\n",
-    "",
+@pytest.mark.parametrize("text, message", [
+    ("# 0 0 0\n# 1_0 1 0\n0 10\n", "cannot parse line 2: '# 1_0 1 0'"),
+    ("# 0 0 0\n# 10 1 0\n0 1_0\n", "cannot parse line 3: '0 1_0'"),
+    ("# 0 0 0\n# 1 1_0.5 0\n0 1\n", "cannot parse line 2: '# 1 1_0.5 0'"),
+    ("# 0 0 0\n# \u0661 1 0\n0 1\n", "cannot parse line 2: '# \u0661 1 0'"),
+    ("# 0 0 0\n# 1 0 \u0661.5\n0 1\n", "cannot parse line 2: '# 1 0 \u0661.5'"),
+    ("# 0 0 0\n# 1 1 0\n0 1 2\n", "cannot parse line 3: '0 1 2'"),
+    ("# 0 0 0\n# 1 1\n0 1\n", "cannot parse line 2: '# 1 1'"),
+    ("# 0 0 0\n# 1 1 0\n0\n1 0\n", "cannot parse line 3: '0'"),
+    ("# 0 0 0\n# 1 x 0\n0 1\n", "cannot parse line 2: '# 1 x 0'"),
+    ("# 0 0 0\n# 1 1 0\n0 1.0\n", "cannot parse line 3: '0 1.0'"),
+    ("# 0 0 0\n#\n", "cannot parse line 2: '#'"),
+    ("", "graph has an empty vertex set"),  # no line to fault
 ], ids=["underscore-id", "underscore-endpoint", "underscore-coordinate", "arabic-indic-id",
         "arabic-indic-coordinate", "long-edge", "short-vertex", "short-edge", "word-coordinate",
         "float-endpoint", "bare-hash", "empty"])
-def test_edgelist_column_check_leaves_bad_text_to_the_line_reader(text):
-    assert graph_io._edgelist_columns(text) is None
+def test_edgelist_names_its_first_bad_line(tmp_path, text, message):
+    p = tmp_path / "g.txt"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(f'{p}: {message}')}$"):
+        load_graph(p, "edgelist")
+
+
+@pytest.mark.parametrize("text, message", [
+    # the bad line's own id does not count: only a repeat on an earlier line comes first
+    ("# 7 1 2\n# 7 x 0\n0 7\n", "cannot parse line 2: '# 7 x 0'"),
+    ("# 7 1 2\n# 7 3 4\n# 8 x 0\n", "duplicate vertex id 7"),
+    ("# 7 x 0\n# 7 1 2\n# 7 3 4\n", "cannot parse line 1: '# 7 x 0'"),
+], ids=["own-id", "earlier-repeat", "later-repeat"])
+def test_edgelist_bad_line_and_repeated_id_order(tmp_path, text, message):
+    p = tmp_path / "g.txt"
+    p.write_text(text)
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(f'{p}: {message}')}$"):
+        load_graph(p, "edgelist")
+
+
+_TWO = '{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}'
+_BIG = 2**70
+
+
+# Malformed inputs with the message each has always had: the first fault is
+# named, in the order the checks run, whatever follows it.
+@pytest.mark.parametrize("fmt, text, message", [
+    # the first vertex that lacks any key, though a later one lacks "id"
+    ("json", '{"vertices": [{"id": 0, "x": 0}, {"x": 1, "y": 0}], "edges": []}',
+     "malformed graph JSON: 'y'"),
+    ("json", '{"vertices": [{"id": 0, "x": 0, "y": 0}, [1, 2]], "edges": []}',
+     "malformed graph JSON: list indices must be integers or slices, not str"),
+    # coordinates are checked before ids
+    ("json", '{"vertices": [{"id": 0.5, "x": 0, "y": 0}, {"id": 1, "x": "a", "y": 0}],'
+             ' "edges": []}',
+     "vertex 1 has x 'a', not a number"),
+    ("json", '{"vertices": [{"id": 0, "x": 0, "y": null}, {"id": 1, "x": true, "y": 0}],'
+             ' "edges": []}',
+     "vertex 0 has y None, not a number"),
+    # edges in order: a self-loop before a non-integer endpoint or a non-pair, and back
+    ("json", '{"vertices": [' + _TWO + '], "edges": [[0, 1], [0, 0], [0, 1.5]]}',
+     "self-loop at vertex 0"),
+    ("json", '{"vertices": [' + _TWO + '], "edges": [[0, 1.5], [0, 0]]}',
+     "edge endpoint 1.5 is not an integer"),
+    ("json", '{"vertices": [' + _TWO + '], "edges": [[1, 1], [0, 1, 2]]}', "self-loop at vertex 1"),
+    ("json", '{"vertices": [' + _TWO + '], "edges": [[0, 1, 2], [1, 1]]}',
+     "malformed graph JSON: too many values to unpack (expected 2)"),
+    ("json", '{"vertices": [' + _TWO + '], "edges": [[0, 1], 5, [1, 1]]}',
+     "malformed graph JSON: cannot unpack non-iterable int object"),
+    ("json", '{"vertices": [' + _TWO + '], "edges": [[0, 1], [0, 7], [1, 1]]}',
+     "edge (0, 7) references a missing vertex"),
+    # two missing ids of one rank are no loop
+    ("json", '{"vertices": [' + _TWO + '], "edges": [[3, 5], [0, 0]]}',
+     "edge (3, 5) references a missing vertex"),
+    ("json", '{"vertices": [' + _TWO + '], "edges": 5}',
+     "malformed graph JSON: 'int' object is not iterable"),
+    ("json", '{"vertices": [' + _TWO + '], "edges": [[0, 1], "ab"]}',
+     "edge endpoint 'a' is not an integer"),
+    # ids beyond int64
+    ("json", f'{{"vertices": [{{"id": {_BIG}, "x": 0, "y": 0}}, {{"id": 1, "x": 1, "y": 0}},'
+             f' {{"id": {_BIG}, "x": 2, "y": 0}}], "edges": []}}', f"duplicate vertex id {_BIG}"),
+    ("json", f'{{"vertices": [{{"id": {_BIG}, "x": 0, "y": 0}}, {{"id": 1, "x": 1, "y": 0}}],'
+             f' "edges": [[1, {_BIG + 1}]]}}', f"edge (1, {_BIG + 1}) references a missing vertex"),
+    ("json", f'{{"vertices": [{{"id": {_BIG}, "x": 0, "y": 0}}], "edges": [[{_BIG}, {_BIG}]]}}',
+     f"self-loop at vertex {_BIG}"),
+    ("json", '{"vertices": [' + _TWO + f'], "edges": [[1, {2**63}]]}}',
+     f"edge (1, {2**63}) references a missing vertex"),
+    ("edgelist", f"# {_BIG} 0 0\n# 1 1 0\n# {_BIG} 2 0\n", f"duplicate vertex id {_BIG}"),
+    ("edgelist", f"# {_BIG} 0 0\n# 1 1 0\n1 {_BIG + 1}\n",
+     f"edge (1, {_BIG + 1}) references a missing vertex"),
+    # line numbers count as str.splitlines() breaks lines
+    ("edgelist", "# 0 0 0\r# 1 1 0\x0b0 1\x1c0 x\n", "cannot parse line 4: '0 x'"),
+    ("edgelist", "# 0 0 0\r\r# 1 1 0\x0b\x0b0 1\x1c\x1c0 x\n", "cannot parse line 7: '0 x'"),
+    ("edgelist", "# 0 0 0\x1d# 1 1 0\x1e\u20281 0 1\n", "cannot parse line 4: '1 0 1'"),
+    ("edgelist", "# 0 0 0\r\n\r\n# 1 1_0 0\n0 1\n", "cannot parse line 3: '# 1 1_0 0'"),
+    # a bad line before a later fault of the graph, and a graph fault before a later loop
+    ("edgelist", "# 0 0 0\n# 1 1 0\n0 0\n0 x\n", "cannot parse line 4: '0 x'"),
+    ("edgelist", "# 0 0 0\n# 1 1 0\n0 5\n1 1\n", "edge (0, 5) references a missing vertex"),
+], ids=["first-lacking-vertex", "list-vertex", "coordinate-before-id", "y-before-later-x",
+        "loop-before-fraction", "fraction-before-loop", "loop-before-non-pair",
+        "non-pair-before-loop",
+        "scalar-edge", "missing-before-loop", "missing-pair-one-rank", "edges-not-a-list",
+        "string-edge", "big-duplicate", "big-missing", "big-loop", "just-beyond-int64-missing",
+        "edgelist-big-duplicate", "edgelist-big-missing", "cr-vt-fs-breaks", "blank-breaks",
+        "gs-rs-ls-breaks", "crlf-blank", "bad-line-after-loop", "missing-before-loop-edgelist"])
+def test_load_error_golden(tmp_path, fmt, text, message):
+    p = tmp_path / "g.txt"
+    p.write_text(text, encoding="utf-8", newline="")
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(f'{p}: {message}')}$"):
+        load_graph(p, fmt)
+
+
+@pytest.mark.parametrize("edges, error, message", [
+    ([(0, 1), (1, 1), (0, 1.5)], GraphFormatError, "self-loop at vertex 1"),
+    ([(1, 1), (0, 1, 2)], GraphFormatError, "self-loop at vertex 1"),
+    ([(0, 1), (0, 9), (1, 1)], GraphFormatError, "edge (0, 9) references a missing vertex"),
+    ([(0, 1), (2, 0, 1)], ValueError, "too many values to unpack (expected 2)"),
+    ([(0, 1), 5], TypeError, "cannot unpack non-iterable int object"),
+], ids=["loop-before-fraction", "loop-before-non-pair", "missing-before-loop", "non-pair",
+        "scalar"])
+def test_in_memory_error_golden(edges, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        EmbeddedGraph({0: (0.0, 0.0), 1: (1.0, 0.0)}, edges)
+
+
+def test_iterator_edge_pairs_are_rejected():
+    # each edge a reversed iterator: no length, so no pair; they were dropped, leaving no edge
+    vertices, edges = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.0, 1.0)}, [(0, 1), (1, 2)]
+    with pytest.raises(GraphFormatError, match=r"^edge <reversed object at 0x\w+> is not a "
+                                               r"\(u, v\) pair$"):
+        EmbeddedGraph(vertices, map(reversed, edges))
+    assert EmbeddedGraph(vertices, map(tuple, map(reversed, edges))).edges == edges
+    with pytest.raises(GraphFormatError, match=r"^vertex 1 has coordinates <tuple_iterator object "
+                                               r"at 0x\w+>, not an \(x, y\) pair$"):
+        EmbeddedGraph({0: (0.0, 0.0), 1: iter((1.0, 0.0))}, [])
+
+
+def test_iterator_edge_pairs_never_reach_abd():
+    comb = synth.comb(np.random.default_rng(3), teeth=4)
+    with pytest.raises(GraphFormatError, match="is not a \\(u, v\\) pair"):
+        average_branching_distance(comb, EmbeddedGraph(comb.vertices, map(reversed, comb.edges)), 4)
+    copy = EmbeddedGraph(comb.vertices, [(v, u) for u, v in comb.edges])
+    assert average_branching_distance(comb, copy, 4) == 0.0
+
+
+@pytest.mark.parametrize("vertices, message", [
+    # every other value of the flattened values was taken: stored as {0: (1, 2), 1: (3, 4)}
+    ({0: (1.0, 2.0, 3.0), 1: (4.0,)},
+     "vertex 0 has coordinates (1.0, 2.0, 3.0), not an (x, y) pair"),
+    ({0: (1.0,), 1: (2.0,)}, "vertex 0 has coordinates (1.0,), not an (x, y) pair"),
+    ({0: (0.0, 0.0), 1: 5.0}, "vertex 1 has coordinates 5.0, not an (x, y) pair"),
+    ({0: (0.0, 0.0), 1: [1.0, 2.0, 3.0]},
+     "vertex 1 has coordinates [1.0, 2.0, 3.0], not an (x, y) pair"),
+], ids=["three-then-one", "ones", "scalar", "list-of-three"])
+def test_in_memory_coordinates_must_be_pairs(vertices, message):
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+        EmbeddedGraph(vertices, [])
 
 
 @pytest.mark.parametrize("big", [2**40, 2**70], ids=["int64", "beyond-int64"])
