@@ -18,11 +18,11 @@ w_path = EmbeddedGraph(
 
 
 def describe(tree):
-    ch = tree.children()
-    for node in sorted(tree.values, key=tree.values.get):
-        kids = sorted(tree.values[c] for c in ch[node])
+    ch = tree.child_rows()
+    for i, (node, value) in enumerate(zip(tree.ids, tree.vals)):  # rows ascend in value
+        kids = [tree.vals[c] for c in ch[i]]
         role = "leaf" if not kids else ("root" if node == tree.root else "saddle")
-        print(f"  node {node}: value {tree.values[node]:+.3f} ({role})"
+        print(f"  node {node}: value {value:+.3f} ({role})"
               + (f", children at {kids}" if kids else ""))
 
 

@@ -39,13 +39,13 @@ or weight on a partner the search did not see, among the slots it
 reached.  A leaf pair with no slot on either side is worth its matching
 cost, no value asked.
 
-Integer rows: :func:`_table` numbers each tree's n nodes once, in ascending
-value order, so a child's row is below its parent's, the root's is n - 1
-and row n is the virtual node above it.  Values, parents, leaves below and
-removal costs are lists read by row; the slots of branch ``(m, s)`` are
-keyed by the one int ``m * (n + 1) + s``, and the weight of slot pair
-``(a, b)`` by ``a * (ny + 1) + b``, so the recursion builds and hashes no
-tuple key and does no dict lookup by node id.
+Integer rows: :func:`_table` reads the tree's rows, its n nodes in
+ascending (value, id) order, so a child's row is below its parent's, the
+root's is n - 1 and row n is the virtual node above it.  Values, parents,
+leaves below and removal costs are lists read by row; the slots of branch
+``(m, s)`` are keyed by the one int ``m * (n + 1) + s``, and the weight of
+slot pair ``(a, b)`` by ``a * (ny + 1) + b``, so the recursion builds and
+hashes no tuple key and does no dict lookup by node id.
 """
 
 from __future__ import annotations
@@ -107,27 +107,18 @@ def _guard_leaves(n: int, limit: int, what: str) -> None:
         raise ValueError(f"merge tree has {n} leaves; {what} is limited to {limit}")
 
 
-def _table(mt: MergeTree) -> tuple[list, list, list, list, dict, list]:
+def _table(mt: MergeTree) -> tuple[tuple, list, list, list, dict, list]:
     """``mt.branch_table``, built on the first call; the distance's leaf guard.
 
-    Rows number the n nodes in ascending value order, so every child's row
-    is below its parent's and the root's is n - 1; row n is a virtual parent
-    of the root, valued like it.  Six fields: row -> node id, row -> value
-    (n + 1 of them), row -> parent row (the root's is n), row -> leaf rows
-    below it, ``m * (n + 1) + s`` -> the slot rows of branch ``(m, s)``, and
-    row -> least removal cost (every row but the root's).
+    Six fields over the tree's rows, with row n a virtual parent of the
+    root valued like it: row -> node id, row -> value (n + 1 of them), row
+    -> parent row (the root's is n), row -> leaf rows below it, ``m * (n +
+    1) + s`` -> the slot rows of branch ``(m, s)``, and row -> least removal
+    cost (every row but the root's).
     """
     if mt.branch_table is None:
-        ids = sorted(mt.values, key=mt.values.get)  # every child before its parent
-        n, k = len(ids), len(ids) + 1  # k: the stride of a slot key
-        row = {node: i for i, node in enumerate(ids)}
-        val = [mt.values[node] for node in ids]
-        val.append(val[-1])
-        up = [row[mt.parent[node]] for node in ids]
-        up[-1] = n
-        ch: list[list[int]] = [[] for _ in range(k)]  # row n, the virtual parent, has none
-        for i in range(n - 1):
-            ch[up[i]].append(i)
+        n, k = mt.n_nodes, mt.n_nodes + 1  # k: the stride of a slot key
+        val, up, ch = [*mt.vals, mt.vals[-1]], [*mt.up[:-1], n], [*mt.child_rows(), []]
         _guard_leaves(sum(not c for c in ch[:n]), MAX_LEAVES, "branching_distance")
         below: list[list[int]] = []
         for i in range(n):
@@ -144,7 +135,7 @@ def _table(mt: MergeTree) -> tuple[list, list, list, list, dict, list]:
             s = up[c]
             removal.append(min(max([abs(val[m] - val[s]) / 2.0,
                                     *(removal[d] for d in slots[m * k + s])]) for m in below[c]))
-        mt.branch_table = ids, val, up, below, slots, removal
+        mt.branch_table = mt.ids, val, up, below, slots, removal
     return mt.branch_table
 
 
@@ -289,8 +280,7 @@ def branching_distance(x: MergeTree, y: MergeTree, tol: float | None = None) -> 
     d = _distance(x, y)
     if tol is None or d <= 0.0:
         return d
-    values = [*x.values.values(), *y.values.values()]
-    lo, hi = 0.0, max(values) - min(values)
+    lo, hi = 0.0, max(x.vals[-1], y.vals[-1]) - min(x.vals[0], y.vals[0])  # rows ascend
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
         lo, hi = (lo, mid) if d <= mid else (mid, hi)

@@ -175,10 +175,8 @@ def _index(ids: list, xs: list, ys: list, edges: list) -> tuple:
                                else f"edge ({u}, {v}) references a missing vertex")
     if stray < len(ends):
         raise GraphFormatError(f"edge endpoint {ends[stray]!r} is not an integer")
-    if cut < len(edges):
-        edge = list(edges)[cut]
-        _, _ = edge  # a sequence of another length or a scalar: the unpacking error
-        raise GraphFormatError(f"edge {edge!r} is not a (u, v) pair")  # an iterator, say
+    if cut < len(edges):  # another length, a scalar or an iterator
+        raise GraphFormatError(f"edge {list(edges)[cut]!r} is not a (u, v) pair")
     lo, hi = np.minimum(ru, rv), np.maximum(ru, rv)  # ranks order as the ids do
     key = lo * len(ids) + hi
     sorted_key = np.sort(key)
@@ -251,8 +249,9 @@ def load_graph(path: str | Path, format: str = "json") -> EmbeddedGraph:
     a coordinate that is not a number (in JSON, a string, bool or null),
     a duplicate vertex id, a non-finite coordinate (``NaN``/``Infinity`` in
     JSON, ``nan``/``inf`` in an edge list), a vertex with ``|x| + |y|``
-    above ``MAX_COORDINATE_SUM``, dangling edge endpoints, self-loops, or an
-    empty vertex set.  An edge list names its first line that is neither
+    above ``MAX_COORDINATE_SUM``, dangling edge endpoints, self-loops, an
+    edge that is not a pair, an integer beyond ``int()``'s digit limit, or
+    an empty vertex set.  An edge list names its first line that is neither
     ``# id x y`` nor ``u v`` (an id is a sign and ASCII digits, a coordinate
     ASCII text without ``_`` that float() reads), unless a vertex id repeats
     on an earlier line.
@@ -274,7 +273,7 @@ _ID, _X, _Y = itemgetter("id"), itemgetter("x"), itemgetter("y")
 def _parse_json(text: str) -> EmbeddedGraph:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer beyond int()'s digit limit
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
     try:
         vs = doc["vertices"]
@@ -325,11 +324,11 @@ def _parse_edgelist(text: str) -> EmbeddedGraph:
             raise ValueError("a line that is neither '# id x y' nor 'u v'")
         xs, ys = list(map(float, xs)), list(map(float, ys))
         ends, ids = list(map(int, ends)), list(map(int, ids))
-    except ValueError:
+    except ValueError as exc:
         joined = "\n".join(lines)
         end = re.match(_EDGELIST_GRAMMAR, joined).end()
         if end == len(joined):  # every line is well formed: int()'s digit limit
-            raise
+            raise GraphFormatError(str(exc)) from None
         k = joined.count("\n", 0, end)  # the first line the grammar stops at
         earlier = vertices[:sum(line[0] == "#" for line in lines[:k])]
         _sorted_ids([int(v[0]) for v in earlier])  # an id repeated on an earlier line comes first

@@ -6,6 +6,11 @@ rises: components are born at local minima and joined at saddles.  The
 the largest value and a graph whose sublevel sets are always connected has
 a trivial (single-node) tree.
 
+A tree is three rows in ascending (value, id) order, node ids, values and
+parent rows, which the sweep emits and the dict constructor sorts once:
+every child comes before its parent, the root is last, and no reader sorts
+nodes again.  A tree is never edited.
+
 :func:`compute_merge_tree` builds it in one sweep over the graph's index
 arrays in ascending value order.  Vertices with one lower neighbour are
 linked in arrays; only the critical ones (minima and vertices with several
@@ -20,7 +25,6 @@ import json
 import math
 import statistics
 import sys
-from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
@@ -41,43 +45,68 @@ __all__ = [
 ]
 
 
-@dataclass
 class MergeTree:
-    """Valued nodes with parent links; the unique root maps to itself.
+    """Valued nodes with parent links, kept as rows; the root is its own parent.
 
-    Invariants: exactly one root, holding the maximum value; every non-root
-    node's parent has a strictly larger value; every internal node has at
-    least two children.  A trivial tree is a single node that is both root
-    and minimum.  The first branching-distance call stores the tree's table
-    for the distance recursion in ``branch_table`` (not compared, not in
-    ``repr``, not kept by :meth:`shifted`); a tree is not edited after that.
+    Invariants: one root, holding the maximum value; a non-root node's parent
+    has a strictly larger value; an internal node has two or more children.
+    The rows are tuples in ascending (value, id) order: ``ids``, ``vals`` and
+    ``up`` (parent rows), sorted once from ``MergeTree(values, parent)``'s
+    dicts (a node without a parent, or a parent of no node, is a KeyError).
+    :attr:`values` and :attr:`parent` are views, so a changed tree is a new
+    one; ``branch_table`` keeps the distance's table (not compared).
     """
 
-    values: dict[int, float]
-    parent: dict[int, int]
-    branch_table: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    def __init__(self, values: dict[int, float], parent: dict[int, int]) -> None:
+        order = sorted(zip(values.values(), values))  # (value, id): every child before its parent
+        ids = tuple(n for _, n in order)
+        row = dict(zip(ids, range(len(ids))))
+        if len(parent) > len(ids):
+            raise KeyError(next(n for n in parent if n not in row))
+        self.ids, self.vals, self.up, self.branch_table = (
+            ids, tuple(v for v, _ in order), tuple(row[parent[n]] for n in ids), None)
+
+    @classmethod
+    def _from_rows(cls, ids: tuple, vals: tuple, up: tuple) -> "MergeTree":
+        mt = cls.__new__(cls)
+        mt.ids, mt.vals, mt.up, mt.branch_table = ids, vals, up, None
+        return mt
+
+    @property
+    def values(self) -> dict[int, float]:
+        return dict(zip(self.ids, self.vals))
+
+    @property
+    def parent(self) -> dict[int, int]:
+        return dict(zip(self.ids, map(self.ids.__getitem__, self.up)))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, MergeTree) and (self.values, self.parent) == (
+            other.values, other.parent)
+
+    def __repr__(self) -> str:
+        return f"MergeTree(values={self.values!r}, parent={self.parent!r})"
 
     @property
     def n_nodes(self) -> int:
-        return len(self.values)
+        return len(self.ids)
 
     @property
     def root(self) -> int:
-        for n, p in self.parent.items():
-            if n == p:
-                return n
-        raise ValueError("merge tree has no root")
+        return self.ids[-1]
 
-    def children(self) -> dict[int, list[int]]:
-        ch: dict[int, list[int]] = {n: [] for n in self.values}
-        for n, p in self.parent.items():
-            if n != p:
-                ch[p].append(n)
+    def child_rows(self) -> list[list[int]]:
+        ch: list[list[int]] = [[] for _ in self.up]
+        for i, p in enumerate(self.up):
+            if i != p:
+                ch[p].append(i)
         return ch
 
+    def children(self) -> dict[int, list[int]]:
+        return {n: [self.ids[c] for c in kids] for n, kids in zip(self.ids, self.child_rows())}
+
     def leaves(self) -> list[int]:
-        ch = self.children()
-        return [n for n in self.values if not ch[n]]
+        return [n for n, kids in zip(self.ids, self.child_rows()) if not kids]
 
     @property
     def n_leaves(self) -> int:
@@ -87,52 +116,37 @@ class MergeTree:
         return self.n_nodes == 1
 
     def validate(self) -> None:
-        """Raise ValueError if any structural invariant is broken."""
-        roots = [n for n, p in self.parent.items() if n == p]
+        """Raise ValueError if any invariant is broken (values rise along parent
+        links, so one root rules out cycles and every node reaches it)."""
+        roots = [i for i, p in enumerate(self.up) if i == p]
         if len(roots) != 1:
             raise ValueError(f"expected exactly one root, found {len(roots)}")
-        root = roots[0]
-        if self.values[root] != max(self.values.values()):
+        if self.vals[roots[0]] != self.vals[-1]:
             raise ValueError("root does not hold the maximum value")
-        ch = self.children()
-        for n, p in self.parent.items():
-            if n == p:
-                continue
-            if p not in self.values:
-                raise ValueError(f"dangling parent {p}")
-            if not self.values[p] > self.values[n]:
-                raise ValueError(f"parent value not greater at node {n}")
-        for n, kids in ch.items():
-            if kids and len(kids) < 2:
+        for i, p in enumerate(self.up):
+            if i != p and not self.vals[p] > self.vals[i]:
+                raise ValueError(f"parent value not greater at node {self.ids[i]}")
+        for n, kids in zip(self.ids, self.child_rows()):
+            if len(kids) == 1:
                 raise ValueError(f"internal node {n} has a single child")
-        # connectivity: every node must reach the root
-        for n in self.values:
-            seen = set()
-            while n != self.parent[n]:
-                if n in seen:
-                    raise ValueError("parent cycle")
-                seen.add(n)
-                n = self.parent[n]
-            if n != root:
-                raise ValueError("disconnected node")
 
     def canonical_key(self) -> tuple:
         """Order-insensitive (value, structure) key; equal for isomorphic trees.
 
-        A flat tuple, built bottom-up in ascending value order: a node's key
-        is its value, its child count, then its children's keys in sorted
-        order.  Being flat, it is built, hashed and compared without
-        recursion however deep the tree.
+        A flat tuple, built up the rows: a node's key is its value, its child
+        count, then its children's keys in sorted order.  Being flat, it is
+        built, hashed and compared without recursion however deep the tree.
         """
-        ch = self.children()
-        key: dict[int, tuple] = {}
-        for n in sorted(self.values, key=self.values.__getitem__):  # children first
-            key[n] = (self.values[n], len(ch[n]),
-                      *chain.from_iterable(sorted(key.pop(c) for c in ch[n])))
-        return key[self.root]
+        keys: list = [[] for _ in self.up]  # row -> its children's keys, until its own is built
+        for i, (v, p) in enumerate(zip(self.vals, self.up)):
+            kids, keys[i] = sorted(keys[i]), None
+            key = (v, len(kids), *chain.from_iterable(kids))
+            if p != i:
+                keys[p].append(key)
+        return key
 
     def shifted(self, delta: float) -> "MergeTree":
-        return MergeTree({n: v + delta for n, v in self.values.items()}, dict(self.parent))
+        return MergeTree._from_rows(self.ids, tuple(v + delta for v in self.vals), self.up)
 
 
 def trees_equal(a: MergeTree, b: MergeTree) -> bool:
@@ -158,8 +172,8 @@ def compute_merge_tree(sg: ScalarGraph) -> MergeTree:
     component; two or more make a merge node adopting each component's top.
     A top at exactly the merge value (an earlier, non-adjacent vertex of the
     same value merged it) is absorbed: its children move to the new node
-    when the parent map is written out, so one merge event gives one node
-    of higher arity.
+    when the rows are written out, so one merge event gives one node of
+    higher arity.
 
     Requires distinct values across every edge (checked first) and a
     connected input: the sweep counts the components it ends with and
@@ -227,16 +241,12 @@ def compute_merge_tree(sg: ScalarGraph) -> MergeTree:
 
     if len(top) != 1:
         raise DisconnectedGraphError("scalar graph is disconnected; pass the largest component")
-
-    def resolve(p: int) -> int:
-        while p in absorbed:
-            p = absorbed[p]
-        return p
-
-    nodes = [v for v in parent if v not in absorbed]  # created in (value, id) order
-    ident = dict(zip(nodes, ids[nodes].tolist()))
-    return MergeTree({ident[v]: node_value[v] for v in nodes},
-                     {ident[v]: ident[resolve(parent[v])] for v in nodes})
+    nodes = [v for v in parent if v not in absorbed]  # created in (value, id) order: the rows
+    row = dict(zip(nodes, range(len(nodes))))
+    for t in reversed(absorbed):  # the last absorption first, so a chain of them resolves
+        row[t] = row[absorbed[t]]
+    return MergeTree._from_rows(tuple(ids[nodes].tolist()), tuple(map(node_value.get, nodes)),
+                                tuple(row[parent[v]] for v in nodes))
 
 
 def median_or_mean(values: list[float] | np.ndarray, mode: str = "median",
@@ -289,7 +299,7 @@ def shift_median_zero(mt: MergeTree, mode: str = "median") -> MergeTree:
     """Shift all node values by one constant so their median (or mean) is 0."""
     if mt.n_nodes == 0:
         raise ValueError("empty merge tree")
-    return mt.shifted(-median_or_mean(list(mt.values.values()), mode))
+    return mt.shifted(-median_or_mean(list(mt.vals), mode))
 
 
 def tree_to_dict(mt: MergeTree) -> dict:

@@ -18,7 +18,7 @@ import numpy as np
 from .abd import average_branching_distance, merge_tree_at
 from .branching import branching_distance
 from .fixtures import tree_counterexample, indistinguishable_pair, graph_counterexample
-from .merge_tree import compute_merge_tree, trees_equal
+from .merge_tree import MergeTree, compute_merge_tree, trees_equal
 from .oracles import brute_force_distance, candidate_costs, is_isomorphic, merge_tree_oracle
 from .synth import blob, convex_polygon, random_connected_scalar_graph, random_merge_tree
 
@@ -183,9 +183,7 @@ def _perturb_leaf(tree):
     gaps = [b - a for a, b in zip(cands, cands[1:]) if b - a > 0]
     delta = (min(gaps) if gaps else 1.0) * 1.5
     leaf = min(tree.leaves())
-    out = tree.shifted(0.0)
-    out.values[leaf] -= delta
-    return out
+    return MergeTree({**tree.values, leaf: tree.values[leaf] - delta}, tree.parent)
 
 
 def check_tolerance_bracket(trials: int = 50, seed: int = 0) -> CheckResult:

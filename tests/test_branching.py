@@ -827,15 +827,19 @@ def test_engine_table_matches_minmax_table(rng):
         )
 
 
+def _rows(mt):
+    return mt.ids, [v.hex() for v in mt.vals], mt.up
+
+
 def _in_node_order(mt, order):
     return MergeTree({n: mt.values[n] for n in order}, {n: mt.parent[n] for n in order})
 
 
 @pytest.mark.parametrize("tol", [None, 1e-3], ids=["exact", "tolerance"])
 def test_node_order_does_not_change_distance(rng, tol):
-    # a hand-written tree file may list its nodes in any order; the engine's
-    # rows come from a sort, so ascending, root-first and shuffled orders
-    # give the same bits in both argument orders
+    # a hand-written tree file may list its nodes in any order; the tree's
+    # rows come from one sort, so ascending, root-first and shuffled orders
+    # give the same rows and the same bits in both argument orders
     def orders(mt):
         ascending = sorted(mt.values, key=mt.values.get)
         shuffled = [ascending[k] for k in rng.permutation(len(ascending))]
@@ -848,7 +852,8 @@ def test_node_order_does_not_change_distance(rng, tol):
     pairs += [(random_star(rng, 9, integer_values=True), random_caterpillar(rng, 9))]
     for x, y in pairs:
         (ax, *other_x), (ay, *other_y) = orders(x), orders(y)
-        assert ax.root == other_x[0].root and list(other_x[0].values)[0] == x.root
+        for a, others in ((ax, other_x), (ay, other_y)):
+            assert all(_rows(t) == _rows(a) for t in others)
         d = branching_distance(ax, ay, tol=tol).hex()
         for ox, oy in product([ax, *other_x], [ay, *other_y]):
             assert branching_distance(ox, oy, tol=tol).hex() == d
@@ -865,7 +870,7 @@ def test_node_order_in_a_tree_file_does_not_change_distance(tmp_path, rng):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
         loaded = load_tree(path)
-        assert list(loaded.values) == order
+        assert _rows(loaded) == _rows(x)
         assert branching_distance(loaded, y) == branching_distance(y, loaded) == d
 
 
@@ -944,9 +949,8 @@ def test_positivity_under_perturbation(rng):
         cands = candidate_costs(x, x)
         gaps = [b - a for a, b in zip(cands, cands[1:]) if b - a > 0]
         delta = (min(gaps) if gaps else 1.0) * 1.5
-        perturbed = x.shifted(0.0)
         leaf = min(x.leaves())
-        perturbed.values[leaf] -= delta
+        perturbed = MergeTree({**x.values, leaf: x.values[leaf] - delta}, x.parent)
         assert branching_distance(x, perturbed) > 0.0
 
 

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import shutil
+import sys
 
 import pytest
 
@@ -30,6 +32,58 @@ def test_tree_w_path(w_path, capsys):
     assert len(doc["nodes"]) == 5
     values = sorted(n["value"] for n in doc["nodes"])
     assert values == [0.0, 1.0, 2.0, 5.0, 6.0]
+
+
+# SHA-256 of `abd-kit tree` stdout on each graph_triple fixture, at each
+# angle with each --normalize, in that order; recorded when trees were
+# still dicts, so the row form changed no byte
+_TREE_GOLDEN = {
+    "g": "4e04551c36640bbae832f0dccbcb75a2bc845a5a247ff12026fef1c780f9878b",
+    "h": "45f5f556a38398e87d72abce8289211e0926aa10d662d2a3ade4f3ffc174bdff",
+    "j": "b9d67bfb1be2f6d2ad0da959279bc8c8b0809d425d2cd923b15a391a724e018d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TREE_GOLDEN))
+def test_tree_output_golden(capsys, name):
+    digest = hashlib.sha256()
+    for angle in ("0", "0.7", repr(math.pi / 2), "3"):
+        for normalize in ("none", "median", "mean"):
+            graph = str(fixture_path(f"graph_triple_{name}.json"))
+            assert main(["tree", graph, "--angle", angle, "--normalize", normalize]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == _TREE_GOLDEN[name]
+
+
+def test_tree_and_dist_output_golden(capsys):
+    graph = str(fixture_path("graph_triple_j.json"))
+    assert main(["tree", graph, "--angle", "0.7", "--normalize", "median"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n "nodes": [\n  {\n   "id": 2,\n   "value": -1.047186374381787\n  },\n'
+        '  {\n   "id": 4,\n   "value": -0.8059373742881921\n  },\n'
+        '  {\n   "id": 0,\n   "value": 0.0\n  },\n'
+        '  {\n   "id": 1,\n   "value": 1.4090598745221796\n  },\n'
+        '  {\n   "id": 3,\n   "value": 1.6503088746157744\n  }\n ],\n'
+        ' "parent": {\n  "2": 1,\n  "4": 3,\n  "0": 1,\n  "1": 3,\n  "3": 3\n }\n}\n')
+    x, y = (str(fixture_path(f"tree_triple_{n}.json")) for n in "xy")
+    assert main(["dist", x, y, "--tol", "1e-3"]) == 0
+    assert capsys.readouterr().out == "5.0\n"
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="int() has no digit limit in this interpreter")
+@pytest.mark.parametrize("fmt, text", [
+    ("json", '{"vertices": [{"id": 1' + "0" * 5000 + ', "x": 0, "y": 0}], "edges": []}'),
+    ("edgelist", "# 1" + "0" * 5000 + " 0 0\n"),
+], ids=["json", "edgelist"])
+def test_tree_names_the_file_of_an_id_beyond_the_digit_limit(tmp_path, capsys, fmt, text):
+    p = tmp_path / "big.txt"
+    p.write_text(text)
+    assert main(["tree", str(p), "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {p}: ")
+    assert "Exceeds the limit" in captured.err and "integer string conversion" in captured.err
 
 
 @pytest.mark.parametrize("angle", ["nan", "inf"])

@@ -224,8 +224,8 @@ _TWO = '{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}'
 _BIG = 2**70
 
 
-# Malformed inputs with the message each has always had: the first fault is
-# named, in the order the checks run, whatever follows it.
+# Malformed inputs with the message each gives: the first fault is named,
+# in the order the checks run, whatever follows it.
 @pytest.mark.parametrize("fmt, text, message", [
     # the first vertex that lacks any key, though a later one lacks "id"
     ("json", '{"vertices": [{"id": 0, "x": 0}, {"x": 1, "y": 0}], "edges": []}',
@@ -246,9 +246,9 @@ _BIG = 2**70
      "edge endpoint 1.5 is not an integer"),
     ("json", '{"vertices": [' + _TWO + '], "edges": [[1, 1], [0, 1, 2]]}', "self-loop at vertex 1"),
     ("json", '{"vertices": [' + _TWO + '], "edges": [[0, 1, 2], [1, 1]]}',
-     "malformed graph JSON: too many values to unpack (expected 2)"),
+     "edge [0, 1, 2] is not a (u, v) pair"),
     ("json", '{"vertices": [' + _TWO + '], "edges": [[0, 1], 5, [1, 1]]}',
-     "malformed graph JSON: cannot unpack non-iterable int object"),
+     "edge 5 is not a (u, v) pair"),
     ("json", '{"vertices": [' + _TWO + '], "edges": [[0, 1], [0, 7], [1, 1]]}',
      "edge (0, 7) references a missing vertex"),
     # two missing ids of one rank are no loop
@@ -296,10 +296,11 @@ def test_load_error_golden(tmp_path, fmt, text, message):
     ([(0, 1), (1, 1), (0, 1.5)], GraphFormatError, "self-loop at vertex 1"),
     ([(1, 1), (0, 1, 2)], GraphFormatError, "self-loop at vertex 1"),
     ([(0, 1), (0, 9), (1, 1)], GraphFormatError, "edge (0, 9) references a missing vertex"),
-    ([(0, 1), (2, 0, 1)], ValueError, "too many values to unpack (expected 2)"),
-    ([(0, 1), 5], TypeError, "cannot unpack non-iterable int object"),
+    ([(0, 1), (2, 0, 1)], GraphFormatError, "edge (2, 0, 1) is not a (u, v) pair"),
+    ([(0, 1), [0, 1, 2]], GraphFormatError, "edge [0, 1, 2] is not a (u, v) pair"),
+    ([(0, 1), 5], GraphFormatError, "edge 5 is not a (u, v) pair"),
 ], ids=["loop-before-fraction", "loop-before-non-pair", "missing-before-loop", "non-pair",
-        "scalar"])
+        "non-pair-list", "scalar"])
 def test_in_memory_error_golden(edges, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         EmbeddedGraph({0: (0.0, 0.0), 1: (1.0, 0.0)}, edges)

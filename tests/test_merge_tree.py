@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abdkit.abd import frame_angles, merge_tree_at
-
+from abdkit.branching import branching_distance
 from abdkit.filtration import ScalarGraph, collapse_equal_adjacent, direction_filter
 from abdkit.graph_io import EmbeddedGraph
 from abdkit.merge_tree import (
@@ -23,7 +24,12 @@ from abdkit.merge_tree import (
     write_tree,
 )
 from abdkit.oracles import merge_tree_oracle
-from abdkit.synth import convex_polygon, random_connected_scalar_graph, shape_dataset
+from abdkit.synth import (
+    convex_polygon,
+    random_connected_scalar_graph,
+    random_merge_tree,
+    shape_dataset,
+)
 
 from conftest import scalar, tree
 
@@ -392,8 +398,8 @@ def test_trees_equal_deep_caterpillar():
     b = caterpillar([5000 - n for n in range(2999)])
     a.validate()
     assert trees_equal(a, b)
-    b.values[4900] -= 0.25  # one leaf moved
-    assert not trees_equal(a, b)
+    moved = MergeTree({**b.values, 4900: b.values[4900] - 0.25}, b.parent)  # one leaf moved
+    assert not trees_equal(a, moved)
 
 
 def test_convex_polygon_trivial_small(rng):
@@ -467,3 +473,83 @@ def test_tree_json_round_trip(tmp_path):
     assert back.values == mt.values
     assert back.parent == mt.parent
     assert tree_from_dict(tree_to_dict(mt)).values == mt.values
+
+
+def _sorted_key(mt: MergeTree) -> tuple:
+    """canonical_key as it was built from the dicts: nodes sorted by value,
+    then each node's key from its children's, popped as they are used."""
+    values, ch = mt.values, mt.children()
+    key: dict[int, tuple] = {}
+    for n in sorted(values, key=values.__getitem__):
+        key[n] = (values[n], len(ch[n]), *chain.from_iterable(sorted(key.pop(c) for c in ch[n])))
+    return key[mt.root]
+
+
+def _assert_rows(mt: MergeTree) -> None:
+    ids, vals, up = mt.ids, mt.vals, mt.up
+    n = len(ids)
+    assert len(vals) == len(up) == n == len(set(ids)) > 0
+    assert all(a <= b for a, b in zip(vals, vals[1:]))  # ascending in value
+    assert all(i < up[i] for i in range(n - 1)) and up[-1] == n - 1  # parents above, root last
+    assert mt.root == ids[-1] and list(mt.values) == list(ids)
+    assert MergeTree(mt.values, mt.parent) == mt
+    assert mt.canonical_key() == _sorted_key(mt)
+
+
+def _sweep_trees(rng):
+    graphs, _ = shape_dataset(seed=0)
+    trees = [merge_tree_at(g, w, normalize="none") for g in graphs for w in frame_angles(10)]
+    trees += [compute_merge_tree(random_connected_scalar_graph(rng, max_vertices=40))
+              for _ in range(100)]
+    trees += [compute_merge_tree(sg) for sg in _tie_heavy_graphs()]
+    return trees
+
+
+def _in_file_order(mt: MergeTree, order: list[int], path) -> MergeTree:
+    values, parent = mt.values, mt.parent
+    path.write_text(json.dumps({"nodes": [{"id": n, "value": values[n]} for n in order],
+                                "parent": {str(n): parent[n] for n in order}}))
+    return load_tree(path)
+
+
+def test_sweep_rows(rng):
+    for mt in _sweep_trees(rng):
+        _assert_rows(mt)
+
+
+def test_tree_file_rows_do_not_depend_on_node_order(tmp_path, rng):
+    trees = [random_merge_tree(rng, max_leaves=12, integer_values=k % 2 == 1) for k in range(40)]
+    trees += _sweep_trees(rng)[::10]
+    for mt in trees:
+        ids = list(mt.ids)
+        shuffled = [ids[k] for k in rng.permutation(len(ids))]
+        for order in (ids[::-1], shuffled):  # root first, and shuffled
+            loaded = _in_file_order(mt, order, tmp_path / "t.json")
+            _assert_rows(loaded)
+            assert (loaded.ids, loaded.vals, loaded.up) == (mt.ids, mt.vals, mt.up)
+
+
+def test_shifted_rows(rng):
+    for mt in _sweep_trees(rng)[::3]:
+        for out in (shift_median_zero(mt), shift_median_zero(mt, "mean"),
+                    mt.shifted(float(rng.uniform(-50.0, 50.0)))):
+            _assert_rows(out)
+            assert (out.ids, out.up) == (mt.ids, mt.up)
+
+
+def test_random_merge_tree_rows(rng):
+    for k in range(200):
+        _assert_rows(random_merge_tree(rng, max_leaves=1 + k % 20, integer_values=k % 3 == 0))
+
+
+def test_a_tree_is_not_edited_through_its_views():
+    # editing a view once left the stored branch table stale: 0.0 where a
+    # fresh tree with the edited values gives 2.0
+    x, y = (tree({0: 0.0, 1: 1.0, 2: 3.0}, {0: 2, 1: 2, 2: 2}) for _ in range(2))
+    assert branching_distance(x, y) == 0.0
+    x.values[0] -= 2.0
+    x.parent[0] = 1
+    assert x == y and x.values == {0: 0.0, 1: 1.0, 2: 3.0}
+    assert branching_distance(x, y) == 0.0
+    moved = MergeTree({**x.values, 0: x.values[0] - 2.0}, x.parent)
+    assert branching_distance(moved, y) == branching_distance(y, moved) == 2.0
