@@ -4,19 +4,34 @@ Both graphs are rotated simultaneously: for each of ``n`` evenly spaced
 directions (starting at pi/2, the vertical) the merge trees are built,
 median-shifted to 0, and compared with the branching distance.  The ABD is
 the median (default) or mean of the per-frame distances.
+
+:func:`frame_trees` builds every frame of one graph in one pass: one
+(frames x vertices) value stack, one tie test over every frame's edges and
+one sweep over the stack (:func:`merge_tree.compute_merge_trees`).  A frame
+with a tie is collapsed and swept on its own, as a stack of one;
+:func:`merge_tree_at` is the one-frame pipeline, with the same sweep.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .branching import branching_distance
-from .filtration import collapse_equal_adjacent, direction_filter
+from .filtration import (
+    ScalarGraph,
+    collapse_equal_adjacent,
+    direction_filter,
+    direction_values,
+    tie_mask,
+)
 from .graph_io import EmbeddedGraph, largest_component
 from .merge_tree import (
     DisconnectedGraphError,
     MergeTree,
     compute_merge_tree,
+    compute_merge_trees,
     median_or_mean,
     shift_median_zero,
 )
@@ -59,16 +74,32 @@ def merge_tree_at(g: EmbeddedGraph, omega: float, normalize: str = "median") -> 
 def frame_trees(g: EmbeddedGraph, angles: tuple[float, ...]) -> list[MergeTree]:
     """Median-shifted merge trees of ``g`` at each angle, in angle order.
 
-    A disconnected ``g`` is reduced to its largest component.  Connectivity
-    does not depend on the angle, so the first angle's sweep decides it: a
-    connected graph is never searched for components.
+    The trees are those of :func:`merge_tree_at`, to the bit, built in one
+    stacked sweep: the frames without a tie are swept together, and each
+    frame with one is collapsed and swept as a stack of one.  A
+    disconnected ``g`` is reduced to its largest component.  Connectivity
+    does not depend on the angle, so the sweep decides it: a connected
+    graph is never searched for components.
     """
     try:
-        first = merge_tree_at(g, angles[0])
+        trees = _stacked_trees(g, angles)
     except DisconnectedGraphError:
-        g = largest_component(g)
-        first = merge_tree_at(g, angles[0])
-    return [first, *(merge_tree_at(g, omega) for omega in angles[1:])]
+        trees = _stacked_trees(largest_component(g), angles)
+    return [shift_median_zero(mt) for mt in trees]
+
+
+def _stacked_trees(g: EmbeddedGraph, angles: tuple[float, ...]) -> list[MergeTree]:
+    """The unshifted trees of :func:`frame_trees`; a disconnected ``g`` raises."""
+    ids, _, _, eu, ev, extent = g.arrays
+    tol = COLLAPSE_RTOL * extent
+    values = direction_values(g, angles)
+    ties = tie_mask(values, eu, ev, tol)
+    if not np.count_nonzero(ties):
+        return compute_merge_trees(ids, values, eu, ev)
+    tied = ties.any(axis=1)
+    swept = iter(compute_merge_trees(ids, values[~tied], eu, ev))
+    return [compute_merge_tree(collapse_equal_adjacent(ScalarGraph(ids, row, eu, ev), tol))
+            if tie else next(swept) for row, tie in zip(values, tied.tolist())]
 
 
 def per_frame_distances(

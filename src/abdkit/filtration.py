@@ -11,11 +11,15 @@ A scalar graph is stored only as index arrays: the vertex ids, one value
 per vertex, and each edge's endpoints as row indices.  An embedded graph is
 index arrays too (ids, coordinate columns, edge rows and its extent, built
 when it is loaded or made), so every direction computes one value column
-and shares the rest.  The collapse tests every edge for a tie in one
-vectorised comparison and contracts the rows with the union-find that
-finds components, ``graph_io.least_id_rows``; the sweep reads the arrays.
-The id -> value dict and the edge list are views, derived on request for
-the oracles and the tests.
+and shares the rest.  :func:`direction_values` computes the columns of
+several directions as one (frames x vertices) stack, one product
+``c[:, None] * xs + s[:, None] * ys``; :func:`direction_filter` is its
+one-direction case.  :func:`tie_mask` tests every edge of every row for a
+tie in one vectorised comparison, so one test tells which frames of a
+stack need the collapse.  The collapse contracts the rows with the
+union-find that finds components, ``graph_io.least_id_rows``; the sweep
+reads the arrays.  The id -> value dict and the edge list are views,
+derived on request for the oracles and the tests.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ import numpy as np
 
 from .graph_io import EmbeddedGraph, least_id_rows
 
-__all__ = ["ScalarGraph", "direction_filter", "collapse_equal_adjacent"]
+__all__ = ["ScalarGraph", "direction_values", "direction_filter", "tie_mask",
+           "collapse_equal_adjacent"]
 
 
 @dataclass(eq=False)
@@ -79,18 +84,28 @@ def _snap(t: float) -> float:
     return t
 
 
-def direction_filter(g: EmbeddedGraph, omega: float) -> ScalarGraph:
-    """Project every vertex onto the direction at angle ``omega`` (radians).
+def direction_values(g: EmbeddedGraph, angles: tuple[float, ...]) -> np.ndarray:
+    """Vertex values at each angle (radians), one row per angle.
 
-    ``value(v) = x(v)*cos(omega) + y(v)*sin(omega)``; at ``omega = pi/2``
-    this is exactly the y-coordinate.  A non-finite angle is rejected.
+    Row ``f`` holds ``x(v)*cos(angles[f]) + y(v)*sin(angles[f])`` for every
+    vertex, in vertex order; at ``pi/2`` this is exactly the y-coordinate.
+    A non-finite angle is rejected.
     """
-    if not math.isfinite(omega):
-        raise ValueError(f"angle {omega!r} is not finite")
-    c, s = _snap(math.cos(omega)), _snap(math.sin(omega))
-    ids, xs, ys, eu, ev, _ = g.arrays
-    # a multiply and an add, never fused: x*c + y*s to the bit
-    return ScalarGraph(ids, xs * c + ys * s, eu, ev)
+    for omega in angles:
+        if not math.isfinite(omega):
+            raise ValueError(f"angle {omega!r} is not finite")
+    cs = np.array([(_snap(math.cos(omega)), _snap(math.sin(omega))) for omega in angles])
+    cs = cs.reshape(-1, 2)  # one (cos, sin) row per angle, none for no angle
+    _, xs, ys = g.arrays[:3]
+    # a multiply and an add, never fused: x*c + y*s to the bit in every row
+    return cs[:, :1] * xs + cs[:, 1:] * ys
+
+
+def direction_filter(g: EmbeddedGraph, omega: float) -> ScalarGraph:
+    """Project every vertex onto the direction at angle ``omega`` (radians):
+    the one-angle case of :func:`direction_values`, as a scalar graph."""
+    ids, _, _, eu, ev, _ = g.arrays
+    return ScalarGraph(ids, direction_values(g, (omega,))[0], eu, ev)
 
 
 def collapse_equal_adjacent(sg: ScalarGraph, tol: float) -> ScalarGraph:
@@ -113,10 +128,19 @@ def collapse_equal_adjacent(sg: ScalarGraph, tol: float) -> ScalarGraph:
     return current
 
 
+def tie_mask(values: np.ndarray, eu: np.ndarray, ev: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the edges whose endpoint values differ by at most ``tol``.
+
+    ``values`` is one value column, or a stack of them with one row per
+    frame, which gives one mask row per frame.  A self-loop is a tie here;
+    an embedded graph has none.
+    """
+    return np.abs(values.take(eu, -1) - values.take(ev, -1)) <= tol
+
+
 def _ties(sg: ScalarGraph, tol: float) -> np.ndarray:
-    """Mask of the edges whose endpoint values differ by at most ``tol``."""
     # a self-loop is no tie: a pass drops it but contracts nothing
-    return (np.abs(sg.column[sg.eu] - sg.column[sg.ev]) <= tol) & (sg.eu != sg.ev)
+    return tie_mask(sg.column, sg.eu, sg.ev, tol) & (sg.eu != sg.ev)
 
 
 def _collapse_once(sg: ScalarGraph, tol: float) -> ScalarGraph:

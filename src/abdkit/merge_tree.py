@@ -11,12 +11,16 @@ parent rows, which the sweep emits and the dict constructor sorts once:
 every child comes before its parent, the root is last, and no reader sorts
 nodes again.  A tree is never edited.
 
-:func:`compute_merge_tree` builds it in one sweep over the graph's index
-arrays in ascending value order.  Vertices with one lower neighbour are
+:func:`compute_merge_trees` builds the trees of one graph under a stack of
+value rows (one row per frame) in one sweep over its index arrays in
+ascending value order: one ``lexsort`` orders every row, and the ranks of
+all frames are one flat array.  Vertices with one lower neighbour are
 linked in arrays; only the critical ones (minima and vertices with several
-lower neighbours) run the union-find in Python.  It checks its input (no tie
-across an edge) and counts the components it ends with, so a caller learns
-that a graph is disconnected from the sweep itself.
+lower neighbours) run the union-find in Python, every frame in one loop.
+It counts the components it ends with, so a caller learns that a graph is
+disconnected from the sweep itself.  :func:`compute_merge_tree` is its
+one-frame case for a scalar graph, and checks that graph first (no tie
+across an edge); ``abd.frame_trees`` tests a whole stack for ties.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import json
 import math
 import statistics
 import sys
+from bisect import bisect_left
 from itertools import chain
 from pathlib import Path
 
@@ -37,6 +42,7 @@ __all__ = [
     "MergeTree",
     "DisconnectedGraphError",
     "compute_merge_tree",
+    "compute_merge_trees",
     "median_or_mean",
     "shift_median_zero",
     "trees_equal",
@@ -159,53 +165,80 @@ class DisconnectedGraphError(ValueError):
 
 
 def compute_merge_tree(sg: ScalarGraph) -> MergeTree:
-    """Sweep construction of the tail-less merge tree.
+    """The tail-less merge tree of ``sg``: :func:`compute_merge_trees` of its
+    one value column, after dropping self-loops (they join nothing).
 
-    Vertices are ordered by (value, id); a tree node takes the id of the
-    vertex that creates it.  A vertex with exactly one lower neighbour
-    extends that neighbour's component, so these are linked to their lower
-    neighbour and pointer-jumped, in arrays, down to the bottom of their
-    chain.  Only the other vertices -- minima and vertices with several
-    lower neighbours -- are swept in Python: union-find tracks their
-    components, and each component root maps to the tree node at the top
-    of its component.  No lower component makes a leaf; one extends that
-    component; two or more make a merge node adopting each component's top.
-    A top at exactly the merge value (an earlier, non-adjacent vertex of the
-    same value merged it) is absorbed: its children move to the new node
-    when the rows are written out, so one merge event gives one node of
-    higher arity.
-
-    Requires distinct values across every edge (checked first) and a
-    connected input: the sweep counts the components it ends with and
-    raises :class:`DisconnectedGraphError` for more than one.
+    An edge whose endpoints hold equal values is refused, naming the first
+    tie a sweep would meet: the one whose later endpoint in (value, id)
+    order -- the larger id of the two -- comes first, then the first in
+    edge order.
     """
-    if sg.n_vertices == 0:
-        raise ValueError("empty scalar graph")
-    ids, values, eu, ev = sg.ids, sg.column, sg.eu, sg.ev
-    n = len(ids)
-    order = np.lexsort((ids, values))
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
-    loops = eu == ev  # a self-loop joins nothing
-    if loops.any():
+    ids, column, eu, ev = sg.ids, sg.column, sg.eu, sg.ev
+    loops = eu == ev
+    if np.count_nonzero(loops):
         eu, ev = eu[~loops], ev[~loops]
-    up = rank[eu] > rank[ev]
-    hi, lo = np.where(up, eu, ev), np.where(up, ev, eu)
-    tied = np.flatnonzero(values[hi] == values[lo])
+    tied = (column[eu] == column[ev]).nonzero()[0]
     if tied.size:
-        # the first tie a sweep meets: at the earliest later endpoint, first in edge order
-        e = tied[np.argmin(rank[hi[tied]])]
-        u, v = sorted((int(ids[lo[e]]), int(ids[hi[e]])))
+        u, v = ids[eu[tied]], ids[ev[tied]]
+        e = np.lexsort((np.maximum(u, v), column[eu[tied]]))[0]  # stable: first in edge order
+        u, v = sorted((int(u[e]), int(v[e])))
         raise ValueError(f"adjacent equal values at edge ({u}, {v}); "
                          "run collapse_equal_adjacent first")
-    n_lower = np.bincount(hi, minlength=n)
-    link = np.arange(n)
-    one = n_lower[hi] == 1
+    return compute_merge_trees(ids, column[None], eu, ev)[0]
+
+
+def compute_merge_trees(ids: np.ndarray, values: np.ndarray, eu: np.ndarray,
+                        ev: np.ndarray) -> list[MergeTree]:
+    """Sweep construction of one tail-less merge tree per row of ``values``.
+
+    ``values`` is a (frames x vertices) stack over one graph: vertex ids
+    ``ids`` and edges joining rows ``eu[k]`` and ``ev[k]``.  Every frame is
+    swept in one pass.  One ``lexsort`` orders each row by (value, id), and
+    the sweep then works on ranks: frame ``f``'s vertices are ranks ``f *
+    n`` to ``f * n + n - 1`` in sweep order, so edge orientation,
+    lower-neighbour counts and pointer jumping run on flat arrays, and no
+    edge joins two frames.  A tree node takes the id of the vertex that
+    creates it.  A vertex with exactly one lower neighbour extends that
+    neighbour's component, so these are linked to their lower neighbour and
+    pointer-jumped, in arrays, down to the bottom of their chain.  Only the
+    other vertices -- minima and vertices with several lower neighbours --
+    are swept in Python, all frames in one loop in rank order: union-find
+    tracks their components, and each component root maps to the tree node
+    at the top of its component.  No lower component makes a leaf; one
+    extends that component; two or more make a merge node adopting each
+    component's top.  A top at exactly the merge value (an earlier,
+    non-adjacent vertex of the same value merged it) is absorbed: its
+    children move to the new node when the rows are written out, so one
+    merge event gives one node of higher arity.  Nodes are made in rank
+    order, so each frame's rows are one run of them.
+
+    Requires edges without self-loops, with distinct values at their ends
+    in every frame: :func:`compute_merge_tree` checks a scalar graph, and
+    ``abd.frame_trees`` tests every frame for ties before its sweep.  The
+    graph must be connected: the sweep counts the components it ends with
+    and raises :class:`DisconnectedGraphError` for more than one.
+    """
+    n_frames, n = values.shape
+    if n == 0:
+        raise ValueError("empty scalar graph")
+    size = n_frames * n
+    by_id = ids[None] if n_frames == 1 else ids[None].repeat(n_frames, 0)
+    order = np.lexsort((by_id, values))  # rank -> vertex row, per frame
+    at = order.ravel() if n_frames == 1 else (order + np.arange(0, size, n)[:, None]).ravel()
+    rank = np.empty(size, dtype=np.intp)  # flat vertex -> rank, over all frames
+    rank[at] = np.arange(size)
+    rank = rank.reshape(n_frames, n)
+    ru, rv = rank.take(eu, 1).ravel(), rank.take(ev, 1).ravel()
+    hi, lo = np.maximum(ru, rv), np.minimum(ru, rv)
+    swept_value = values.ravel()[at]  # value at each rank
+    n_lower = np.bincount(hi, minlength=size)
+    link = np.arange(size)
+    one = n_lower[hi] == 1  # every upper endpoint has at least one lower neighbour
     link[hi[one]] = lo[one]
     for _ in range((n - 1).bit_length()):  # pointer jumping: a chain is shorter than n
         link = link[link]
-    below: dict[int, list[int]] = {}  # vertex with several lower neighbours -> their chain bottoms
-    many = n_lower[hi] > 1
+    below: dict[int, list[int]] = {}  # rank with several lower neighbours -> their chain bottoms
+    many = ~one
     for v, r in zip(hi[many].tolist(), link[lo[many]].tolist()):
         below.setdefault(v, []).append(r)
 
@@ -223,8 +256,8 @@ def compute_merge_tree(sg: ScalarGraph) -> MergeTree:
             comp[v], v = root, comp[v]
         return root
 
-    swept = order[n_lower[order] != 1]
-    for v, value in zip(swept.tolist(), values[swept].tolist()):
+    swept = (n_lower != 1).nonzero()[0]
+    for v, value in zip(swept.tolist(), swept_value[swept].tolist()):
         lower = {find(r) for r in below.get(v, ())}
         if len(lower) == 1:
             comp[v] = lower.pop()
@@ -239,14 +272,19 @@ def compute_merge_tree(sg: ScalarGraph) -> MergeTree:
                 parent[t] = v
             comp[r] = v
 
-    if len(top) != 1:
+    if len(top) != n_frames:  # each frame ends with at least one top
         raise DisconnectedGraphError("scalar graph is disconnected; pass the largest component")
-    nodes = [v for v in parent if v not in absorbed]  # created in (value, id) order: the rows
+    nodes = [v for v in parent if v not in absorbed]  # ascending ranks: the rows, frame by frame
     row = dict(zip(nodes, range(len(nodes))))
     for t in reversed(absorbed):  # the last absorption first, so a chain of them resolves
         row[t] = row[absorbed[t]]
-    return MergeTree._from_rows(tuple(ids[nodes].tolist()), tuple(map(node_value.get, nodes)),
-                                tuple(row[parent[v]] for v in nodes))
+    node_ids = ids[order.ravel()[nodes]].tolist()
+    vals = list(map(node_value.get, nodes))
+    ups = [row[parent[v]] for v in nodes]
+    cuts = [*(bisect_left(nodes, f * n) for f in range(n_frames)), len(nodes)]
+    return [MergeTree._from_rows(tuple(node_ids[a:b]), tuple(vals[a:b]),
+                                 tuple(u - a for u in ups[a:b]))
+            for a, b in zip(cuts, cuts[1:])]
 
 
 def median_or_mean(values: list[float] | np.ndarray, mode: str = "median",
@@ -323,7 +361,9 @@ def tree_from_dict(doc: dict) -> MergeTree:
     NaN or beyond ``MAX_TREE_VALUE`` is a ValueError.  Parent keys are
     strings, as JSON object keys are, of an optional sign and ASCII digits
     (the edge-list id rule); any other key, such as ``"1_0"`` or ``" 3"``,
-    is a ValueError naming it.
+    is a ValueError naming it.  So are a parent entry for a node that is not
+    listed, a parent that is not listed, and a listed node without a parent
+    entry.
     """
     try:
         values: dict[int, float] = {}
@@ -345,6 +385,13 @@ def tree_from_dict(doc: dict) -> MergeTree:
         for n, v in values.items():
             if not abs(v) <= MAX_TREE_VALUE:  # NaN fails too
                 raise ValueError(f"node {n} has value {v!r}, beyond |value| <= {MAX_TREE_VALUE!r}")
+        for n, p in parent.items():
+            if n not in values:
+                raise ValueError(f"node {n} has a parent entry but is not listed")
+            if p not in values:
+                raise ValueError(f"parent {p} of node {n} is not listed")
+        if len(parent) < len(values):
+            raise ValueError(f"node {next(n for n in values if n not in parent)} has no parent")
         tree = MergeTree(values, parent)
         tree.validate()
     except KeyError as exc:

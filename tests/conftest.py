@@ -35,3 +35,62 @@ def random_embedded_graph(rng: np.random.Generator, max_vertices: int = 12) -> E
         if u != v:
             edges.append((min(u, v), max(u, v)))
     return EmbeddedGraph(vertices, edges)
+
+
+def adjacency(sg: ScalarGraph) -> dict[int, list[int]]:
+    adj: dict[int, list[int]] = {v: [] for v in sg.ids.tolist()}
+    for u, v in sg.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def reference_sweep(sg: ScalarGraph) -> MergeTree:
+    """Reference for compute_merge_tree: every vertex swept in (value, id)
+    order over dicts; node ids, values, dict order and refusals must match."""
+    if sg.n_vertices == 0:
+        raise ValueError("empty scalar graph")
+    values = sg.values
+    adj = adjacency(sg)
+    comp: dict[int, int] = {}
+    top: dict[int, int] = {}
+    parent: dict[int, int] = {}
+    absorbed: dict[int, int] = {}
+
+    def find(v: int) -> int:
+        while comp[v] != v:
+            v = comp[v]
+        return v
+
+    for v in sorted(values, key=lambda v: (values[v], v)):
+        value = values[v]
+        lower = set()
+        for u in adj[v]:
+            if u in comp:
+                if values[u] == value:
+                    raise ValueError(
+                        f"adjacent equal values at edge ({min(u, v)}, {max(u, v)}); "
+                        "run collapse_equal_adjacent first"
+                    )
+                lower.add(find(u))
+        if len(lower) == 1:
+            comp[v] = lower.pop()
+            continue
+        comp[v] = parent[v] = top[v] = v
+        for r in lower:
+            t = top.pop(r)
+            if values[t] == value:
+                absorbed[t] = v
+            else:
+                parent[t] = v
+            comp[r] = v
+    if len(top) != 1:
+        raise ValueError("scalar graph is disconnected; pass the largest component")
+
+    def resolve(p: int) -> int:
+        while p in absorbed:
+            p = absorbed[p]
+        return p
+
+    ordered = sorted((n for n in parent if n not in absorbed), key=lambda n: (values[n], n))
+    return MergeTree({n: values[n] for n in ordered}, {n: resolve(parent[n]) for n in ordered})

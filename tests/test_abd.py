@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import statistics
 import sys
@@ -8,19 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abdkit.abd import (
+    COLLAPSE_RTOL,
     average_branching_distance,
     frame_angles,
     frame_trees,
     merge_tree_at,
     per_frame_distances,
 )
-from abdkit.merge_tree import median_or_mean, tree_to_dict
+from abdkit.filtration import collapse_equal_adjacent, direction_filter
+from abdkit.merge_tree import MergeTree, median_or_mean, shift_median_zero, tree_to_dict
 from abdkit.fixtures import indistinguishable_pair, graph_counterexample
-from abdkit.graph_io import MAX_COORDINATE_SUM, EmbeddedGraph
-from abdkit.oracles import is_isomorphic
-from abdkit.synth import blob, comb, convex_polygon, make_shape, star
+from abdkit.graph_io import MAX_COORDINATE_SUM, EmbeddedGraph, largest_component
+from abdkit.oracles import is_isomorphic, merge_tree_oracle
+from abdkit.synth import blob, comb, convex_polygon, make_shape, shape_dataset, star
 
-from conftest import random_embedded_graph
+from conftest import random_embedded_graph, reference_sweep
 
 
 def test_frame_angles_single():
@@ -291,3 +295,95 @@ def test_vertex_relabelling_invariance(rng):
         for n_frames in (1, 4):
             assert (repr(per_frame_distances(rg, rh, n_frames))
                     == repr(per_frame_distances(g, h, n_frames)))
+
+
+def _integer_grid(rng: np.random.Generator, a: int, b: int) -> EmbeddedGraph:
+    """An a x b grid of integer points joined by a random spanning tree of its
+    grid edges plus a few more: at the axis frames every edge along one axis
+    ties, at every other frame of ``frame_angles`` none does."""
+    cells = {i * b + j: (float(i), float(j)) for i in range(a) for j in range(b)}
+    grid = [(v, v + 1) for v in cells if v % b < b - 1]
+    grid += [(v, v + b) for v in cells if v < (a - 1) * b]
+    rep = list(range(a * b))
+
+    def find(v: int) -> int:
+        while rep[v] != v:
+            v = rep[v]
+        return v
+
+    edges = []
+    for k in rng.permutation(len(grid)).tolist():
+        u, v = grid[k]
+        if find(u) != find(v) or rng.random() < 0.15:
+            rep[find(u)] = find(v)
+            edges.append((u, v))
+    return EmbeddedGraph(cells, edges)
+
+
+def _stack_inputs() -> list[EmbeddedGraph]:
+    """Shape graphs, integer grids and disconnected graphs, fixed by their seeds."""
+    rng = np.random.default_rng(26)
+    shapes = shape_dataset(seed=0)[0]
+    grids = [_integer_grid(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6))) for _ in range(8)]
+    split = []
+    for g, h in zip(shapes[::3], grids):  # a shape beside a grid moved off it
+        off = max(g.vertices) + 1
+        moved = {v + off: (x + 40.0, y) for v, (x, y) in h.vertices.items()}
+        split.append(EmbeddedGraph({**g.vertices, **moved},
+                                   g.edges + [(u + off, v + off) for u, v in h.edges]))
+    return shapes + grids + split
+
+
+def _rows(mt: MergeTree) -> tuple:
+    return mt.ids, tuple(v.hex() for v in mt.vals), mt.up
+
+
+def _hex_key(mt: MergeTree):
+    """Value-preserving isomorphism key with values compared by ``float.hex``."""
+    kids = mt.child_rows()
+
+    def key(i: int):
+        return mt.vals[i].hex(), sorted(key(c) for c in kids[i])
+
+    return key(mt.n_nodes - 1)
+
+
+@pytest.mark.parametrize("n_frames", [1, 2, 3, 10, 40])
+def test_stacked_sweep_matches_oracle_per_frame(n_frames):
+    # every frame of one stacked sweep against the definition-based oracle,
+    # to the bit; the oracle numbers its nodes by rank, so the node ids and
+    # rows are checked against the dict-based reference sweep
+    angles = frame_angles(n_frames)
+    for g in _stack_inputs():
+        h = largest_component(g)
+        tol = COLLAPSE_RTOL * h.arrays[-1]
+        for omega, mt in zip(angles, frame_trees(g, angles), strict=True):
+            sg = collapse_equal_adjacent(direction_filter(h, omega), tol)
+            assert _hex_key(mt) == _hex_key(shift_median_zero(merge_tree_oracle(sg)))
+            assert _rows(mt) == _rows(shift_median_zero(reference_sweep(sg)))
+            assert _rows(mt) == _rows(merge_tree_at(h, omega))
+
+
+def test_stack_inputs_cover_ties_and_splits():
+    # the grids tie at the axis frames only, all in one call, and the split
+    # graphs are reduced to their largest component
+    inputs = _stack_inputs()
+    grids, split = inputs[18:26], inputs[26:]
+    angles = frame_angles(40)
+    axis = {0, 10, 20, 30}  # pi/2, pi, 3*pi/2 and 0
+    for g in grids:
+        tied = {f for f, omega in enumerate(angles)
+                if collapse_equal_adjacent(direction_filter(g, omega), 0.0).n_vertices
+                < g.n_vertices}
+        assert tied == axis
+    assert all(largest_component(g) is not g for g in split)
+    assert all(largest_component(g) is g for g in inputs[:26])
+
+
+def test_stacked_sweep_golden():
+    # SHA-256 of every frame's tree_to_dict JSON at 1, 2, 3, 10 and 40 frames,
+    # recorded with the per-angle pipeline the stacked sweep replaced
+    trees = [tree_to_dict(t) for n in (1, 2, 3, 10, 40) for g in _stack_inputs()
+             for t in frame_trees(g, frame_angles(n))]
+    digest = hashlib.sha256(json.dumps(trees).encode()).hexdigest()
+    assert digest == "643417ef363c9bb3aaf1f8e1431e5f9ffe426ad133bedad61c1e6c516d726379"

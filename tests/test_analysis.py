@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import math
 import os
@@ -310,7 +311,7 @@ def pin_cpus(monkeypatch, n):
 @pytest.mark.parametrize("jobs, workers", [(2, [2]), (64, [3])])
 def test_matrix_pool_size_capped_by_items(monkeypatch, jobs, workers):
     pin_cpus(monkeypatch, 64)
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "started", [])
     monkeypatch.setattr(RecordingPool, "chunks", [])
     graphs = list(graph_counterexample())  # 3 pairs of distinct trees at one frame
@@ -333,7 +334,7 @@ def test_matrix_pool_sends_about_four_chunks_per_worker(monkeypatch, jobs):
     monkeypatch.setattr(analysis, "branching_distance", counted)
     serial = distance_matrix(graphs, n_frames=3)
     items = len(calls)
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "started", [])
     monkeypatch.setattr(RecordingPool, "chunks", [])
     pin_cpus(monkeypatch, 64)
@@ -350,7 +351,7 @@ def test_matrix_pool_size_capped_by_cpus(monkeypatch, affinity):
     pin_cpus(monkeypatch, 4)
     if not affinity:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "started", [])
     monkeypatch.setattr(RecordingPool, "chunks", [])
     graphs = shape_dataset(seed=0)[0][::2]  # 9 graphs: more distinct tree pairs than CPUs
@@ -427,7 +428,7 @@ def test_production_path_builds_no_dict_view(rng, monkeypatch):
 
 
 def test_matrix_single_item_starts_no_pool(rng, monkeypatch):
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "started", [])
     polys = [convex_polygon(rng, k) for k in (5, 7, 9)]  # one trivial tree at one frame
     out = distance_matrix(polys, n_frames=1, jobs=4)
@@ -773,3 +774,42 @@ def test_export_rejects_bad_combos(tmp_path):
         export(dend, tmp_path / "x", "csv")
     with pytest.raises(TypeError):
         export(42, tmp_path / "x", "csv")
+
+
+def _triangle_checks(d: np.ndarray) -> tuple[int, list]:
+    """Checks d[a, c] <= d[a, b] + d[b, c] over a < c and b apart from both:
+    each triple is checked once per side as the long one.  Returns the
+    number of checks and the failures as (excess, a, b, c), worst first."""
+    n = len(d)
+    a, b, c = np.meshgrid(*[np.arange(n)] * 3, indexing="ij")
+    checked = (a < c) & (b != a) & (b != c)
+    excess = d[a, c] - (d[a, b] + d[b, c])
+    fail = checked & (excess > 0)
+    return int(checked.sum()), sorted(zip(excess[fail].tolist(), a[fail].tolist(),
+                                          b[fail].tolist(), c[fail].tolist()), reverse=True)
+
+
+@pytest.mark.parametrize("n_frames, failures, worst", [
+    (10, 50, ((11, 6, 14), ("comb", "comb", "zigzag"),
+              ("0x1.5e3884b689ac2p+0", "0x1.bf7ffbac6b054p-4", "0x1.fd6ee981916dcp-1"))),
+    (40, 1, ((2, 1, 3), ("star", "star", "star"),
+             ("0x1.101321f6715d6p-1", "0x1.0c95596515424p-3", "0x1.4a8768bc552c8p-2"))),
+])
+def test_shape_dataset_breaks_the_triangle_inequality(n_frames, failures, worst):
+    # the paper's non-metric claim on data, not only on fixture triples: the
+    # count of failed checks and the worst one, its long side d[a, c] and its
+    # two short sides d[a, b] and d[b, c], recorded with the per-angle sweep
+    graphs, labels = shape_dataset(seed=0)
+    angles = frame_angles(n_frames)
+    for g in graphs:  # the stacked sweep gives the one-frame pipeline's trees to the bit
+        for omega, mt in zip(angles, frame_trees(g, angles), strict=True):
+            one = merge_tree_at(g, omega)
+            assert (mt.ids, [v.hex() for v in mt.vals], mt.up) == (
+                one.ids, [v.hex() for v in one.vals], one.up)
+    d = distance_matrix(graphs, n_frames=n_frames).d
+    checks, failed = _triangle_checks(d)
+    assert (checks, len(failed)) == (2448, failures)
+    _, a, b, c = failed[0]
+    assert ((a, b, c), (labels[a], labels[b], labels[c]),
+            (d[a, c].hex(), d[a, b].hex(), d[b, c].hex())) == worst
+    assert np.count_nonzero(d) == len(d) * (len(d) - 1)  # no two shapes at distance 0

@@ -19,7 +19,8 @@ REPO = Path(__file__).resolve().parents[1]
 
 # Runs every production command in one interpreter, then prints which of the
 # test-only modules it loaded, and whether it loaded xml.sax or urllib.request
-# (about 35 ms of start-up that the SVG exports do not need).
+# (about 35 ms of start-up that the SVG exports do not need) or the process
+# pool (about 13 ms, needed only by a matrix with more than one worker).
 PRODUCTION_RUN = """
 import json, sys
 from abdkit.cli import main
@@ -31,7 +32,8 @@ for argv in (["tree", g, "--out", f"{d}/t.json"],
              ["cluster", f"{d}/m.csv", "--out", f"{d}/c.nwk", "--svg", f"{d}/c.svg"],
              ["mds", f"{d}/m.csv", "--out", f"{d}/e.csv", "--svg", f"{d}/e.svg"]):
     assert main(argv) == 0, argv
-names = ("abdkit.cli", "abdkit.oracles", "abdkit.verify", "xml.sax", "urllib.request")
+names = ("abdkit.cli", "abdkit.oracles", "abdkit.verify", "xml.sax", "urllib.request",
+         "concurrent.futures", "multiprocessing")
 print(json.dumps([m for m in names if m in sys.modules]))
 """
 

@@ -196,10 +196,17 @@ def test_dist_rejects_tol_not_positive_and_finite(tmp_path, capsys, tol):
      ' "parent": {"10": 2, "\\u0663": 2, "2": 2}}', "parent key '\u0663' is not an integer"),
     ('{"nodes": [{"id": 10, "value": 1.0}, {"id": 3, "value": 2.0}, {"id": 2, "value": 3.0}],'
      ' "parent": {"10": 2, " 3": 2, "2": 2}}', "parent key ' 3' is not an integer"),
+    # each of these read "missing key N", whichever of the two was missing
+    ('{"nodes": [{"id": 0, "value": 1.0}], "parent": {"0": 0, "7": 0}}',
+     "node 7 has a parent entry but is not listed"),
+    ('{"nodes": [{"id": 0, "value": 1.0}, {"id": 1, "value": 2.0}, {"id": 2, "value": 3.0}],'
+     ' "parent": {"0": 2, "2": 2}}', "node 1 has no parent"),
+    ('{"nodes": [{"id": 0, "value": 1.0}, {"id": 2, "value": 3.0}], "parent": {"0": 5, "2": 2}}',
+     "parent 5 of node 0 is not listed"),
 ], ids=["no-nodes", "graph-file", "list", "text-value", "parent-list", "infinite", "too-large",
         "duplicate-id", "fractional-id", "fractional-parent", "bool-id", "string-parent",
         "numeric-string-value", "bool-value", "underscore-parent-key", "arabic-indic-parent-key",
-        "space-parent-key"])
+        "space-parent-key", "unlisted-node", "no-parent-entry", "unlisted-parent"])
 def test_dist_malformed_tree_file_errors(tmp_path, capsys, content, problem):
     p = tmp_path / "t.json"
     p.write_text(content)

@@ -10,6 +10,8 @@ from abdkit.filtration import (
     _snap,
     collapse_equal_adjacent,
     direction_filter,
+    direction_values,
+    tie_mask,
 )
 from abdkit.graph_io import EmbeddedGraph
 
@@ -147,6 +149,31 @@ def test_projection_bitwise_equals_scalar_formula(coords, omega):
     c, s = _snap(math.cos(omega)), _snap(math.sin(omega))
     expected = {v: x * c + y * s for v, (x, y) in g.vertices.items()}
     assert repr(direction_filter(g, omega).values) == repr(expected)
+
+
+@given(coords=st.lists(st.tuples(finite, finite), min_size=1, max_size=12),
+       angles=st.lists(st.sampled_from([0.0, math.pi / 2, math.pi, 1.5 * math.pi])
+                       | st.floats(0, 2 * math.pi), min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_stacked_projection_bitwise_equals_scalar_formula(coords, angles):
+    # one product over every angle gives each row x*c + y*s to the bit, and
+    # one tie test gives each row the mask of that row alone
+    ids = [3 * i - 7 for i in range(len(coords))]
+    g = EmbeddedGraph(dict(zip(ids, coords)), [(ids[i - 1], ids[i]) for i in range(1, len(ids))])
+    values = direction_values(g, angles)
+    assert values.shape == (len(angles), len(ids))
+    _, _, _, eu, ev, _ = g.arrays
+    ties = tie_mask(values, eu, ev, 1e-3)
+    for omega, row, tie in zip(angles, values, ties):
+        c, s = _snap(math.cos(omega)), _snap(math.sin(omega))
+        assert repr(row.tolist()) == repr([x * c + y * s for x, y in coords])
+        assert repr(direction_filter(g, omega).column.tolist()) == repr(row.tolist())
+        assert tie.tolist() == tie_mask(row, eu, ev, 1e-3).tolist()
+
+
+def test_stacked_projection_rejects_a_non_finite_angle(triangle):
+    with pytest.raises(ValueError, match="angle nan is not finite"):
+        direction_values(triangle, (0.0, math.nan))
 
 
 def test_ids_beyond_int64_stay_exact():

@@ -31,7 +31,7 @@ from abdkit.synth import (
     shape_dataset,
 )
 
-from conftest import scalar, tree
+from conftest import adjacency, reference_sweep, scalar, tree
 
 
 def test_two_minima_then_third():
@@ -143,65 +143,6 @@ def test_sweep_golden_ids_and_order():
         "b0460da59cf9d540daab01d9f7347ded015f9feae33681a6e465753cc2cc3fae")
 
 
-def _adjacency(sg: ScalarGraph) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {v: [] for v in sg.ids.tolist()}
-    for u, v in sg.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
-def _reference_sweep(sg: ScalarGraph) -> MergeTree:
-    """Reference for compute_merge_tree: every vertex swept in (value, id)
-    order over dicts; node ids, values, dict order and refusals must match."""
-    if sg.n_vertices == 0:
-        raise ValueError("empty scalar graph")
-    values = sg.values
-    adj = _adjacency(sg)
-    comp: dict[int, int] = {}
-    top: dict[int, int] = {}
-    parent: dict[int, int] = {}
-    absorbed: dict[int, int] = {}
-
-    def find(v: int) -> int:
-        while comp[v] != v:
-            v = comp[v]
-        return v
-
-    for v in sorted(values, key=lambda v: (values[v], v)):
-        value = values[v]
-        lower = set()
-        for u in adj[v]:
-            if u in comp:
-                if values[u] == value:
-                    raise ValueError(
-                        f"adjacent equal values at edge ({min(u, v)}, {max(u, v)}); "
-                        "run collapse_equal_adjacent first"
-                    )
-                lower.add(find(u))
-        if len(lower) == 1:
-            comp[v] = lower.pop()
-            continue
-        comp[v] = parent[v] = top[v] = v
-        for r in lower:
-            t = top.pop(r)
-            if values[t] == value:
-                absorbed[t] = v
-            else:
-                parent[t] = v
-            comp[r] = v
-    if len(top) != 1:
-        raise ValueError("scalar graph is disconnected; pass the largest component")
-
-    def resolve(p: int) -> int:
-        while p in absorbed:
-            p = absorbed[p]
-        return p
-
-    ordered = sorted((n for n in parent if n not in absorbed), key=lambda n: (values[n], n))
-    return MergeTree({n: values[n] for n in ordered}, {n: resolve(parent[n]) for n in ordered})
-
-
 def _outcome(build, sg: ScalarGraph) -> str:
     """The tree's JSON (ids, signed values, dict order) or the refusal text."""
     try:
@@ -213,7 +154,7 @@ def _outcome(build, sg: ScalarGraph) -> str:
 def _assert_sweep_exact(sg: ScalarGraph) -> None:
     fresh = ScalarGraph.from_dict(sg.values, sg.edges)  # rebuilt from its views
     got = _outcome(compute_merge_tree, sg)
-    assert got == _outcome(_reference_sweep, sg)
+    assert got == _outcome(reference_sweep, sg)
     assert _outcome(compute_merge_tree, fresh) == got
     if not got.startswith("refused") and all(u != v for u, v in sg.edges):  # the oracle takes no loops
         assert trees_equal(compute_merge_tree(sg), merge_tree_oracle(sg))
@@ -340,7 +281,7 @@ def test_adjacent_equal_rejected():
 def test_leaf_count_equals_local_minima(rng):
     for _ in range(30):
         sg = random_connected_scalar_graph(rng, max_vertices=16)
-        values, adj = sg.values, _adjacency(sg)
+        values, adj = sg.values, adjacency(sg)
         minima = sum(
             1
             for v in values
