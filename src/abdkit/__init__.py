@@ -13,7 +13,7 @@ them to single-linkage clustering and classical MDS.
 from .graph_io import EmbeddedGraph, largest_component, load_graph, write_graph
 from .filtration import ScalarGraph, collapse_equal_adjacent, direction_filter
 from .merge_tree import MergeTree, compute_merge_tree, load_tree, shift_median_zero, write_tree
-from .branching import Branch, branching_distance, matching_cost, removal_cost
+from .branching import branching_distance
 from .abd import average_branching_distance, frame_angles, merge_tree_at
 from .analysis import (
     DistanceMatrix,
@@ -30,7 +30,6 @@ __all__ = [
     "EmbeddedGraph",
     "ScalarGraph",
     "MergeTree",
-    "Branch",
     "DistanceMatrix",
     "load_graph",
     "write_graph",
@@ -41,8 +40,6 @@ __all__ = [
     "shift_median_zero",
     "load_tree",
     "write_tree",
-    "matching_cost",
-    "removal_cost",
     "branching_distance",
     "frame_angles",
     "merge_tree_at",

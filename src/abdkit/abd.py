@@ -9,7 +9,7 @@ the median (default) or mean of the per-frame distances.
 (frames x vertices) value stack, one tie test over every frame's edges and
 one sweep over the stack (:func:`merge_tree.compute_merge_trees`).  A frame
 with a tie is collapsed and swept on its own, as a stack of one;
-:func:`merge_tree_at` is the one-frame pipeline, with the same sweep.
+:func:`merge_tree_at` is the stack of one angle, with any shift.
 """
 
 from __future__ import annotations
@@ -19,13 +19,7 @@ import math
 import numpy as np
 
 from .branching import branching_distance
-from .filtration import (
-    ScalarGraph,
-    collapse_equal_adjacent,
-    direction_filter,
-    direction_values,
-    tie_mask,
-)
+from .filtration import ScalarGraph, collapse_equal_adjacent, direction_values, tie_mask
 from .graph_io import EmbeddedGraph, largest_component
 from .merge_tree import (
     DisconnectedGraphError,
@@ -35,6 +29,10 @@ from .merge_tree import (
     median_or_mean,
     shift_median_zero,
 )
+
+# Not called here: it keeps the benchmark tracer's ("abd", "direction_filter")
+# patch point resolving.  ROADMAP item 1 re-points that patch point.
+from .filtration import direction_filter  # noqa: F401
 
 __all__ = [
     "frame_angles",
@@ -58,25 +56,24 @@ def frame_angles(n: int) -> tuple[float, ...]:
 
 
 def merge_tree_at(g: EmbeddedGraph, omega: float, normalize: str = "median") -> MergeTree:
-    """Filtration pipeline for one direction: project, collapse, build, shift.
+    """The merge tree of ``g`` at one angle, by the stacked sweep of :func:`frame_trees`.
 
     Adjacent values within ``COLLAPSE_RTOL`` times the graph's extent (the
     larger of its x and y spans) are collapsed, so the tree scales with the
     coordinates.  ``normalize`` is ``'median'``, ``'mean'`` or ``'none'``
-    (no shift).
+    (no shift).  A disconnected ``g`` raises
+    :class:`~abdkit.merge_tree.DisconnectedGraphError`.
     """
-    sg = direction_filter(g, omega)
-    sg = collapse_equal_adjacent(sg, COLLAPSE_RTOL * g.arrays[-1])
-    mt = compute_merge_tree(sg)
+    (mt,) = _stacked_trees(g, (omega,))
     return mt if normalize == "none" else shift_median_zero(mt, normalize)
 
 
 def frame_trees(g: EmbeddedGraph, angles: tuple[float, ...]) -> list[MergeTree]:
     """Median-shifted merge trees of ``g`` at each angle, in angle order.
 
-    The trees are those of :func:`merge_tree_at`, to the bit, built in one
-    stacked sweep: the frames without a tie are swept together, and each
-    frame with one is collapsed and swept as a stack of one.  A
+    The frames without a tie are swept together, and each frame with one is
+    collapsed and swept as a stack of one, so a tree does not depend on the
+    other angles: :func:`merge_tree_at` is the one-angle case.  A
     disconnected ``g`` is reduced to its largest component.  Connectivity
     does not depend on the angle, so the sweep decides it: a connected
     graph is never searched for components.

@@ -20,9 +20,9 @@ from .branching import branching_distance
 from .graph_io import EmbeddedGraph
 from .merge_tree import median_or_mean
 
-# Not called here: the benchmark's tracer patches these two names in this
-# module.  The matrix builds its trees through abd.frame_trees, which calls
-# them in abd, where the tracer patches them too.
+# Not called here: they keep the benchmark tracer's ("analysis", "merge_tree_at")
+# and ("analysis", "largest_component") patch points resolving.  The matrix
+# builds its trees through abd.frame_trees.  ROADMAP item 1 removes both.
 from .abd import merge_tree_at  # noqa: F401
 from .graph_io import largest_component  # noqa: F401
 

@@ -50,18 +50,11 @@ hashes no tuple key and does no dict lookup by node id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf
 
 from .merge_tree import MergeTree
 
-__all__ = [
-    "Branch",
-    "matching_cost",
-    "removal_cost",
-    "branching_distance",
-    "MAX_LEAVES",
-]
+__all__ = ["branching_distance", "MAX_LEAVES"]
 
 MAX_LEAVES = 20
 
@@ -76,30 +69,6 @@ def __getattr__(name: str):
         from . import oracles
         return getattr(oracles, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-@dataclass(frozen=True)
-class Branch:
-    """A (minimum, saddle-or-root) pair; degenerate when both coincide."""
-
-    m_id: int
-    m_value: float
-    s_id: int
-    s_value: float
-
-    @property
-    def degenerate(self) -> bool:
-        return self.m_id == self.s_id
-
-
-def matching_cost(u: Branch, v: Branch) -> float:
-    """max(|m_u - m_v|, |s_u - s_v|)."""
-    return max(abs(u.m_value - v.m_value), abs(u.s_value - v.s_value))
-
-
-def removal_cost(u: Branch) -> float:
-    """|m_u - s_u| / 2."""
-    return abs(u.m_value - u.s_value) / 2.0
 
 
 def _guard_leaves(n: int, limit: int, what: str) -> None:

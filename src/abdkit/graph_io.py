@@ -43,7 +43,6 @@ __all__ = [
     "load_graph",
     "write_graph",
     "largest_component",
-    "connected_components",
 ]
 
 FORMATS = ("json", "edgelist")
@@ -108,25 +107,6 @@ class EmbeddedGraph:
     @property
     def n_edges(self) -> int:
         return len(self.arrays[3])
-
-    def neighbors(self) -> dict[int, list[int]]:
-        """Adjacency lists keyed by vertex id (neighbor order follows edges)."""
-        adj: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
-
-    def translated(self, dx: float, dy: float) -> "EmbeddedGraph":
-        """Rigid translation by (dx, dy)."""
-        moved = {v: (x + dx, y + dy) for v, (x, y) in self.vertices.items()}
-        return EmbeddedGraph(moved, self.edges)
-
-    def rotated(self, theta: float) -> "EmbeddedGraph":
-        """Rigid rotation about the origin by ``theta`` radians."""
-        c, s = math.cos(theta), math.sin(theta)
-        moved = {v: (c * x - s * y, s * x + c * y) for v, (x, y) in self.vertices.items()}
-        return EmbeddedGraph(moved, self.edges)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EmbeddedGraph):
@@ -387,15 +367,6 @@ def least_id_rows(ids: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray
     for _ in range((len(ids) - 1).bit_length()):  # pointer jumping: a path has < len(ids) rows
         rep = rep[rep]
     return rep
-
-
-def connected_components(g: EmbeddedGraph) -> list[list[int]]:
-    """Connected components as vertex-id lists, members and components in vertex order."""
-    ids, _, _, eu, ev, _ = g.arrays
-    comps: dict[int, list[int]] = {}
-    for r, v in zip(least_id_rows(ids, eu, ev).tolist(), ids.tolist()):
-        comps.setdefault(r, []).append(v)
-    return list(comps.values())
 
 
 def largest_component(g: EmbeddedGraph) -> EmbeddedGraph:

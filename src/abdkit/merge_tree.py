@@ -108,15 +108,9 @@ class MergeTree:
                 ch[p].append(i)
         return ch
 
-    def children(self) -> dict[int, list[int]]:
-        return {n: [self.ids[c] for c in kids] for n, kids in zip(self.ids, self.child_rows())}
-
-    def leaves(self) -> list[int]:
-        return [n for n, kids in zip(self.ids, self.child_rows()) if not kids]
-
     @property
     def n_leaves(self) -> int:
-        return len(self.leaves())
+        return sum(not kids for kids in self.child_rows())
 
     def is_trivial(self) -> bool:
         return self.n_nodes == 1

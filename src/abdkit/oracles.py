@@ -18,10 +18,14 @@ No production module imports this one.
   bisection, so the engine's pruning can be checked to the bit on trees
   of up to 20 leaves.  It reads :func:`minmax_table`, the recursion's
   table keyed by node id, which also checks the engine's integer-row table.
+  :func:`children` and :func:`leaves` list a tree's nodes by id for the
+  oracles, ``verify`` and the tests; the engine reads rows.
 * :func:`representations` builds the distinct rooted tree representations
-  of a merge tree (exponential in its leaves); the enumeration oracles of
-  the tests build on it.  :func:`candidate_costs` lists every value the
-  distance can take, and :func:`is_eps_similar` is the eps-decision.
+  of a merge tree (exponential in its leaves), trees of :class:`Branch`
+  with the matching and removal costs of Beketayev et al. 2014; the
+  enumeration oracles of the tests build on it.  :func:`candidate_costs`
+  lists every value the distance can take, and :func:`is_eps_similar` is
+  the eps-decision.
 * :func:`is_isomorphic` decides graph isomorphism by backtracking, so a
   zero ABD between two graphs can be shown to join distinct graphs.
 """
@@ -33,14 +37,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from math import inf
 
-from .branching import (
-    MAX_LEAVES,
-    Branch,
-    _guard_leaves,
-    branching_distance,
-    matching_cost,
-    removal_cost,
-)
+from .branching import MAX_LEAVES, _guard_leaves, branching_distance
 from .filtration import ScalarGraph
 from .graph_io import EmbeddedGraph
 from .merge_tree import MergeTree
@@ -49,6 +46,11 @@ __all__ = [
     "SublevelSnapshot",
     "sublevel_snapshots",
     "merge_tree_oracle",
+    "children",
+    "leaves",
+    "Branch",
+    "matching_cost",
+    "removal_cost",
     "RootedTreeRep",
     "representations",
     "is_eps_similar",
@@ -170,9 +172,43 @@ def merge_tree_oracle(sg: ScalarGraph) -> MergeTree:
     )
 
 
+def children(mt: MergeTree) -> dict[int, list[int]]:
+    """Node id -> the ids of its children, in row order."""
+    return {n: [mt.ids[c] for c in kids] for n, kids in zip(mt.ids, mt.child_rows())}
+
+
+def leaves(mt: MergeTree) -> list[int]:
+    """The ids of the nodes without children, in row order."""
+    return [n for n, kids in zip(mt.ids, mt.child_rows()) if not kids]
+
+
 # ---------------------------------------------------------------------------
 # branch representations and the exhaustive distance
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Branch:
+    """A (minimum, saddle-or-root) pair; degenerate when both coincide."""
+
+    m_id: int
+    m_value: float
+    s_id: int
+    s_value: float
+
+    @property
+    def degenerate(self) -> bool:
+        return self.m_id == self.s_id
+
+
+def matching_cost(u: Branch, v: Branch) -> float:
+    """max(|m_u - m_v|, |s_u - s_v|)."""
+    return max(abs(u.m_value - v.m_value), abs(u.s_value - v.s_value))
+
+
+def removal_cost(u: Branch) -> float:
+    """|m_u - s_u| / 2."""
+    return abs(u.m_value - u.s_value) / 2.0
+
 
 @dataclass
 class RootedTreeRep:
@@ -202,7 +238,7 @@ def representations(mt: MergeTree) -> list[RootedTreeRep]:
     is kept, so duplicates never form.  Exponential in the number of leaves.
     """
     _guard_leaves(mt.n_leaves, MAX_LEAVES, "representations")
-    ch = mt.children()
+    ch = children(mt)
     vals = mt.values
 
     def chains(n: int) -> dict:
@@ -262,7 +298,7 @@ def candidate_costs(x: MergeTree, y: MergeTree) -> list[float]:
     cands = {0.0}
     cands.update(abs(a - b) for a in x.values.values() for b in y.values.values())
     for t in (x, y):
-        for leaf in t.leaves():
+        for leaf in leaves(t):
             node = leaf
             while node != t.parent[node]:
                 node = t.parent[node]
@@ -388,9 +424,9 @@ def minmax_table(mt: MergeTree) -> tuple[dict, dict, dict, dict, dict]:
     node -> value, node -> parent (root -> None), node -> leaves below it,
     branch ``(m, s)`` -> its slots, slot -> least removal cost.
     """
-    ch = mt.children()
-    leaves = [n for n in mt.values if not ch[n]]
-    _guard_leaves(len(leaves), MAX_LEAVES, "branching_distance")
+    ch = children(mt)
+    tips = leaves(mt)
+    _guard_leaves(len(tips), MAX_LEAVES, "branching_distance")
     value = {**mt.values, None: mt.values[mt.root]}
     up = {n: (p if p != n else None) for n, p in mt.parent.items()}
     ascending = sorted(mt.values, key=value.get)  # every child before its parent
@@ -398,7 +434,7 @@ def minmax_table(mt: MergeTree) -> tuple[dict, dict, dict, dict, dict]:
     for n in ascending:
         below[n] = [m for c in ch[n] for m in below[c]] or [n]
     slots: dict = {}
-    for m in leaves:
+    for m in tips:
         v, hung = m, ()
         while v is not None:
             prev, v = v, up[v]
@@ -480,8 +516,15 @@ def is_isomorphic(a: EmbeddedGraph, b: EmbeddedGraph) -> bool:
     """
     if a.n_vertices != b.n_vertices or a.n_edges != b.n_edges:
         return False
-    adj_a = {u: set(ns) for u, ns in a.neighbors().items()}
-    adj_b = {u: set(ns) for u, ns in b.neighbors().items()}
+
+    def neighbour_sets(g: EmbeddedGraph) -> dict[int, set[int]]:
+        adj: dict[int, set[int]] = {v: set() for v in g.vertices}
+        for u, v in g.edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        return adj
+
+    adj_a, adj_b = neighbour_sets(a), neighbour_sets(b)
     deg_a = sorted(len(ns) for ns in adj_a.values())
     deg_b = sorted(len(ns) for ns in adj_b.values())
     if deg_a != deg_b:

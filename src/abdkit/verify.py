@@ -19,7 +19,7 @@ from .abd import average_branching_distance, merge_tree_at
 from .branching import branching_distance
 from .fixtures import tree_counterexample, indistinguishable_pair, graph_counterexample
 from .merge_tree import MergeTree, compute_merge_tree, trees_equal
-from .oracles import brute_force_distance, candidate_costs, is_isomorphic, merge_tree_oracle
+from .oracles import brute_force_distance, candidate_costs, is_isomorphic, leaves, merge_tree_oracle
 from .synth import blob, convex_polygon, random_connected_scalar_graph, random_merge_tree
 
 __all__ = ["CheckResult", "Report", "run_all", "frame_stability"]
@@ -182,7 +182,7 @@ def _perturb_leaf(tree):
     cands = candidate_costs(tree, tree)
     gaps = [b - a for a, b in zip(cands, cands[1:]) if b - a > 0]
     delta = (min(gaps) if gaps else 1.0) * 1.5
-    leaf = min(tree.leaves())
+    leaf = min(leaves(tree))
     return MergeTree({**tree.values, leaf: tree.values[leaf] - delta}, tree.parent)
 
 

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from abdkit.filtration import ScalarGraph
-from abdkit.graph_io import EmbeddedGraph
+from abdkit.graph_io import EmbeddedGraph, least_id_rows
 from abdkit.merge_tree import MergeTree
 
 
@@ -35,6 +37,28 @@ def random_embedded_graph(rng: np.random.Generator, max_vertices: int = 12) -> E
         if u != v:
             edges.append((min(u, v), max(u, v)))
     return EmbeddedGraph(vertices, edges)
+
+
+def translated(g: EmbeddedGraph, dx: float, dy: float) -> EmbeddedGraph:
+    """Rigid translation by (dx, dy)."""
+    moved = {v: (x + dx, y + dy) for v, (x, y) in g.vertices.items()}
+    return EmbeddedGraph(moved, g.edges)
+
+
+def rotated(g: EmbeddedGraph, theta: float) -> EmbeddedGraph:
+    """Rigid rotation about the origin by ``theta`` radians."""
+    c, s = math.cos(theta), math.sin(theta)
+    moved = {v: (c * x - s * y, s * x + c * y) for v, (x, y) in g.vertices.items()}
+    return EmbeddedGraph(moved, g.edges)
+
+
+def connected_components(g: EmbeddedGraph) -> list[list[int]]:
+    """Connected components as vertex-id lists, members and components in vertex order."""
+    ids, _, _, eu, ev, _ = g.arrays
+    comps: dict[int, list[int]] = {}
+    for r, v in zip(least_id_rows(ids, eu, ev).tolist(), ids.tolist()):
+        comps.setdefault(r, []).append(v)
+    return list(comps.values())
 
 
 def adjacency(sg: ScalarGraph) -> dict[int, list[int]]:

@@ -24,7 +24,7 @@ from abdkit.graph_io import MAX_COORDINATE_SUM, EmbeddedGraph, largest_component
 from abdkit.oracles import is_isomorphic, merge_tree_oracle
 from abdkit.synth import blob, comb, convex_polygon, make_shape, shape_dataset, star
 
-from conftest import random_embedded_graph, reference_sweep
+from conftest import random_embedded_graph, reference_sweep, rotated, translated
 
 
 def test_frame_angles_single():
@@ -139,8 +139,8 @@ def test_rotation_by_frame_multiple_invariance(rng):
         h = star(rng)
         base = average_branching_distance(g, h, n_frames=n)
         theta = 2 * math.pi / n
-        rotated = average_branching_distance(g.rotated(theta), h.rotated(theta), n_frames=n)
-        assert rotated == pytest.approx(base, abs=1e-9)
+        turned = average_branching_distance(rotated(g, theta), rotated(h, theta), n_frames=n)
+        assert turned == pytest.approx(base, abs=1e-9)
 
 
 def test_translation_invariance(rng):
@@ -149,7 +149,7 @@ def test_translation_invariance(rng):
         h = star(rng)
         base = average_branching_distance(g, h, n_frames=5)
         moved = average_branching_distance(
-            g.translated(3.7, -1.2), h.translated(-0.4, 2.9), n_frames=5
+            translated(g, 3.7, -1.2), translated(h, -0.4, 2.9), n_frames=5
         )
         assert moved == pytest.approx(base, abs=1e-9)
 

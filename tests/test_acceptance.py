@@ -15,7 +15,13 @@ from abdkit.analysis import cluster_purity, cut_clusters, distance_matrix, singl
 from abdkit.branching import branching_distance
 from abdkit.fixtures import tree_counterexample, indistinguishable_pair, graph_counterexample
 from abdkit.merge_tree import MergeTree, compute_merge_tree, trees_equal
-from abdkit.oracles import brute_force_distance, candidate_costs, is_isomorphic, merge_tree_oracle
+from abdkit.oracles import (
+    brute_force_distance,
+    candidate_costs,
+    is_isomorphic,
+    leaves,
+    merge_tree_oracle,
+)
 from abdkit.synth import (
     convex_polygon,
     random_connected_scalar_graph,
@@ -111,7 +117,7 @@ def test_criterion_6_semi_metric_properties():
             cands = candidate_costs(x, x)
             gaps = [b - a for a, b in zip(cands, cands[1:]) if b - a > 0]
             delta = (min(gaps) if gaps else 1.0) * 1.5
-            leaf = min(x.leaves())
+            leaf = min(leaves(x))
             perturbed = MergeTree({**x.values, leaf: x.values[leaf] - delta}, x.parent)
             assert branching_distance(x, perturbed) > 0.0
 

@@ -37,6 +37,8 @@ from abdkit.filtration import ScalarGraph
 from abdkit.graph_io import EmbeddedGraph
 from abdkit.synth import comb, convex_polygon, shape_dataset, star
 
+from conftest import connected_components, translated
+
 
 def dm(labels, rows):
     return DistanceMatrix(list(labels), np.array(rows, dtype=float))
@@ -113,7 +115,7 @@ def duplicate_heavy_set(rng):
     """Graphs whose trees repeat: convex polygons, a translated star, a comb twice."""
     polys = [convex_polygon(rng, k) for k in (4, 5, 6, 9, 12, 17)]
     s, c = star(rng), comb(rng)
-    return polys + [s, s.translated(3.0, -2.0), c, c, *graph_counterexample()]
+    return polys + [s, translated(s, 3.0, -2.0), c, c, *graph_counterexample()]
 
 
 @pytest.mark.parametrize("n_frames", [1, 2, 10])
@@ -150,7 +152,7 @@ def random_graph_set(rng):
     """Stars, combs and polygons, some repeated or translated, in random order."""
     pool = [star(rng), comb(rng), convex_polygon(rng, 6), *graph_counterexample()]
     graphs = [pool[k] for k in rng.integers(0, len(pool), int(rng.integers(2, 13)))]
-    graphs += [g.translated(1.5, -0.5) for g in graphs[: int(rng.integers(0, 3))]]
+    graphs += [translated(g, 1.5, -0.5) for g in graphs[: int(rng.integers(0, 3))]]
     return [graphs[k] for k in rng.permutation(len(graphs))]
 
 
@@ -369,11 +371,11 @@ def _disjoint_union(g: EmbeddedGraph, h: EmbeddedGraph) -> EmbeddedGraph:
 def test_load_to_distance_builds_no_graph_view(rng, tmp_path, monkeypatch):
     # the arrays are the graph: loading, filtering and comparing graphs, and
     # cutting a disconnected one to its largest component, never builds the
-    # id -> (x, y) dict, the edge list or the adjacency lists
+    # id -> (x, y) dict or the edge list
     graphs = [star(rng), comb(rng), convex_polygon(rng, 6), star(rng),
-              _disjoint_union(star(rng), convex_polygon(rng, 5).translated(3.0, 0.0)),
+              _disjoint_union(star(rng), translated(convex_polygon(rng, 5), 3.0, 0.0)),
               _disjoint_union(EmbeddedGraph({0: (9.0, 9.0)}, []), comb(rng))]
-    assert [len(graph_io.connected_components(g)) for g in graphs] == [1, 1, 1, 1, 2, 2]
+    assert [len(connected_components(g)) for g in graphs] == [1, 1, 1, 1, 2, 2]
     for fmt in ("json", "edgelist"):
         for i, g in enumerate(graphs):
             graph_io.write_graph(g, tmp_path / f"g{i}.{fmt}", fmt)
@@ -386,7 +388,6 @@ def test_load_to_distance_builds_no_graph_view(rng, tmp_path, monkeypatch):
 
     for view in ("vertices", "edges"):
         monkeypatch.setattr(EmbeddedGraph, view, property(refuse))
-    monkeypatch.setattr(EmbeddedGraph, "neighbors", refuse)
     for fmt in ("json", "edgelist"):
         loaded = [graph_io.load_graph(tmp_path / f"g{i}.{fmt}", fmt) for i in range(len(graphs))]
         assert distance_matrix(loaded, n_frames=4).d.tobytes() == expected
@@ -401,7 +402,6 @@ def test_matrix_connected_graphs_build_no_adjacency(rng, monkeypatch):
     def refuse(*args):
         raise AssertionError("adjacency built for a connected graph")
 
-    monkeypatch.setattr(EmbeddedGraph, "neighbors", refuse)
     monkeypatch.setattr(graph_io, "least_id_rows", refuse)
     fresh = [EmbeddedGraph(dict(g.vertices), list(g.edges)) for g in graphs]
     assert np.array_equal(distance_matrix(fresh, n_frames=3).d, expected)

@@ -12,16 +12,21 @@ from scipy.optimize import linear_sum_assignment
 
 from abdkit import branching
 from abdkit.abd import frame_angles, frame_trees, merge_tree_at
-from abdkit.branching import MAX_LEAVES, Branch, branching_distance, matching_cost, removal_cost
+from abdkit.branching import MAX_LEAVES, branching_distance
 from abdkit.fixtures import graph_counterexample, tree_counterexample
 from abdkit.merge_tree import MergeTree, load_tree
 from abdkit.oracles import (
+    Branch,
     RootedTreeRep,
     brute_force_distance,
     candidate_costs,
+    children,
     is_eps_similar,
+    leaves,
+    matching_cost,
     minmax_distance,
     minmax_table,
+    removal_cost,
     representations,
 )
 from abdkit.synth import comb, random_merge_tree, shape_dataset
@@ -97,16 +102,16 @@ def enumerate_branch_decompositions(mt: MergeTree) -> list[BranchDecomposition]:
         b = Branch(root, mt.values[root], root, mt.values[root])
         return [BranchDecomposition(mt, [b], [frozenset()], 0)]
 
-    ch = mt.children()
+    ch = children(mt)
     internal = sorted(n for n in mt.values if ch[n])
-    leaves = sorted(mt.leaves())
+    tips = sorted(leaves(mt))
     out: list[BranchDecomposition] = []
     for combo in product(*[sorted(ch[t]) for t in internal]):
         choice = dict(zip(internal, combo))
         branches: list[Branch] = []
         paths: list[frozenset[tuple[int, int]]] = []
         root_index = -1
-        for m in leaves:
+        for m in tips:
             cur = m
             edges = []
             while True:
@@ -222,7 +227,7 @@ def test_representation_fields(rng):
 def _tree_paths(mt):
     """Edge set of the unique ascending path from every node to each ancestor."""
     paths = {}
-    for leaf in mt.leaves():
+    for leaf in leaves(mt):
         edges = []
         node = leaf
         while node != mt.parent[node]:
@@ -328,7 +333,7 @@ def test_decomposition_constraints(rng):
             assert used == all_edges  # covering
             # every minimum in exactly one branch
             ms = [b.m_id for b in dec.branches]
-            assert sorted(ms) == sorted(mt.leaves())
+            assert sorted(ms) == sorted(leaves(mt))
             assert dec.branches[dec.root_index].s_id == mt.root
 
 
@@ -372,7 +377,7 @@ def test_representation_adjacency_rule_general_position(rng):
     checked = 0
     while checked < 12:
         mt = random_merge_tree(rng, max_leaves=5)
-        if any(len(c) > 2 for c in mt.children().values()):
+        if any(len(c) > 2 for c in children(mt).values()):
             continue
         checked += 1
         for dec in enumerate_branch_decompositions(mt):
@@ -949,7 +954,7 @@ def test_positivity_under_perturbation(rng):
         cands = candidate_costs(x, x)
         gaps = [b - a for a, b in zip(cands, cands[1:]) if b - a > 0]
         delta = (min(gaps) if gaps else 1.0) * 1.5
-        leaf = min(x.leaves())
+        leaf = min(leaves(x))
         perturbed = MergeTree({**x.values, leaf: x.values[leaf] - delta}, x.parent)
         assert branching_distance(x, perturbed) > 0.0
 

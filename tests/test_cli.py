@@ -117,6 +117,30 @@ def test_tree_disconnected_warns(tmp_path, capsys):
     assert len(doc["nodes"]) == 1  # triangle component wins (3 > 2 vertices)
 
 
+# SHA-256 of `abd-kit tree --angle 0` stdout with each --normalize, in the
+# order of the loop below, on a graph whose largest component ties across
+# edge (11, 12) at angle 0, so its tree comes from the collapse
+_DISCONNECTED_TIED_GOLDEN = "0a6a1f7023e4287e0632bc33a0912e9febb7eea3de016f0bcf9a6c57740286fa"
+
+
+def test_tree_disconnected_tied_golden(tmp_path, capsys):
+    g = EmbeddedGraph(
+        {0: (5.0, 5.0), 1: (6.0, 6.0), 10: (0.1, 0.0), 11: (3.3, 1.0), 12: (3.3, 2.0),
+         13: (1.2, 3.0), 14: (4.9, 4.0), 15: (2.6, 5.0)},
+        [(0, 1), (10, 11), (11, 12), (12, 13), (13, 14), (14, 15)],
+    )
+    p = tmp_path / "disc.json"
+    write_graph(g, p)
+    digest = hashlib.sha256()
+    for normalize in ("none", "median", "mean"):
+        assert main(["tree", str(p), "--angle", "0", "--normalize", normalize]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: graph is disconnected; using the largest component\n"
+        assert len(json.loads(captured.out)["nodes"]) == 5  # 11 and 12 collapse to one node
+        digest.update(captured.out.encode())
+    assert digest.hexdigest() == _DISCONNECTED_TIED_GOLDEN
+
+
 def test_tree_normalize_median(w_path, capsys):
     assert main(["tree", str(w_path), "--normalize", "median"]) == 0
     doc = json.loads(capsys.readouterr().out)

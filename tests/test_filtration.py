@@ -15,7 +15,7 @@ from abdkit.filtration import (
 )
 from abdkit.graph_io import EmbeddedGraph
 
-from conftest import random_embedded_graph, scalar
+from conftest import random_embedded_graph, scalar, translated
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 
@@ -58,7 +58,7 @@ def test_translation_shifts_by_projected_offset(rng):
         dx, dy = float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3))
         offset = dx * math.cos(omega) + dy * math.sin(omega)
         before = direction_filter(g, omega).values
-        after = direction_filter(g.translated(dx, dy), omega).values
+        after = direction_filter(translated(g, dx, dy), omega).values
         for v in g.vertices:
             assert after[v] == pytest.approx(before[v] + offset, abs=1e-9)
 

@@ -12,14 +12,13 @@ from abdkit.graph_io import (
     MAX_COORDINATE_SUM,
     EmbeddedGraph,
     GraphFormatError,
-    connected_components,
     largest_component,
     load_graph,
     write_graph,
 )
 from abdkit.oracles import is_isomorphic
 
-from conftest import random_embedded_graph
+from conftest import connected_components, random_embedded_graph
 
 
 def test_load_triangle_json(tmp_path, triangle):
@@ -444,7 +443,10 @@ def test_largest_component_is_induced(rng):
 
 def _bfs_components(g: EmbeddedGraph) -> list[list[int]]:
     """Reference: components by breadth-first search over the adjacency lists."""
-    adj = g.neighbors()
+    adj: dict[int, list[int]] = {v: [] for v in g.vertices}
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
     seen: set[int] = set()
     comps = []
     for start in g.vertices:

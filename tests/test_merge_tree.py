@@ -23,7 +23,7 @@ from abdkit.merge_tree import (
     trees_equal,
     write_tree,
 )
-from abdkit.oracles import merge_tree_oracle
+from abdkit.oracles import children, merge_tree_oracle
 from abdkit.synth import (
     convex_polygon,
     random_connected_scalar_graph,
@@ -44,7 +44,7 @@ def test_two_minima_then_third():
         {0: 2, 1: 2, 2: 4, 3: 4, 4: 4},
     )
     assert trees_equal(mt, expected)
-    ch = mt.children()
+    ch = children(mt)
     saddle = [n for n in mt.values if mt.values[n] == 3.0][0]
     assert sorted(mt.values[c] for c in ch[saddle]) == [0.0, 1.0]
 
@@ -98,7 +98,7 @@ def test_simultaneous_merge_collapses_to_one_node():
                 [(0, 2), (1, 2), (1, 6), (6, 4), (3, 4)])
     mt = compute_merge_tree(sg)
     assert trees_equal(mt, merge_tree_oracle(sg))
-    ch = mt.children()
+    ch = children(mt)
     root = mt.root
     assert mt.values[root] == 5.0
     assert len(ch[root]) == 3
@@ -419,7 +419,7 @@ def test_tree_json_round_trip(tmp_path):
 def _sorted_key(mt: MergeTree) -> tuple:
     """canonical_key as it was built from the dicts: nodes sorted by value,
     then each node's key from its children's, popped as they are used."""
-    values, ch = mt.values, mt.children()
+    values, ch = mt.values, children(mt)
     key: dict[int, tuple] = {}
     for n in sorted(values, key=values.__getitem__):
         key[n] = (values[n], len(ch[n]), *chain.from_iterable(sorted(key.pop(c) for c in ch[n])))

@@ -1,6 +1,5 @@
 import pytest
 
-from abdkit.graph_io import connected_components
 from abdkit.oracles import sublevel_snapshots
 from abdkit.synth import (
     SHAPE_CLASSES,
@@ -14,6 +13,8 @@ from abdkit.synth import (
     star,
     zigzag,
 )
+
+from conftest import connected_components
 
 
 def _cross(o, a, b):
