@@ -3,13 +3,15 @@
 Both graphs are rotated simultaneously: for each of ``n`` evenly spaced
 directions (starting at pi/2, the vertical) the merge trees are built,
 median-shifted to 0, and compared with the branching distance.  The ABD is
-the median (default) or mean of the per-frame distances.
+the median (default) or mean of the per-frame distances, by the rule that
+also shifts the trees (:func:`merge_tree.median_or_mean`).
 
 :func:`frame_trees` builds every frame of one graph in one pass: one
 (frames x vertices) value stack, one tie test over every frame's edges and
 one sweep over the stack (:func:`merge_tree.compute_merge_trees`).  A frame
-with a tie is collapsed and swept on its own, as a stack of one;
-:func:`merge_tree_at` is the stack of one angle, with any shift.
+with a tie is collapsed and swept on its own, as a stack of one, and when
+every frame ties no shared stack is swept; :func:`merge_tree_at` is the
+stack of one angle, with any shift.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ def _stacked_trees(g: EmbeddedGraph, angles: tuple[float, ...]) -> list[MergeTre
     if not np.count_nonzero(ties):
         return compute_merge_trees(ids, values, eu, ev)
     tied = ties.any(axis=1)
-    swept = iter(compute_merge_trees(ids, values[~tied], eu, ev))
+    swept = iter(compute_merge_trees(ids, values[~tied], eu, ev) if not tied.all() else ())
     return [compute_merge_tree(collapse_equal_adjacent(ScalarGraph(ids, row, eu, ev), tol))
             if tie else next(swept) for row, tie in zip(values, tied.tolist())]
 
@@ -128,9 +130,9 @@ def average_branching_distance(
 ) -> float:
     """Median (or mean) of the per-frame branching distances.
 
-    Disconnected inputs are reduced to their largest component.  Per-frame
-    values are sorted before aggregating so the result is independent of
-    evaluation order; an even frame count uses the midpoint of the two
-    central values for the median.
+    Disconnected inputs are reduced to their largest component.
+    :func:`merge_tree.median_or_mean` sorts the per-frame values, so the
+    result is independent of evaluation order; an even frame count uses the
+    midpoint of the two central values for the median.
     """
-    return median_or_mean(sorted(per_frame_distances(g, h, n_frames, tol)), avg, "avg")
+    return median_or_mean(per_frame_distances(g, h, n_frames, tol), avg, "avg")

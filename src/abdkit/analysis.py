@@ -176,9 +176,9 @@ def distance_matrix(
     ``jobs`` > 1 runs the items in a process pool of at most
     ``min(jobs, items, available CPUs)`` workers, each sent every tree once
     and then item indices in about four chunks per worker.
-    The item values are gathered into a (pairs, frames) array whose rows
-    are sorted, so the result does not depend on scheduling, and one
-    :func:`median_or_mean` call aggregates every row.
+    The item values are gathered into a (pairs, frames) array in frame
+    order, and one :func:`median_or_mean` call aggregates every row; it
+    sorts each row first, so the result does not depend on scheduling.
     """
     if len(graphs) < 2:
         raise ValueError("need at least 2 graphs")
@@ -207,7 +207,6 @@ def distance_matrix(
     else:
         values = [_frame_distance(*args, item) for item in work]
     per_pair = np.array(values)[item_of]
-    per_pair.sort(axis=1)
     n = len(graphs)
     iu, ju = np.triu_indices(n, 1)
     out = np.zeros((n, n))

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import json
 import math
-import statistics
 import sys
 from bisect import bisect_left
+from collections.abc import Sequence
 from itertools import chain
 from pathlib import Path
 
@@ -281,57 +281,57 @@ def compute_merge_trees(ids: np.ndarray, values: np.ndarray, eu: np.ndarray,
             for a, b in zip(cuts, cuts[1:])]
 
 
-def median_or_mean(values: list[float] | np.ndarray, mode: str = "median",
+def _middle(s: Sequence[float] | np.ndarray) -> float | np.ndarray:
+    """The median of values ascending along the first axis of ``s``, as in
+    :func:`median_or_mean`: one float for a tuple, one per column for an array."""
+    m, odd = divmod(len(s), 2)
+    if odd:
+        return s[m] + 0.0
+    return ((s[m - 1] + 0.0) + (s[m] + 0.0)) / 2
+
+
+def median_or_mean(values: Sequence[float] | np.ndarray, mode: str = "median",
                    what: str = "mode") -> float | np.ndarray:
-    """The median or the mean of ``values``; ``what`` names ``mode`` in the error.
+    """The median or the mean along the last axis of ``values``; ``what``
+    names ``mode`` in the error.
 
-    The median is bit-identical to ``np.median``, whose sum starts at 0.0 and
-    so turns a -0.0 middle into 0.0; adding 0.0 to each value does the same.
-    An even count uses the midpoint of the two central values.  The mean is
-    ``np.mean``, whose pairwise sum differs from a sequential one from 9
-    values on; where that sum could overflow, the values are first scaled
-    down by a power of two, which is exact.
+    The values are sorted first, so the result does not depend on their
+    order.  The median is bit-identical to ``np.median``, whose sum starts
+    at 0.0 and so turns a -0.0 middle into 0.0; adding 0.0 to the middle
+    values does the same.  An even count uses the midpoint of the two
+    central values.  The mean is ``np.mean`` of the sorted values, whose
+    pairwise sum differs from a sequential one from 9 values on; where that
+    sum could overflow, the values are first scaled down by a power of two,
+    which is exact.
 
-    A list gives one float, computed on Python floats.  A 2-D array gives
-    an array with one value per row, by the same rule, without a Python
-    call per row: the median sorts each row, the mean sums each row in its
-    given order, as ``np.mean`` of the row alone does.
+    A 1-D input gives one float.  A 2-D array gives an array with one value
+    per row, by the same rule, without a Python call per row: a row's mean
+    is ``np.mean`` of that sorted row alone, and only the rows whose sum
+    could overflow are scaled.
     """
     if mode not in ("median", "mean"):
         raise ValueError(f"unknown {what} {mode!r}, expected 'median' or 'mean'")
-    if isinstance(values, np.ndarray) and values.ndim == 2:
-        return _rows_median_or_mean(values, mode)
+    s = np.sort(values, axis=-1)
+    rows = np.atleast_2d(s)
     if mode == "median":
-        return statistics.median([v + 0.0 for v in values])
-    if max(map(abs, values)) <= sys.float_info.max / len(values):
-        return float(np.mean(values))
-    e = math.frexp(len(values))[1]
-    return math.ldexp(float(np.mean(np.ldexp(values, -e))), e)
-
-
-def _rows_median_or_mean(values: np.ndarray, mode: str) -> np.ndarray:
-    """:func:`median_or_mean` of each row of a 2-D float array."""
-    k = values.shape[1]
-    if mode == "median":
-        s = np.sort(values + 0.0, axis=1)
-        if k % 2:
-            return s[:, k // 2]
-        with np.errstate(over="ignore"):  # statistics.median overflows to inf silently
-            return (s[:, k // 2 - 1] + s[:, k // 2]) / 2
-    big = ~(np.abs(values).max(axis=1) <= sys.float_info.max / k)
-    if not big.any():
-        return np.mean(values, axis=1)
-    e = math.frexp(k)[1]
-    out = np.mean(np.where(big[:, None], np.ldexp(values, -e), values), axis=1)
-    out[big] = np.ldexp(out[big], e)
-    return out
+        with np.errstate(over="ignore"):  # a midpoint of two huge values is inf, as on Python floats
+            out = _middle(rows.T)
+    else:
+        k = rows.shape[1]
+        big = ~(np.abs(rows).max(axis=1) <= sys.float_info.max / k)
+        e = math.frexp(k)[1]
+        out = np.mean(np.where(big[:, None], np.ldexp(rows, -e), rows), axis=1)
+        out[big] = np.ldexp(out[big], e)
+    return float(out[0]) if s.ndim == 1 else out
 
 
 def shift_median_zero(mt: MergeTree, mode: str = "median") -> MergeTree:
-    """Shift all node values by one constant so their median (or mean) is 0."""
+    """Shift all node values by one constant so their median (or mean) is 0.
+
+    The value row is ascending, so the median is its middle: no sort, no numpy."""
     if mt.n_nodes == 0:
         raise ValueError("empty merge tree")
-    return mt.shifted(-median_or_mean(list(mt.vals), mode))
+    return mt.shifted(-(_middle(mt.vals) if mode == "median" else median_or_mean(mt.vals, mode)))
 
 
 def tree_to_dict(mt: MergeTree) -> dict:

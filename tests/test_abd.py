@@ -18,11 +18,17 @@ from abdkit.abd import (
     per_frame_distances,
 )
 from abdkit.filtration import collapse_equal_adjacent, direction_filter
-from abdkit.merge_tree import MergeTree, median_or_mean, shift_median_zero, tree_to_dict
+from abdkit.merge_tree import (
+    MAX_TREE_VALUE,
+    MergeTree,
+    median_or_mean,
+    shift_median_zero,
+    tree_to_dict,
+)
 from abdkit.fixtures import indistinguishable_pair, graph_counterexample
 from abdkit.graph_io import MAX_COORDINATE_SUM, EmbeddedGraph, largest_component
 from abdkit.oracles import is_isomorphic, merge_tree_oracle
-from abdkit.synth import blob, comb, convex_polygon, make_shape, shape_dataset, star
+from abdkit.synth import blob, comb, convex_polygon, make_shape, random_merge_tree, shape_dataset, star
 
 from conftest import random_embedded_graph, reference_sweep, rotated, translated
 
@@ -200,7 +206,8 @@ def test_median_aggregation_matches_numpy(rng):
 
 
 def reference_median_or_mean(values: list[float], mode: str) -> float:
-    """The list path on Python floats, the reference for the row path."""
+    """A list aggregation on Python floats, in the given order: the reference
+    for :func:`median_or_mean`, which sorts first, so it gets sorted values."""
     if mode == "median":
         return statistics.median([v + 0.0 for v in values])
     if max(map(abs, values)) <= sys.float_info.max / len(values):
@@ -237,7 +244,7 @@ def test_row_aggregation_matches_one_list_aggregation(mode):
             rows = aggregation_rows(rng, k, n_rows)
             got = median_or_mean(rows, mode, "avg")
             assert got.shape == (n_rows,)
-            expected = [reference_median_or_mean(row, mode) for row in rows.tolist()]
+            expected = [reference_median_or_mean(sorted(row), mode) for row in rows.tolist()]
             assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected]
             scaled += sum(max(map(abs, row)) > sys.float_info.max / k for row in rows.tolist())
         # a middle -0.0 row: the median turns it into 0.0, as np.median does
@@ -245,10 +252,55 @@ def test_row_aggregation_matches_one_list_aggregation(mode):
         assert median_or_mean(zeros, mode)[0].hex() == reference_median_or_mean([-0.0] * k, mode).hex()
     assert scaled > 100
     rows = aggregation_rows(rng, 12, 2000)  # one large array: the mean sums each row alone
-    expected = [reference_median_or_mean(row, mode) for row in rows.tolist()]
+    expected = [reference_median_or_mean(sorted(row), mode) for row in rows.tolist()]
     assert [v.hex() for v in median_or_mean(rows, mode).tolist()] == [v.hex() for v in expected]
     with pytest.raises(ValueError, match="unknown avg 'middle', expected 'median' or 'mean'"):
         median_or_mean(rows, "middle", "avg")
+
+
+@pytest.mark.parametrize("mode", ["median", "mean"])
+def test_aggregation_does_not_depend_on_order(mode):
+    # the mean's pairwise sum rounds by order, so median_or_mean sorts first
+    rng = np.random.default_rng(28)
+    for k in range(1, 13):
+        rows = aggregation_rows(rng, k, 240)
+        want = [v.hex() for v in median_or_mean(np.sort(rows, axis=1), mode).tolist()]
+        for shuffled in (rows, rng.permuted(rows, axis=1), np.sort(rows, axis=1)[:, ::-1]):
+            assert [v.hex() for v in median_or_mean(shuffled, mode).tolist()] == want
+        for row, w in zip(rng.permuted(rows, axis=1).tolist(), want):
+            got = median_or_mean(row, mode)
+            assert type(got) is float and got.hex() == w == median_or_mean(sorted(row), mode).hex()
+
+
+def _bits(mt: MergeTree) -> tuple:
+    return mt.ids, mt.up, [v.hex() for v in mt.vals]
+
+
+@pytest.mark.parametrize("mode", ["median", "mean"])
+def test_shift_matches_reference_aggregation_to_the_bit(mode):
+    # the median shift reads the middle of the ascending value row, without numpy
+    rng = np.random.default_rng(29)
+    pool = [-3.5, -1.0, -0.0, 0.0, 0.25, 1.0, 2.0, 5e-324, -5e-324, 7.125]
+    trees = [MergeTree({0: -0.0}, {0: 0}),
+             MergeTree({0: -2.0, 1: -0.0, 2: 3.0}, {0: 2, 1: 2, 2: 2}),  # a -0.0 middle
+             MergeTree({0: -2.0, 1: -0.0, 2: -0.0, 3: 1.0}, {0: 3, 1: 3, 2: 3, 3: 3})]
+    for r in range(1500):
+        n = int(rng.integers(2, 16))  # leaves under one root: odd and even node counts
+        if r % 3:  # ties, signed zeros and subnormals
+            leaves = [float(v) for v in rng.choice(pool, n)]
+            root = max(leaves) + 1.0
+        else:  # near MAX_TREE_VALUE: the mean of 3 or more nodes is scaled
+            leaves = (rng.uniform(-1.0, 1.0, n) * MAX_TREE_VALUE).tolist()
+            root = MAX_TREE_VALUE
+        trees.append(MergeTree({**dict(enumerate(leaves)), n: root}, dict.fromkeys(range(n + 1), n)))
+    trees += [random_merge_tree(rng, max_leaves=8) for _ in range(200)]
+    scaled = 0
+    for t in trees:
+        t.validate()
+        scaled += max(map(abs, t.vals)) > sys.float_info.max / t.n_nodes
+        want = t.shifted(-reference_median_or_mean(list(t.vals), mode))
+        assert _bits(shift_median_zero(t, mode)) == _bits(want)
+    assert {t.n_nodes % 2 for t in trees} == {0, 1} and scaled > 100
 
 
 def test_frame_trees_disconnected_takes_largest_component_with_tie_rule():

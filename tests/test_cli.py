@@ -6,10 +6,11 @@ import sys
 
 import pytest
 
-from abdkit import cli
+from abdkit import abd, cli
 from abdkit.cli import main
 from abdkit.fixtures import fixture_path
-from abdkit.graph_io import MAX_COORDINATE_SUM, EmbeddedGraph, write_graph
+from abdkit.graph_io import MAX_COORDINATE_SUM, EmbeddedGraph, load_graph, write_graph
+from abdkit.merge_tree import compute_merge_trees
 
 
 def w_path_graph():
@@ -139,6 +140,23 @@ def test_tree_disconnected_tied_golden(tmp_path, capsys):
         assert len(json.loads(captured.out)["nodes"]) == 5  # 11 and 12 collapse to one node
         digest.update(captured.out.encode())
     assert digest.hexdigest() == _DISCONNECTED_TIED_GOLDEN
+
+
+def test_tree_with_every_frame_tied_sweeps_no_stack(monkeypatch, capsys):
+    # graph_triple_g's two vertices tie at angle 0, so its one frame is
+    # collapsed and swept alone; the stacked sweep gets no (0 x vertices) stack
+    stacks = []
+
+    def spy(ids, values, eu, ev):
+        stacks.append(values.shape)
+        return compute_merge_trees(ids, values, eu, ev)
+
+    monkeypatch.setattr(abd, "compute_merge_trees", spy)
+    assert main(["tree", str(fixture_path("graph_triple_g.json")), "--angle", "0"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["nodes"]) == 1
+    g = load_graph(fixture_path("graph_triple_g.json"))
+    assert [t.n_nodes for t in abd.frame_trees(g, (0.0, math.pi))] == [1, 1]
+    assert stacks == []
 
 
 def test_tree_normalize_median(w_path, capsys):
