@@ -36,16 +36,21 @@ Each side grows one bottleneck matching from the largest score ``low``
 upward: a slot whose first partner is free takes it at once, and a slot
 that finds no augmenting path raises t straight to the least removal cost,
 or weight on a partner the search did not see, among the slots it
-reached.  A leaf pair with no slot on either side is worth its matching
-cost, no value asked.
+reached.  A leaf pair none of whose slots costs more to remove than its
+matching cost (no slot at all, say) is worth that cost, no value asked.
 
 Integer rows: :func:`_table` reads the tree's rows, its n nodes in
-ascending (value, id) order, so a child's row is below its parent's, the
-root's is n - 1 and row n is the virtual node above it.  Values, parents,
-leaves below and removal costs are lists read by row; the slots of branch
-``(m, s)`` are keyed by the one int ``m * (n + 1) + s``, and the weight of
-slot pair ``(a, b)`` by ``a * (ny + 1) + b``, so the recursion builds and
-hashes no tuple key and does no dict lookup by node id.
+ascending (value, id) order, so a child's row is below its parent's and
+the root's is n - 1, and builds three lists by row in one pass, children
+first.  Row i's saddle is its parent's value (the root's own for the root,
+standing in for the virtual node); its branches are the ``(m, parent of
+i)``, one per leaf m below i, each held as (value of m, m, slot rows,
+largest removal cost among those slots), so a row's branches are its
+children's, each extended by that child's siblings; its removal cost is the
+least over them.  A leaf pair reads its slots from the two branch tuples,
+and the weight of slot pair ``(a, b)`` is memoised under the one int ``a *
+ny + b`` (``ny`` rows in y), so the recursion builds and hashes no tuple
+key and does no dict lookup per leaf pair.
 """
 
 from __future__ import annotations
@@ -76,35 +81,28 @@ def _guard_leaves(n: int, limit: int, what: str) -> None:
         raise ValueError(f"merge tree has {n} leaves; {what} is limited to {limit}")
 
 
-def _table(mt: MergeTree) -> tuple[tuple, list, list, list, dict, list]:
+def _table(mt: MergeTree) -> tuple[list, list, list]:
     """``mt.branch_table``, built on the first call; the distance's leaf guard.
 
-    Six fields over the tree's rows, with row n a virtual parent of the
-    root valued like it: row -> node id, row -> value (n + 1 of them), row
-    -> parent row (the root's is n), row -> leaf rows below it, ``m * (n +
-    1) + s`` -> the slot rows of branch ``(m, s)``, and row -> least removal
-    cost (every row but the root's).
+    Three lists over the tree's rows, built children first: row -> saddle
+    (its parent's value, the root's own for the root), row -> its branches
+    ``(value of m, m, slot rows, largest slot removal cost)``, one for each
+    leaf m below it, reaching up to its parent, and row -> least removal
+    cost.
     """
     if mt.branch_table is None:
-        n, k = mt.n_nodes, mt.n_nodes + 1  # k: the stride of a slot key
-        val, up, ch = [*mt.vals, mt.vals[-1]], [*mt.up[:-1], n], [*mt.child_rows(), []]
-        _guard_leaves(sum(not c for c in ch[:n]), MAX_LEAVES, "branching_distance")
-        below: list[list[int]] = []
-        for i in range(n):
-            below.append([m for c in ch[i] for m in below[c]] or [i])
-        slots: dict = {}
-        for m in below[-1]:
-            v, hung = m, ()
-            while v < n:
-                prev, v = v, up[v]
-                slots[m * k + v] = hung
-                hung += tuple(c for c in ch[v] if c != prev)
-        removal: list[float] = []
-        for c in range(n - 1):
-            s = up[c]
-            removal.append(min(max([abs(val[m] - val[s]) / 2.0,
-                                    *(removal[d] for d in slots[m * k + s])]) for m in below[c]))
-        mt.branch_table = mt.ids, val, up, below, slots, removal
+        ch = mt.child_rows()
+        _guard_leaves(sum(not c for c in ch), MAX_LEAVES, "branching_distance")
+        saddle, branches, removal = [mt.vals[p] for p in mt.up], [], []
+        for i, v in enumerate(mt.vals):
+            own = [] if ch[i] else [(v, i, (), 0.0)]  # a leaf's own branch has no slot
+            for c in ch[i]:  # a child's branches reach up through row i: c's siblings hang on
+                off = tuple(d for d in ch[i] if d != c)
+                top = max([removal[d] for d in off], default=0.0)
+                own += [(lv, m, hung + off, max(r, top)) for lv, m, hung, r in branches[c]]
+            branches.append(own)
+            removal.append(min(max(abs(lv - saddle[i]) / 2.0, r) for lv, _, _, r in own))
+        mt.branch_table = saddle, branches, removal
     return mt.branch_table
 
 
@@ -151,37 +149,35 @@ def _distance(x: MergeTree, y: MergeTree) -> float:
     """d_B in one pass of the min-max recursion (see the module docstring).
 
     ``weight(a, b, key, cutoff)`` is the weight of slot pair ``(a, b)``,
-    memo key ``key = a * (ny + 1) + b``, if below ``cutoff``, else at least
-    ``cutoff``; its leaf pairs go in ascending matching cost until the cost
-    reaches the best value so far, and ``value`` returns inf once it cannot
-    beat that ``cutoff`` either.  Callers read ``exact`` first.
+    memo key ``key = a * ny + b`` (``ny`` rows in y), if below ``cutoff``,
+    else at least ``cutoff``; its leaf pairs, read from the two rows'
+    branches, go in ascending matching cost until the cost reaches the best
+    value so far, and ``value`` returns inf once it cannot beat that
+    ``cutoff`` either.  Callers read ``exact`` first.
     """
-    (_, vx, upx, belowx, slotsx, rx), (_, vy, upy, belowy, slotsy, ry) = _table(x), _table(y)
-    kx, ky = len(vx), len(vy)  # row count + 1: the stride of a slot or slot-pair key
+    (saddle_x, bx, rx), (saddle_y, by, ry) = _table(x), _table(y)
+    ny = len(saddle_y)  # the stride of a slot-pair key
     exact: dict = {}  # slot-pair key -> weight
     floor: dict = {}  # slot-pair key -> a bound its weight is known to reach
 
     def weight(a: int, b: int, key: int, cutoff: float) -> float:
-        px, py = upx[a], upy[b]
-        saddles = abs(vx[px] - vy[py])
+        saddles = abs(saddle_x[a] - saddle_y[b])
         if saddles >= cutoff or floor.get(key, -inf) >= cutoff:
             return inf  # a weight is at least its saddle gap, or known to reach cutoff
         # plain loops: a comprehension would make cells of these locals on every call
         best, leaf_pairs = cutoff, []
-        for mx in belowx[a]:
-            v = vx[mx]
-            for my in belowy[b]:
-                cost = abs(v - vy[my])
+        for vx, mx, sx, tx in bx[a]:
+            for vy, my, sy, ty in by[b]:
+                cost = abs(vx - vy)
                 if cost < saddles:
                     cost = saddles
                 if cost < cutoff:
-                    leaf_pairs.append((cost, mx, my))
-        for cost, mx, my in sorted(leaf_pairs):
+                    leaf_pairs.append((cost, mx, my, sx, sy, tx, ty))
+        for cost, _, _, sx, sy, tx, ty in sorted(leaf_pairs):  # (mx, my) settles every tie
             if cost >= best:
                 break
-            sx, sy = slotsx[mx * kx + px], slotsy[my * ky + py]
-            # a leaf pair with no slots on either side is worth its cost
-            best = cost if not sx and not sy else min(best, value(cost, sx, sy, best))
+            # a leaf pair whose slots are all removable within its cost is worth that cost
+            best = cost if tx <= cost and ty <= cost else min(best, value(cost, sx, sy, best))
         if best < cutoff:
             exact[key] = best
         else:
@@ -205,7 +201,7 @@ def _distance(x: MergeTree, y: MergeTree) -> float:
         for removal, a, b in heavy:
             r = []
             if b < 0:
-                base = a * ky
+                base = a * ny
                 for c in sy:
                     key = base + c
                     w = exact[key] if key in exact else weight(a, c, key, cutoff)
@@ -215,7 +211,7 @@ def _distance(x: MergeTree, y: MergeTree) -> float:
                 rows_x[a] = r
             else:
                 for c in sx:
-                    key = c * ky + b
+                    key = c * ny + b
                     w = exact[key] if key in exact else weight(c, b, key, cutoff)
                     if w < cutoff:
                         r.append((w, c))
@@ -231,8 +227,8 @@ def _distance(x: MergeTree, y: MergeTree) -> float:
         t = _least_cover(low, rows_x, rx, cutoff)
         return _least_cover(t, rows_y, ry, cutoff) if t < cutoff else inf
 
-    root_x, root_y = kx - 2, ky - 2
-    return weight(root_x, root_y, root_x * ky + root_y, inf)
+    root_x, root_y = len(saddle_x) - 1, ny - 1
+    return weight(root_x, root_y, root_x * ny + root_y, inf)
 
 
 def branching_distance(x: MergeTree, y: MergeTree, tol: float | None = None) -> float:

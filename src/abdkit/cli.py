@@ -121,24 +121,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    import numpy as np
-
     classes = args.classes.split(",")
     for name in classes:  # every argument checked before any file is written
         if name not in synth.SHAPE_CLASSES:
             raise ValueError(f"unknown class {name!r}; choose from {synth.SHAPE_CLASSES}")
     if args.per_class < 1:
         raise ValueError(f"--per-class must be >= 1, got {args.per_class}")
-    rng = np.random.default_rng(args.seed)
+    graphs, labels = synth.shape_dataset(tuple(classes), args.per_class, args.seed)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for name in classes:
-        for i in range(args.per_class):
-            g = synth.make_shape(name, rng)
-            fname = f"{name}_{i:02d}.{'json' if args.format == 'json' else 'txt'}"
-            write_graph(g, outdir / fname, args.format)
-            rows.append(f"{fname},{name}")
+    for k, (g, name) in enumerate(zip(graphs, labels)):
+        fname = f"{name}_{k % args.per_class:02d}.{'json' if args.format == 'json' else 'txt'}"
+        write_graph(g, outdir / fname, args.format)
+        rows.append(f"{fname},{name}")
     (outdir / "labels.csv").write_text("file,class\n" + "\n".join(rows) + "\n")
     print(f"wrote {len(rows)} graphs to {outdir}")
     return 0

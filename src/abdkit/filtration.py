@@ -122,9 +122,10 @@ def collapse_equal_adjacent(sg: ScalarGraph, tol: float) -> ScalarGraph:
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    current = sg
-    while _ties(current, tol).any():
-        current = _collapse_once(current, tol)
+    current, tie = sg, _ties(sg, tol)
+    while tie.any():
+        current = _collapse_once(current, tie)
+        tie = _ties(current, tol)
     return current
 
 
@@ -143,9 +144,9 @@ def _ties(sg: ScalarGraph, tol: float) -> np.ndarray:
     return tie_mask(sg.column, sg.eu, sg.ev, tol) & (sg.eu != sg.ev)
 
 
-def _collapse_once(sg: ScalarGraph, tol: float) -> ScalarGraph:
+def _collapse_once(sg: ScalarGraph, tie: np.ndarray) -> ScalarGraph:
+    # one contraction round over the edges that ``tie`` (``_ties`` of sg) marks
     ids, eu, ev = sg.ids, sg.eu, sg.ev
-    tie = _ties(sg, tol)
     rep = least_id_rows(ids, eu[tie], ev[tie])
     keep = rep == np.arange(len(ids))  # representatives, in their original row order
     new_row = (np.cumsum(keep) - 1)[rep]

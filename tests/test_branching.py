@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from bisect import bisect_left, bisect_right
@@ -801,17 +802,26 @@ def _table_trees(rng):
 
 
 def _engine_table_by_id(mt):
-    """The engine's integer-row table of ``mt``, keyed back by node id, with
-    ``None`` for the virtual row above the root and sets for orderless fields."""
-    ids, val, up, below, slots, removal = branching._table(mt)
-    n, node = len(ids), [*ids, None]
-    assert len(val) == n + 1 and val[n] == val[n - 1] and up[n - 1] == n
-    assert all(i < up[i] for i in range(n)) and max(val[:n]) == val[n - 1]  # children first
-    return ({node[i]: val[i].hex() for i in range(n + 1)},
+    """The engine's three row lists of ``mt`` (saddle, branches, removal
+    cost), keyed back by node id as the reference's five maps, with ``None``
+    for the virtual node above the root and sets for orderless fields."""
+    saddle, branches, removal = branching._table(mt)
+    n, node = mt.n_nodes, [*mt.ids, None]
+    up = [*mt.up[:-1], n]  # the root's branches reach up to the virtual node
+    assert len(saddle) == len(branches) == len(removal) == n
+    assert all(i < up[i] for i in range(n))  # children first
+    # every node's value, read from its children's saddles and its own branch as a leaf
+    seen = {(node[up[i]], saddle[i].hex()) for i in range(n)}
+    seen |= {(node[m], v.hex()) for own in branches for v, m, _, _ in own}
+    value = dict(seen)
+    assert len(value) == len(seen) == n + 1  # one value a node, however it is read
+    for own in branches:  # each branch carries its slots' largest removal cost, to the bit
+        assert all(r.hex() == max([0.0, *(removal[c] for c in hung)]).hex() for _, _, hung, r in own)
+    return (value,
             {node[i]: node[up[i]] for i in range(n)},
-            {node[i]: {node[m] for m in below[i]} for i in range(n)},
-            {(node[key // (n + 1)], node[key % (n + 1)]): {node[c] for c in hung}
-             for key, hung in slots.items()},
+            {node[i]: {node[m] for _, m, _, _ in own} for i, own in enumerate(branches)},
+            {(node[m], node[up[i]]): {node[c] for c in hung}
+             for i, own in enumerate(branches) for _, m, hung, _ in own},
             {node[i]: removal[i].hex() for i in range(n - 1)})
 
 
@@ -830,6 +840,40 @@ def test_engine_table_matches_minmax_table(rng):
             {branch: set(hung) for branch, hung in slots.items()},
             {n: r.hex() for n, r in removal.items()},
         )
+
+
+def _pinned_pairs(rng):
+    """Random pairs of up to 20 leaves (every other one integer-valued),
+    20-leaf stars and caterpillars, trees with tied sibling saddles, and
+    neighbouring shape-dataset graphs' frame trees."""
+    for i in range(420):
+        yield (random_merge_tree(rng, max_leaves=20, integer_values=i % 2 == 1),
+               random_merge_tree(rng, max_leaves=20, integer_values=i % 2 == 1))
+    for i in range(6):
+        yield random_star(rng, 20, integer_values=i % 2 == 1), random_star(rng, 20)
+        yield (random_caterpillar(rng, 20, integer_values=i % 2 == 1),
+               random_caterpillar(rng, 20))
+        yield random_star(rng, 20), random_caterpillar(rng, 20, integer_values=i % 2 == 1)
+    for _ in range(30):
+        yield _tied_saddles(rng), _tied_saddles(rng)
+    graphs, _ = shape_dataset(seed=0)
+    rows = [frame_trees(g, frame_angles(4)) for g in graphs]
+    for rx, ry in zip(rows, rows[1:]):
+        yield from zip(rx, ry)
+
+
+# SHA-256 of the newline-joined float.hex of d_B over _pinned_pairs(rng), each
+# pair in both orders; any engine change that moves one bit changes it
+PINNED_DISTANCES = "7db7032aac9eabf3af13d37fe63b5dbaeb07d888dabb29e4faef39a445225463"
+
+
+def test_engine_floats_are_pinned(rng):
+    pairs = list(_pinned_pairs(rng))
+    assert 2 * len(pairs) >= 1000
+    digest = hashlib.sha256("\n".join(
+        branching_distance(a, b).hex() for x, y in pairs for a, b in ((x, y), (y, x))
+    ).encode()).hexdigest()
+    assert digest == PINNED_DISTANCES
 
 
 def _rows(mt):

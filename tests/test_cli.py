@@ -11,6 +11,7 @@ from abdkit.cli import main
 from abdkit.fixtures import fixture_path
 from abdkit.graph_io import MAX_COORDINATE_SUM, EmbeddedGraph, load_graph, write_graph
 from abdkit.merge_tree import compute_merge_trees
+from abdkit.synth import shape_dataset
 
 
 def w_path_graph():
@@ -412,6 +413,22 @@ def test_gen_deterministic(tmp_path):
     labels = (d1 / "labels.csv").read_text().splitlines()
     assert labels[0] == "file,class"
     assert len(labels) == 5
+
+
+@pytest.mark.parametrize("fmt, ext", [("json", "json"), ("edgelist", "txt")])
+def test_gen_writes_the_shape_dataset(tmp_path, fmt, ext):
+    # gen is shape_dataset written out: the same graphs, in the same rng order
+    classes = ("star", "comb", "zigzag", "polygon")
+    assert main(["gen", "--classes", ",".join(classes), "--per-class", "3", "--seed", "7",
+                 "--format", fmt, "--out", str(tmp_path / "gen")]) == 0
+    graphs, labels = shape_dataset(classes, per_class=3, seed=7)
+    names = [f"{name}_{k % 3:02d}.{ext}" for k, name in enumerate(labels)]
+    for g, name in zip(graphs, names):
+        write_graph(g, tmp_path / name, fmt)
+        assert (tmp_path / "gen" / name).read_bytes() == (tmp_path / name).read_bytes()
+    assert sorted(p.name for p in (tmp_path / "gen").iterdir()) == sorted([*names, "labels.csv"])
+    assert (tmp_path / "gen" / "labels.csv").read_text().splitlines() == [
+        "file,class", *(f"{f},{c}" for f, c in zip(names, labels))]
 
 
 def test_gen_bad_class(tmp_path, capsys):
