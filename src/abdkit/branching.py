@@ -36,8 +36,16 @@ Each side grows one bottleneck matching from the largest score ``low``
 upward: a slot whose first partner is free takes it at once, and a slot
 that finds no augmenting path raises t straight to the least removal cost,
 or weight on a partner the search did not see, among the slots it
-reached.  A leaf pair none of whose slots costs more to remove than its
-matching cost (no slot at all, say) is worth that cost, no value asked.
+reached.  Two tests settle a leaf pair before any value is asked.
+Nothing to match: when one side has no slot, or every slot is removable
+within the pair's matching cost, every slot is removed, and the pair is
+worth the largest of that cost and the two sides' largest removal costs.
+Hall's slot count (Hall 1935): the pair beats the best value so far only
+if each slot of one side that costs that value or more to remove gets its
+own slot of the other side, so a side with more such slots than the other
+side has slots rules the pair out.  The count is a plain loop, run only
+on the side with more slots, and only when that side's largest removal
+cost reaches the best value.
 
 Integer rows: :func:`_table` reads the tree's rows, its n nodes in
 ascending (value, id) order, so a child's row is below its parent's and
@@ -88,20 +96,41 @@ def _table(mt: MergeTree) -> tuple[list, list, list]:
     (its parent's value, the root's own for the root), row -> its branches
     ``(value of m, m, slot rows, largest slot removal cost)``, one for each
     leaf m below it, reaching up to its parent, and row -> least removal
-    cost.
+    cost.  Plain loops build them, since on small trees a generator per
+    row costs more than the row's work: a leaf's row is its own slotless
+    branch, and a parent's least removal cost is kept while its branches
+    are extended.
     """
     if mt.branch_table is None:
         ch = mt.child_rows()
         _guard_leaves(sum(not c for c in ch), MAX_LEAVES, "branching_distance")
         saddle, branches, removal = [mt.vals[p] for p in mt.up], [], []
         for i, v in enumerate(mt.vals):
-            own = [] if ch[i] else [(v, i, (), 0.0)]  # a leaf's own branch has no slot
-            for c in ch[i]:  # a child's branches reach up through row i: c's siblings hang on
-                off = tuple(d for d in ch[i] if d != c)
-                top = max([removal[d] for d in off], default=0.0)
-                own += [(lv, m, hung + off, max(r, top)) for lv, m, hung, r in branches[c]]
+            kids, s = ch[i], saddle[i]
+            if not kids:  # a leaf's own branch has no slot
+                branches.append([(v, i, (), 0.0)])
+                removal.append(abs(v - s) / 2.0)
+                continue
+            own, least = [], inf
+            for c in kids:  # a child's branches reach up through row i: c's siblings hang on
+                off, top = [], 0.0
+                for d in kids:
+                    if d != c:
+                        off.append(d)
+                        if removal[d] > top:
+                            top = removal[d]
+                off = tuple(off)
+                for lv, m, hung, r in branches[c]:
+                    if r < top:
+                        r = top
+                    own.append((lv, m, hung + off, r))
+                    e = abs(lv - s) / 2.0
+                    if e < r:
+                        e = r
+                    if e < least:
+                        least = e
             branches.append(own)
-            removal.append(min(max(abs(lv - saddle[i]) / 2.0, r) for lv, _, _, r in own))
+            removal.append(least)
         mt.branch_table = saddle, branches, removal
     return mt.branch_table
 
@@ -176,8 +205,32 @@ def _distance(x: MergeTree, y: MergeTree) -> float:
         for cost, _, _, sx, sy, tx, ty in sorted(leaf_pairs):  # (mx, my) settles every tie
             if cost >= best:
                 break
-            # a leaf pair whose slots are all removable within its cost is worth that cost
-            best = cost if tx <= cost and ty <= cost else min(best, value(cost, sx, sy, best))
+            if not sx or not sy or tx <= cost and ty <= cost:
+                # nothing to match: every slot is removed, so the pair is worth its largest cost
+                if tx > cost:
+                    cost = tx
+                if ty > cost:
+                    cost = ty
+                if cost < best:
+                    best = cost
+                continue
+            # Hall: below best, each slot costing best or more to remove needs its own
+            # partner, so only a side with more slots than the other can run short
+            if tx >= best and len(sx) > len(sy):
+                free = len(sy)
+                for c in sx:
+                    if rx[c] >= best:
+                        free -= 1
+                if free < 0:
+                    continue
+            elif ty >= best and len(sy) > len(sx):
+                free = len(sx)
+                for c in sy:
+                    if ry[c] >= best:
+                        free -= 1
+                if free < 0:
+                    continue
+            best = min(best, value(cost, sx, sy, best))
         if best < cutoff:
             exact[key] = best
         else:
@@ -193,8 +246,6 @@ def _distance(x: MergeTree, y: MergeTree) -> float:
         for b in sy:
             if ry[b] > cost:
                 heavy.append((ry[b], -1, b))
-        if not heavy:
-            return cost
         # score each heavy slot on its (weight, partner) row of weights below cutoff
         low, rows_x, rows_y = cost, {}, {}
         heavy.sort(reverse=True)

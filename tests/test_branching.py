@@ -770,6 +770,37 @@ def test_engine_matches_minmax_reference_on_shape_dataset():
         assert branching_distance(y, x) == minmax_distance(y, x)
 
 
+def _lopsided_pairs(rng):
+    """Pairs whose sides hold unequal slot counts, where the engine's slot
+    count (Hall) rules leaf pairs out and its nothing-to-match rule settles
+    them: trivial trees against 2-12-leaf trees, stars against caterpillars
+    of another size, and random pairs of different leaf counts, a third
+    integer-valued so that a removal cost can equal the best value exactly."""
+    for n in range(2, 13):
+        yield tree({0: float(n)}, {0: 0}), _sized_merge_tree(rng, n, n)
+        yield tree({0: -1.5}, {0: 0}), random_caterpillar(rng, n, integer_values=n % 2 == 0)
+        yield tree({0: 0.25}, {0: 0}), random_star(rng, n, integer_values=n % 3 == 0)
+    for i, (k, m) in enumerate((k, m) for k in (2, 4, 6, 9, 12) for m in (3, 7, 11, 15)):
+        yield random_star(rng, k, integer_values=i % 3 == 2), random_caterpillar(
+            rng, m, integer_values=i % 3 == 2)
+    pairs = 0
+    while pairs < 60:
+        ints = pairs % 3 == 2
+        x = random_merge_tree(rng, max_leaves=8, integer_values=ints)
+        y = random_merge_tree(rng, max_leaves=16, integer_values=ints)
+        if x.n_leaves != y.n_leaves:
+            pairs += 1
+            yield x, y
+
+
+def test_engine_matches_minmax_reference_on_lopsided_slot_counts(rng):
+    pairs = list(_lopsided_pairs(rng))
+    assert 2 * len(pairs) >= 200
+    for x, y in pairs:
+        assert branching_distance(x, y) == minmax_distance(x, y)
+        assert branching_distance(y, x) == minmax_distance(y, x)
+
+
 def _tied_saddles(rng):
     """Two or three random subtrees shifted so that their roots, siblings
     under one new root, share one value; integer values tie leaves too."""
