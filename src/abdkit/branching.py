@@ -36,16 +36,14 @@ Each side grows one bottleneck matching from the largest score ``low``
 upward: a slot whose first partner is free takes it at once, and a slot
 that finds no augmenting path raises t straight to the least removal cost,
 or weight on a partner the search did not see, among the slots it
-reached.  Two tests settle a leaf pair before any value is asked.
-Nothing to match: when one side has no slot, or every slot is removable
-within the pair's matching cost, every slot is removed, and the pair is
-worth the largest of that cost and the two sides' largest removal costs.
-Hall's slot count (Hall 1935): the pair beats the best value so far only
-if each slot of one side that costs that value or more to remove gets its
-own slot of the other side, so a side with more such slots than the other
-side has slots rules the pair out.  The count is a plain loop, run only
-on the side with more slots, and only when that side's largest removal
-cost reaches the best value.
+reached.  A leaf pair none of whose slots costs more to remove than its
+matching cost (no slot at all, say) is worth that cost, no value asked.
+Hall's slot count (Hall 1935) rules out another pair with no value asked:
+the pair beats the best value so far only if each slot of one side that
+costs that value or more to remove gets its own slot of the other side, so
+a side with more such slots than the other side has slots cannot.  The
+count is a plain loop, run only on the side with more slots, and only when
+that side's largest removal cost reaches the best value.
 
 Integer rows: :func:`_table` reads the tree's rows, its n nodes in
 ascending (value, id) order, so a child's row is below its parent's and
@@ -205,28 +203,15 @@ def _distance(x: MergeTree, y: MergeTree) -> float:
         for cost, _, _, sx, sy, tx, ty in sorted(leaf_pairs):  # (mx, my) settles every tie
             if cost >= best:
                 break
-            if not sx or not sy or tx <= cost and ty <= cost:
-                # nothing to match: every slot is removed, so the pair is worth its largest cost
-                if tx > cost:
-                    cost = tx
-                if ty > cost:
-                    cost = ty
-                if cost < best:
-                    best = cost
+            if tx <= cost and ty <= cost:  # every slot is removable within the pair's cost
+                best = cost
                 continue
             # Hall: below best, each slot costing best or more to remove needs its own
             # partner, so only a side with more slots than the other can run short
-            if tx >= best and len(sx) > len(sy):
-                free = len(sy)
-                for c in sx:
-                    if rx[c] >= best:
-                        free -= 1
-                if free < 0:
-                    continue
-            elif ty >= best and len(sy) > len(sx):
-                free = len(sx)
-                for c in sy:
-                    if ry[c] >= best:
+            big, r, t, free = (sx, rx, tx, len(sy)) if len(sx) > len(sy) else (sy, ry, ty, len(sx))
+            if t >= best and len(big) > free:
+                for c in big:
+                    if r[c] >= best:
                         free -= 1
                 if free < 0:
                     continue

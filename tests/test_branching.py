@@ -636,9 +636,32 @@ def _metamorphic_pairs(rng):
         yield random_caterpillar(rng, n), random_caterpillar(rng, n, integer_values=n == 14)
 
 
+def _lopsided_pairs(rng):
+    """Pairs whose sides hold unequal slot counts, where the engine's slot
+    count (Hall) rules leaf pairs out: trivial trees against 2-12-leaf
+    trees, stars against caterpillars of another size, and random pairs of
+    different leaf counts, a third integer-valued so that a removal cost
+    can equal the best value exactly."""
+    for n in range(2, 13):
+        yield tree({0: float(n)}, {0: 0}), _sized_merge_tree(rng, n, n)
+        yield tree({0: -1.5}, {0: 0}), random_caterpillar(rng, n, integer_values=n % 2 == 0)
+        yield tree({0: 0.25}, {0: 0}), random_star(rng, n, integer_values=n % 3 == 0)
+    for i, (k, m) in enumerate((k, m) for k in (2, 4, 6, 9, 12) for m in (3, 7, 11, 15)):
+        yield random_star(rng, k, integer_values=i % 3 == 2), random_caterpillar(
+            rng, m, integer_values=i % 3 == 2)
+    pairs = 0
+    while pairs < 60:
+        ints = pairs % 3 == 2
+        x = random_merge_tree(rng, max_leaves=8, integer_values=ints)
+        y = random_merge_tree(rng, max_leaves=16, integer_values=ints)
+        if x.n_leaves != y.n_leaves:
+            pairs += 1
+            yield x, y
+
+
 def _minmax_reference_pairs(rng):
-    """Random pairs of up to 20 leaves, caterpillars, stars, combs and the
-    fixture triples."""
+    """Random pairs of up to 20 leaves, caterpillars, stars, combs, the
+    fixture triples and the lopsided pairs."""
     for i in range(45):
         yield (random_merge_tree(rng, max_leaves=20, integer_values=i % 3 == 2),
                random_merge_tree(rng, max_leaves=20, integer_values=i % 3 == 2))
@@ -655,6 +678,7 @@ def _minmax_reference_pairs(rng):
     graphs = [merge_tree_at(g, frame_angles(1)[0]) for g in graph_counterexample()]
     for t in (triple, graphs):
         yield from ((a, b) for a in t for b in t)
+    yield from _lopsided_pairs(rng)
 
 
 def test_engine_matches_minmax_reference(rng):
@@ -766,37 +790,6 @@ def test_engine_matches_minmax_reference_on_shape_dataset():
             items.setdefault((x.canonical_key(), y.canonical_key()), (x, y))
     assert len(items) > 1000
     for x, y in items.values():
-        assert branching_distance(x, y) == minmax_distance(x, y)
-        assert branching_distance(y, x) == minmax_distance(y, x)
-
-
-def _lopsided_pairs(rng):
-    """Pairs whose sides hold unequal slot counts, where the engine's slot
-    count (Hall) rules leaf pairs out and its nothing-to-match rule settles
-    them: trivial trees against 2-12-leaf trees, stars against caterpillars
-    of another size, and random pairs of different leaf counts, a third
-    integer-valued so that a removal cost can equal the best value exactly."""
-    for n in range(2, 13):
-        yield tree({0: float(n)}, {0: 0}), _sized_merge_tree(rng, n, n)
-        yield tree({0: -1.5}, {0: 0}), random_caterpillar(rng, n, integer_values=n % 2 == 0)
-        yield tree({0: 0.25}, {0: 0}), random_star(rng, n, integer_values=n % 3 == 0)
-    for i, (k, m) in enumerate((k, m) for k in (2, 4, 6, 9, 12) for m in (3, 7, 11, 15)):
-        yield random_star(rng, k, integer_values=i % 3 == 2), random_caterpillar(
-            rng, m, integer_values=i % 3 == 2)
-    pairs = 0
-    while pairs < 60:
-        ints = pairs % 3 == 2
-        x = random_merge_tree(rng, max_leaves=8, integer_values=ints)
-        y = random_merge_tree(rng, max_leaves=16, integer_values=ints)
-        if x.n_leaves != y.n_leaves:
-            pairs += 1
-            yield x, y
-
-
-def test_engine_matches_minmax_reference_on_lopsided_slot_counts(rng):
-    pairs = list(_lopsided_pairs(rng))
-    assert 2 * len(pairs) >= 200
-    for x, y in pairs:
         assert branching_distance(x, y) == minmax_distance(x, y)
         assert branching_distance(y, x) == minmax_distance(y, x)
 
