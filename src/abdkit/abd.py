@@ -20,13 +20,14 @@ import math
 
 import numpy as np
 
-from .branching import branching_distance
+from .branching import branching_distance, check_tol
 from .filtration import ScalarGraph, collapse_equal_adjacent, direction_values, tie_mask
 from .graph_io import EmbeddedGraph, largest_component
 from .merge_tree import (
     DisconnectedGraphError,
     MergeTree,
     compute_merge_tree,
+    check_mode,
     compute_merge_trees,
     median_or_mean,
     shift_median_zero,
@@ -107,9 +108,10 @@ def per_frame_distances(
     """Branching distance per frame, in frame order (unsorted).
 
     ``tol`` selects tolerance mode (see :func:`branching_distance`); ``None``
-    is exact.  A distance error such as the leaf guard is re-raised naming
-    the frame.
+    is exact.  A bad ``tol`` is refused before any graph is swept; a distance
+    error such as the leaf guard is re-raised naming the frame.
     """
+    check_tol(tol)
     angles = frame_angles(n_frames)
     trees = zip(frame_trees(g, angles), frame_trees(h, angles))
     out = []
@@ -133,6 +135,8 @@ def average_branching_distance(
     Disconnected inputs are reduced to their largest component.
     :func:`merge_tree.median_or_mean` sorts the per-frame values, so the
     result is independent of evaluation order; an even frame count uses the
-    midpoint of the two central values for the median.
+    midpoint of the two central values for the median.  A bad ``avg`` is
+    refused before any graph is swept.
     """
+    check_mode(avg, "avg")
     return median_or_mean(per_frame_distances(g, h, n_frames, tol), avg, "avg")

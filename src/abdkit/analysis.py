@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .abd import frame_angles, frame_trees
-from .branching import branching_distance
+from .branching import branching_distance, check_tol
 from .graph_io import EmbeddedGraph
-from .merge_tree import median_or_mean
+from .merge_tree import check_mode, median_or_mean
 
 # Not called here: they keep the benchmark tracer's ("analysis", "merge_tree_at")
 # and ("analysis", "largest_component") patch points resolving.  The matrix
@@ -172,7 +172,8 @@ def distance_matrix(
     distinct unordered pair of trees is computed once, on the first (pair,
     frame) that produces it in either order, since d_B is symmetric to the
     bit.  Items run in the order first met, so a refusal names the first
-    failing pair and frame.
+    failing pair and frame; a bad ``tol`` or ``avg`` is refused before any
+    graph is swept.
     ``jobs`` > 1 runs the items in a process pool of at most
     ``min(jobs, items, available CPUs)`` workers, each sent every tree once
     and then item indices in about four chunks per worker.
@@ -189,6 +190,8 @@ def distance_matrix(
     _check_labels(labels)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    check_tol(tol)
+    check_mode(avg, "avg")
     angles = frame_angles(n_frames)
     trees = [frame_trees(g, angles) for g in graphs]
     ids: dict = {}  # canonical key -> small id, shared by all frames

@@ -30,14 +30,18 @@ otherwise.  A value scores its *heavy* slots (costlier to remove than the
 branch pair's matching cost) costliest first, each by the lesser of its
 removal cost and best partner weight, and returns inf at the first score
 to reach the cutoff; a slot neither removable nor matchable below it ends
-the value unaided, as the saddle-gap test empties its row.  The sides' covers
-are independent and monotone in t: the least t is the larger of theirs.
-Each side grows one bottleneck matching from the largest score ``low``
-upward: a slot whose first partner is free takes it at once, and a slot
-that finds no augmenting path raises t straight to the least removal cost,
-or weight on a partner the search did not see, among the slots it
-reached.  A leaf pair none of whose slots costs more to remove than its
-matching cost (no slot at all, say) is worth that cost, no value asked.
+the value unaided, as the saddle-gap test empties its row.  One
+bottleneck matching then covers the heavy slots of both sides, grown from
+the largest score ``low`` upward: x's slots seek y's slots and y's seek
+x's, so its graph splits into two components that share no slot, and it
+finds the larger of their least t.  That is exact: one matching between
+the trees covers every heavy slot of both sides if and only if each side's
+heavy slots can be covered apart (Mendelsohn & Dulmage 1958).  A slot
+whose first partner is free takes it at once, and a slot that finds no
+augmenting path raises t straight to the least removal cost, or weight on
+a partner the search did not see, among the slots it reached.  A leaf
+pair none of whose slots costs more to remove than its matching cost (no
+slot at all, say) is worth that cost, no value asked.
 Hall's slot count (Hall 1935) rules out another pair with no value asked:
 the pair beats the best value so far only if each slot of one side that
 costs that value or more to remove gets its own slot of the other side, so
@@ -45,18 +49,14 @@ a side with more such slots than the other side has slots cannot.  The
 count is a plain loop, run only on the side with more slots, and only when
 that side's largest removal cost reaches the best value.
 
-Integer rows: :func:`_table` reads the tree's rows, its n nodes in
-ascending (value, id) order, so a child's row is below its parent's and
-the root's is n - 1, and builds three lists by row in one pass, children
-first.  Row i's saddle is its parent's value (the root's own for the root,
-standing in for the virtual node); its branches are the ``(m, parent of
-i)``, one per leaf m below i, each held as (value of m, m, slot rows,
-largest removal cost among those slots), so a row's branches are its
-children's, each extended by that child's siblings; its removal cost is the
-least over them.  A leaf pair reads its slots from the two branch tuples,
-and the weight of slot pair ``(a, b)`` is memoised under the one int ``a *
-ny + b`` (``ny`` rows in y), so the recursion builds and hashes no tuple
-key and does no dict lookup per leaf pair.
+Integer rows: a tree's n nodes are numbered in ascending (value, id)
+order, so a child's row is below its parent's and the root's is n - 1, and
+:func:`_table` lists its branches by row.  A leaf pair reads its slots
+from the two branch tuples, and the weight of slot pair ``(a, b)`` is
+memoised under the one int ``a * ny + b`` (``ny`` rows in y), so the
+recursion builds and hashes no tuple key and does no dict lookup per leaf
+pair.  A value numbers y's slot b as ``nx + b`` (``nx`` rows in x), so
+both sides' slots share one row map and one list of removal costs.
 """
 
 from __future__ import annotations
@@ -91,13 +91,14 @@ def _table(mt: MergeTree) -> tuple[list, list, list]:
     """``mt.branch_table``, built on the first call; the distance's leaf guard.
 
     Three lists over the tree's rows, built children first: row -> saddle
-    (its parent's value, the root's own for the root), row -> its branches
-    ``(value of m, m, slot rows, largest slot removal cost)``, one for each
-    leaf m below it, reaching up to its parent, and row -> least removal
-    cost.  Plain loops build them, since on small trees a generator per
-    row costs more than the row's work: a leaf's row is its own slotless
-    branch, and a parent's least removal cost is kept while its branches
-    are extended.
+    (its parent's value, the root's own for the root, standing in for the
+    virtual node), row -> its branches ``(value of m, m, slot rows, largest
+    slot removal cost)``, one for each leaf m below it, reaching up to its
+    parent, and row -> least removal cost over those branches.  A row's
+    branches are its children's, each extended by that child's siblings.
+    Plain loops build them, since on small trees a generator per row costs
+    more than the row's work: a leaf's row is its own slotless branch, and
+    a parent's least removal cost is kept while its branches are extended.
     """
     if mt.branch_table is None:
         ch = mt.child_rows()
@@ -157,6 +158,13 @@ def _least_cover(t: float, rows: dict, removal: list, cutoff: float) -> float:
     (those seen), and keep doing so until t reaches one's removal cost or
     weight on a partner not seen: t jumps to the least of these, and the
     slots then removable leave the matching.
+
+    A branch pair's value passes the heavy slots of both sides in one
+    ``rows``, x's partnered with y's slots and y's with x's.  The two halves
+    share no slot, so a search never crosses from one to the other, and the
+    one matching stops at the larger of the two halves' least t, as two
+    calls in turn would (Mendelsohn & Dulmage 1958: covering each side
+    apart is covering both at once).
     """
     owner: dict = {}  # partner -> slot
     for a in rows:
@@ -183,7 +191,8 @@ def _distance(x: MergeTree, y: MergeTree) -> float:
     ``cutoff`` either.  Callers read ``exact`` first.
     """
     (saddle_x, bx, rx), (saddle_y, by, ry) = _table(x), _table(y)
-    ny = len(saddle_y)  # the stride of a slot-pair key
+    nx, ny = len(saddle_x), len(saddle_y)  # ny: the stride of a slot-pair key
+    rxy = rx + ry  # removal cost by slot in value's numbering, y's slot b at nx + b
     exact: dict = {}  # slot-pair key -> weight
     floor: dict = {}  # slot-pair key -> a bound its weight is known to reach
 
@@ -224,47 +233,50 @@ def _distance(x: MergeTree, y: MergeTree) -> float:
 
     def value(cost: float, sx: tuple, sy: tuple, cutoff: float) -> float:
         # plain loops, as in weight: no cells
-        heavy = []  # (removal cost, x slot or -1, y slot or -1) of slots too costly at cost
+        heavy = []  # (removal cost, slot) of slots too costly at cost, y's slot b as nx + b
         for a in sx:
             if rx[a] > cost:
-                heavy.append((rx[a], a, -1))
+                heavy.append((rx[a], a))
         for b in sy:
             if ry[b] > cost:
-                heavy.append((ry[b], -1, b))
+                heavy.append((ry[b], nx + b))
         # score each heavy slot on its (weight, partner) row of weights below cutoff
-        low, rows_x, rows_y = cost, {}, {}
+        low, rows = cost, {}
         heavy.sort(reverse=True)
-        for removal, a, b in heavy:
+        for removal, a in heavy:
             r = []
-            if b < 0:
+            if a < nx:
                 base = a * ny
                 for c in sy:
                     key = base + c
                     w = exact[key] if key in exact else weight(a, c, key, cutoff)
                     if w < cutoff:
-                        r.append((w, c))
-                r.sort()
-                rows_x[a] = r
+                        r.append((w, nx + c))
             else:
+                b = a - nx
                 for c in sx:
                     key = c * ny + b
                     w = exact[key] if key in exact else weight(c, b, key, cutoff)
                     if w < cutoff:
                         r.append((w, c))
-                r.sort()
-                rows_y[b] = r
+            r.sort()
+            rows[a] = r
             if r and r[0][0] < removal:
                 removal = r[0][0]
             if removal > low:
                 low = removal
                 if low >= cutoff:
                     return inf
-        # the sides are covered apart, each monotone in t: the least t is the larger
-        t = _least_cover(low, rows_x, rx, cutoff)
-        return _least_cover(t, rows_y, ry, cutoff) if t < cutoff else inf
+        return _least_cover(low, rows, rxy, cutoff)
 
-    root_x, root_y = len(saddle_x) - 1, ny - 1
+    root_x, root_y = nx - 1, ny - 1
     return weight(root_x, root_y, root_x * ny + root_y, inf)
+
+
+def check_tol(tol: float | None) -> None:
+    """Refuse a ``tol`` that is neither None (exact mode) nor a positive finite number."""
+    if tol is not None and not 0.0 < tol < inf:  # NaN fails too
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
 
 
 def branching_distance(x: MergeTree, y: MergeTree, tol: float | None = None) -> float:
@@ -276,8 +288,7 @@ def branching_distance(x: MergeTree, y: MergeTree, tol: float | None = None) -> 
     against ``optimum <= mid`` and return a feasible value within ``tol``
     of the optimum.
     """
-    if tol is not None and not 0.0 < tol < inf:  # NaN fails too
-        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+    check_tol(tol)
     d = _distance(x, y)
     if tol is None or d <= 0.0:
         return d

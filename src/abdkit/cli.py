@@ -115,7 +115,7 @@ def cmd_mds(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify  # the only command that loads the oracles
 
-    report = verify.run_all(trials=args.trials, seed=args.seed, fixtures_dir=args.fixtures_dir)
+    report = verify.run_all(trials=args.trials, seed=args.seed)
     print("\n".join(report.lines()))
     return 0 if report.passed else 1
 
@@ -212,8 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200,
                    help="fuzz count for randomized suites, at least 4")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fixtures-dir", default=None,
-                   help="load counterexample fixtures from this directory instead of the package")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="generate synthetic shape datasets")

@@ -28,26 +28,18 @@ __all__ = [
 ]
 
 
-def fixture_path(name: str, fixtures_dir: str | Path | None = None) -> Path:
-    if fixtures_dir is not None:
-        return Path(fixtures_dir) / name
+def fixture_path(name: str) -> Path:
     return Path(resources.files(__package__) / name)
 
 
-def tree_counterexample(fixtures_dir: str | Path | None = None) -> tuple[MergeTree, MergeTree, MergeTree]:
+def tree_counterexample() -> tuple[MergeTree, MergeTree, MergeTree]:
     """Merge trees X, Y, Z with d_B = 5, 3, 1 for (X,Y), (Y,Z), (X,Z)."""
-    return tuple(
-        load_tree(fixture_path(f"tree_triple_{name}.json", fixtures_dir))
-        for name in ("x", "y", "z")
-    )
+    return tuple(load_tree(fixture_path(f"tree_triple_{name}.json")) for name in "xyz")
 
 
-def graph_counterexample(fixtures_dir: str | Path | None = None) -> tuple[EmbeddedGraph, EmbeddedGraph, EmbeddedGraph]:
+def graph_counterexample() -> tuple[EmbeddedGraph, EmbeddedGraph, EmbeddedGraph]:
     """Graphs G, H, J with d_A = 6.5, 2.5, 3 over the frame set {pi/2}."""
-    return tuple(
-        load_graph(fixture_path(f"graph_triple_{name}.json", fixtures_dir))
-        for name in ("g", "h", "j")
-    )
+    return tuple(load_graph(fixture_path(f"graph_triple_{name}.json")) for name in "ghj")
 
 
 def indistinguishable_pair() -> tuple[EmbeddedGraph, EmbeddedGraph]:

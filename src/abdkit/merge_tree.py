@@ -290,6 +290,12 @@ def _middle(s: Sequence[float] | np.ndarray) -> float | np.ndarray:
     return ((s[m - 1] + 0.0) + (s[m] + 0.0)) / 2
 
 
+def check_mode(mode: str, what: str = "mode") -> None:
+    """Refuse a ``mode`` of :func:`median_or_mean` other than 'median' or 'mean'."""
+    if mode not in ("median", "mean"):
+        raise ValueError(f"unknown {what} {mode!r}, expected 'median' or 'mean'")
+
+
 def median_or_mean(values: Sequence[float] | np.ndarray, mode: str = "median",
                    what: str = "mode") -> float | np.ndarray:
     """The median or the mean along the last axis of ``values``; ``what``
@@ -309,8 +315,7 @@ def median_or_mean(values: Sequence[float] | np.ndarray, mode: str = "median",
     is ``np.mean`` of that sorted row alone, and only the rows whose sum
     could overflow are scaled.
     """
-    if mode not in ("median", "mean"):
-        raise ValueError(f"unknown {what} {mode!r}, expected 'median' or 'mean'")
+    check_mode(mode, what)
     s = np.sort(values, axis=-1)
     rows = np.atleast_2d(s)
     if mode == "median":

@@ -11,7 +11,6 @@ nonnegativity hold everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -51,9 +50,9 @@ class Report:
         return out
 
 
-def check_tree_triangle_violation(fixtures_dir: str | Path | None = None) -> CheckResult:
+def check_tree_triangle_violation() -> CheckResult:
     """d_B on the frozen tree triple is 5, 3, 1 and violates the triangle inequality."""
-    x, y, z = tree_counterexample(fixtures_dir)
+    x, y, z = tree_counterexample()
     for t in (x, y, z):
         t.validate()
     dxy = branching_distance(x, y)
@@ -73,9 +72,9 @@ def check_tree_triangle_violation(fixtures_dir: str | Path | None = None) -> Che
     )
 
 
-def check_abd_triangle_violation(fixtures_dir: str | Path | None = None) -> CheckResult:
+def check_abd_triangle_violation() -> CheckResult:
     """ABD on the frozen graph triple over {pi/2} is 6.5, 2.5, 3 and violates the triangle."""
-    g, h, j = graph_counterexample(fixtures_dir)
+    g, h, j = graph_counterexample()
     dgh = average_branching_distance(g, h, n_frames=1)
     dgj = average_branching_distance(g, j, n_frames=1)
     dhj = average_branching_distance(h, j, n_frames=1)
@@ -243,7 +242,7 @@ def check_frame_stability(pairs: int = 10, seed: int = 0, need: int = 8) -> Chec
     return CheckResult("frame-count stability", stable >= need, detail)
 
 
-def run_all(trials: int = 200, seed: int = 0, fixtures_dir: str | Path | None = None) -> Report:
+def run_all(trials: int = 200, seed: int = 0) -> Report:
     """All counterexample regressions and property suites.
 
     ``trials`` is the fuzz count for the randomized suites (the smaller
@@ -260,8 +259,8 @@ def run_all(trials: int = 200, seed: int = 0, fixtures_dir: str | Path | None = 
         except Exception as exc:  # a broken fixture or bug is a FAIL, not a crash
             report.checks.append(CheckResult(name, False, f"raised {type(exc).__name__}: {exc}"))
 
-    run("branching-distance triangle violation", check_tree_triangle_violation, fixtures_dir)
-    run("ABD triangle violation", check_abd_triangle_violation, fixtures_dir)
+    run("branching-distance triangle violation", check_tree_triangle_violation)
+    run("ABD triangle violation", check_abd_triangle_violation)
     run("ABD positiveness failure", check_abd_positiveness_failure)
     run("convex-polygon triviality", check_convex_triviality, seed=seed)
     run("merge-tree oracle equivalence", check_merge_tree_oracle, trials=trials, seed=seed)

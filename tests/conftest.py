@@ -14,6 +14,38 @@ def tree(values: dict[int, float], parent: dict[int, int]) -> MergeTree:
     return t
 
 
+def _leaf_values(rng, n, integer_values):
+    if integer_values:
+        return [float(v) for v in rng.integers(-20, 21, n)]
+    return [round(float(v), 3) for v in rng.uniform(-10.0, 10.0, n)]
+
+
+def random_caterpillar(rng, n_leaves, integer_values=False):
+    """Leaves 0..n-1 joined one at a time up a spine: the most nested shape."""
+    vals = _leaf_values(rng, n_leaves, integer_values)
+    values, parent = {0: vals[0]}, {}
+    top, spine = vals[0], 0
+    for i in range(1, n_leaves):
+        if integer_values:
+            step = float(rng.integers(1, 4))
+        else:
+            step = round(float(rng.uniform(0.1, 1.0)), 3)
+        top = max(top, vals[i]) + step
+        values[i], values[n_leaves + i] = vals[i], top
+        parent[spine] = parent[i] = n_leaves + i
+        spine = n_leaves + i
+    parent[spine] = spine
+    return MergeTree(values, parent)
+
+
+def random_star(rng, n_leaves, integer_values=False):
+    """Leaves 0..n-1 (n >= 2) all joined at one root above them."""
+    vals = _leaf_values(rng, n_leaves, integer_values)
+    root = max(vals) + 1.0
+    return MergeTree({i: v for i, v in enumerate(vals)} | {n_leaves: root},
+                     {i: n_leaves for i in range(n_leaves + 1)})
+
+
 def scalar(values: dict[int, float], edges) -> ScalarGraph:
     return ScalarGraph.from_dict({k: float(v) for k, v in values.items()}, list(edges))
 

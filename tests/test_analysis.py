@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import orthogonal_procrustes
 from scipy.sparse.csgraph import minimum_spanning_tree
 
-from abdkit import analysis, branching, graph_io
+from abdkit import abd, analysis, branching, graph_io
 from abdkit.abd import (
     average_branching_distance,
     frame_angles,
@@ -154,6 +154,37 @@ def random_graph_set(rng):
     graphs = [pool[k] for k in rng.integers(0, len(pool), int(rng.integers(2, 13)))]
     graphs += [translated(g, 1.5, -0.5) for g in graphs[: int(rng.integers(0, 3))]]
     return [graphs[k] for k in rng.permutation(len(graphs))]
+
+
+@pytest.mark.parametrize("bad", [{"tol": math.nan}, {"tol": 0.0}, {"tol": -1.0}, {"avg": "meen"}],
+                         ids=["tol-nan", "tol-0", "tol-neg", "avg"])
+def test_bad_tol_or_avg_is_refused_before_any_sweep(monkeypatch, bad):
+    # the message is the one branching_distance and median_or_mean give, and
+    # no graph is swept first
+    swept = []
+
+    def spy(g, angles):
+        swept.append(g)
+        return frame_trees(g, angles)
+
+    monkeypatch.setattr(abd, "frame_trees", spy)
+    monkeypatch.setattr(analysis, "frame_trees", spy)
+    g, h, j = graph_counterexample()
+    if "tol" in bad:
+        message = f"tol must be a positive finite number, got {bad['tol']!r}"
+        calls = [lambda: per_frame_distances(g, h, 4, bad["tol"])]
+    else:
+        message = "unknown avg 'meen', expected 'median' or 'mean'"
+        calls = []
+    calls += [lambda: average_branching_distance(g, h, n_frames=4, **bad),
+              lambda: distance_matrix([g, h, j], n_frames=4, **bad)]
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+    assert swept == []
+    distance_matrix([g, h, j], n_frames=4)
+    assert len(swept) == 3  # the spy sees the sweeps of a good call
 
 
 @pytest.mark.parametrize("n_frames", [1, 2, 10])

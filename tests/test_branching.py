@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from abdkit import branching
+from abdkit import branching, oracles
 from abdkit.abd import frame_angles, frame_trees, merge_tree_at
 from abdkit.branching import MAX_LEAVES, branching_distance
 from abdkit.fixtures import graph_counterexample, tree_counterexample
@@ -32,7 +32,7 @@ from abdkit.oracles import (
 )
 from abdkit.synth import comb, random_merge_tree, shape_dataset
 
-from conftest import tree
+from conftest import random_caterpillar, random_star, tree
 
 finite = st.floats(-1e9, 1e9, allow_nan=False)
 
@@ -580,38 +580,6 @@ def test_oracle_equivalence_sample(rng):
         assert branching_distance(x, y) == brute_force_distance(x, y)
 
 
-def _leaf_values(rng, n, integer_values):
-    if integer_values:
-        return [float(v) for v in rng.integers(-20, 21, n)]
-    return [round(float(v), 3) for v in rng.uniform(-10.0, 10.0, n)]
-
-
-def random_caterpillar(rng, n_leaves, integer_values=False):
-    """Leaves 0..n-1 joined one at a time up a spine: the most nested shape."""
-    vals = _leaf_values(rng, n_leaves, integer_values)
-    values, parent = {0: vals[0]}, {}
-    top, spine = vals[0], 0
-    for i in range(1, n_leaves):
-        if integer_values:
-            step = float(rng.integers(1, 4))
-        else:
-            step = round(float(rng.uniform(0.1, 1.0)), 3)
-        top = max(top, vals[i]) + step
-        values[i], values[n_leaves + i] = vals[i], top
-        parent[spine] = parent[i] = n_leaves + i
-        spine = n_leaves + i
-    parent[spine] = spine
-    return MergeTree(values, parent)
-
-
-def random_star(rng, n_leaves, integer_values=False):
-    """Leaves 0..n-1 (n >= 2) all joined at one root above them."""
-    vals = _leaf_values(rng, n_leaves, integer_values)
-    root = max(vals) + 1.0
-    return MergeTree({i: v for i, v in enumerate(vals)} | {n_leaves: root},
-                     {i: n_leaves for i in range(n_leaves + 1)})
-
-
 def _sized_merge_tree(rng, lo, hi, integer_values=False):
     """A random merge tree with between lo and hi leaves."""
     while True:
@@ -685,6 +653,22 @@ def test_engine_matches_minmax_reference(rng):
     # the engine prunes every weight at its caller's cutoff; the reference
     # computes each in full, so the two must agree to the bit
     for x, y in _minmax_reference_pairs(rng):
+        assert branching_distance(x, y) == minmax_distance(x, y)
+        assert branching_distance(y, x) == minmax_distance(y, x)
+
+
+def test_engine_matches_minmax_reference_past_the_guard(rng, monkeypatch):
+    # 25-30 leaves, with the leaf guard raised for this test only; the
+    # reference takes up to about 2 s an order on the caterpillar pair
+    monkeypatch.setattr(branching, "MAX_LEAVES", 30)
+    monkeypatch.setattr(oracles, "MAX_LEAVES", 30)
+    pairs = [(_sized_merge_tree(rng, 25, 30, integer_values=i >= 2),
+              _sized_merge_tree(rng, 25, 30, integer_values=i >= 2)) for i in range(4)]
+    pairs += [(random_star(rng, 30), random_star(rng, 25)),
+              (random_caterpillar(rng, 26, integer_values=True),
+               random_caterpillar(rng, 27, integer_values=True))]
+    for x, y in pairs:
+        assert max(x.n_leaves, y.n_leaves) > MAX_LEAVES
         assert branching_distance(x, y) == minmax_distance(x, y)
         assert branching_distance(y, x) == minmax_distance(y, x)
 

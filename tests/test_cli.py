@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from abdkit import abd, cli
+from abdkit import abd, cli, fixtures
 from abdkit.cli import main
 from abdkit.fixtures import fixture_path
 from abdkit.graph_io import MAX_COORDINATE_SUM, EmbeddedGraph, load_graph, write_graph
@@ -203,6 +203,19 @@ def test_dist_rejects_tol_not_positive_and_finite(tmp_path, capsys, tol):
     x = shutil.copy(fixture_path("tree_triple_x.json"), tmp_path / "x.json")
     y = shutil.copy(fixture_path("tree_triple_y.json"), tmp_path / "y.json")
     assert main(["dist", str(x), str(y), "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: tol must be a positive finite number, got {float(tol)!r}\n"
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+@pytest.mark.parametrize("command", [["abd"], ["abd", "--per-frame"], ["matrix"]],
+                         ids=["abd", "abd-per-frame", "matrix"])
+def test_abd_and_matrix_reject_tol_naming_no_frame_or_pair(capsys, command, tol):
+    # refused before any graph is swept, so the message blames tol alone
+    files = [str(fixture_path(f"graph_triple_{n}.json")) for n in "ghj"]
+    args = [command[0], *files[: 2 if command[0] == "abd" else 3], *command[1:]]
+    assert main([*args, "--tol", tol]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: tol must be a positive finite number, got {float(tol)!r}\n"
@@ -469,12 +482,13 @@ def test_verify_refuses_trials_below_four(capsys, trials):
         verify.run_all(trials=trials)
 
 
-def test_verify_corrupted_fixture_fails(tmp_path, capsys):
-    # a fixtures dir holding a broken triple must make verify exit nonzero
+def test_verify_corrupted_fixture_fails(tmp_path, capsys, monkeypatch):
+    # a broken frozen triple must make verify exit nonzero
     for name in ("tree_triple_x", "tree_triple_y", "tree_triple_z", "graph_triple_g", "graph_triple_h", "graph_triple_j"):
         shutil.copy(fixture_path(f"{name}.json"), tmp_path / f"{name}.json")
     (tmp_path / "tree_triple_x.json").write_text('{"nodes": [], "parent": {}}')
-    assert main(["verify", "--trials", "8", "--fixtures-dir", str(tmp_path)]) == 1
+    monkeypatch.setattr(fixtures, "fixture_path", lambda name: tmp_path / name)
+    assert main(["verify", "--trials", "8"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
 
